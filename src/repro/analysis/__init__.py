@@ -24,9 +24,8 @@ Front doors:
 from .accesses import (Access, ControlDep, FenceEvent, GuardPoint,
                        ThreadSummary, ValueCond, summarize_test,
                        summarize_thread)
-from .backend import (ANALYSIS_LOCATION, AnalysisBackend, analysis_session,
-                      condition_skippable, prescreen, run_prescreened,
-                      verdict_from_histogram, verdict_state)
+from .backend import (AnalysisBackend, AnalysisMeta, analysis_session,
+                      condition_skippable, prescreen, run_prescreened)
 from .consistency import (ConsistencyProblem, ConsistencyReport,
                           check_exhaustive, check_library,
                           check_scenarios, run_consistency)
@@ -34,9 +33,9 @@ from .races import (CLEAN, ORDERED, RACY, SYNC, UNKNOWN, AnalysisReport,
                     Diagnostic, PairFinding, analyze_test)
 
 __all__ = [
-    "ANALYSIS_LOCATION",
     "Access",
     "AnalysisBackend",
+    "AnalysisMeta",
     "AnalysisReport",
     "CLEAN",
     "ConsistencyProblem",
@@ -63,6 +62,4 @@ __all__ = [
     "run_prescreened",
     "summarize_test",
     "summarize_thread",
-    "verdict_from_histogram",
-    "verdict_state",
 ]

@@ -7,12 +7,12 @@ as simulations and model enumerations — fingerprint-keyed caching,
 in-plan deduplication, ``Shard.iterations=0`` accounting (an analysis is
 not a simulated iteration).
 
-Verdicts travel as histograms so the cache's JSON round-trip and the
-``SpecResult`` plumbing apply unchanged: a single synthetic final state
-``{__analysis__: code}`` with count 1, decoded back by
-:func:`verdict_from_histogram`.  Since the signature covers only the
-litmus text (which includes the scope tree), a campaign across the seven
-result chips analyses each scenario once, like model verdicts.
+The verdict travels as typed meta: each result carries an
+:class:`AnalysisMeta` (``result.meta.verdict``) beside an empty
+histogram, and the disk cache stores it as ``{"verdict": ...}``.  Since
+the signature covers only the litmus text (which includes the scope
+tree), a campaign across the seven result chips analyses each scenario
+once, like model verdicts.
 
 :func:`prescreen` and :func:`run_prescreened` implement the ``--prescreen``
 flow: analyse every spec first, skip simulation for provably-clean cells
@@ -21,57 +21,59 @@ the rest through the real session.
 """
 
 import hashlib
+from dataclasses import dataclass
 
 from ..api.backends import Backend, Shard
+from ..api.result import ShardResult
 from ..harness.histogram import Histogram
-from ..litmus.condition import FinalState
 from ..litmus.writer import write_litmus
-from .races import CLEAN, RACY, UNKNOWN, analyze_test
-
-#: The synthetic location carrying a verdict through histogram plumbing.
-ANALYSIS_LOCATION = "__analysis__"
-
-#: Verdict <-> histogram encoding.
-VERDICT_CODES = {CLEAN: 0, UNKNOWN: 1, RACY: 2}
-CODE_VERDICTS = {code: verdict for verdict, code in VERDICT_CODES.items()}
+from .races import CLEAN, VERDICTS, analyze_test
 
 #: Bump to invalidate cached verdicts when the analysis rules change.
 ANALYSIS_VERSION = 1
 
 
-def verdict_state(verdict):
-    """Encode a verdict as a synthetic :class:`FinalState`."""
-    return FinalState.make(mem={ANALYSIS_LOCATION: VERDICT_CODES[verdict]})
+@dataclass(frozen=True)
+class AnalysisMeta:
+    """The static verdict of one test: ``clean``, ``unknown`` or
+    ``racy``.
 
+    ``merge`` keeps the more severe verdict (the order of
+    :data:`~repro.analysis.races.VERDICTS`, the same fold
+    :func:`~repro.analysis.races.analyze_test` applies to its pairs),
+    which is associative and commutative.
+    """
 
-def verdict_from_histogram(histogram):
-    """Decode a verdict histogram produced by :class:`AnalysisBackend`."""
-    states = list(histogram.counts)
-    if len(states) != 1:
-        from ..errors import ReproError
-        raise ReproError("not an analysis verdict histogram: %d states"
-                         % len(states))
-    mem = dict(states[0].mem)
-    code = mem.get(ANALYSIS_LOCATION)
-    if code not in CODE_VERDICTS:
-        from ..errors import ReproError
-        raise ReproError("not an analysis verdict histogram: %r" % (mem,))
-    return CODE_VERDICTS[code]
+    verdict: str
+
+    def merge(self, other):
+        return max(self, other, key=lambda meta: VERDICTS.index(meta.verdict))
+
+    def to_json(self):
+        return {"verdict": self.verdict}
+
+    @classmethod
+    def from_json(cls, payload):
+        verdict = payload["verdict"]
+        if verdict not in VERDICTS:
+            raise ValueError("unknown analysis verdict %r" % (verdict,))
+        return cls(verdict)
 
 
 class AnalysisBackend(Backend):
     """Static analysis as a campaign backend.
 
-    ``run`` analyses the spec's litmus test and returns the encoded
-    verdict.  Like the model backend, each spec is one indivisible work
-    unit with ``iterations=0`` (pure static work — the session's
-    simulated-iteration statistic stays a sim/app-only number), and the
-    cache signature covers only the test text plus the analyzer version,
-    so verdicts dedupe across chips, seeds and iteration counts.
+    ``run_shard`` analyses the spec's litmus test and returns its
+    verdict as :class:`AnalysisMeta`.  Like the model backend, each spec
+    is one indivisible work unit with ``iterations=0`` (pure static work
+    — the session's simulated-iteration statistic stays a sim/app-only
+    number), and the cache signature covers only the test text plus the
+    analyzer version, so verdicts dedupe across chips, seeds and
+    iteration counts.
     """
 
     name = "analysis"
-    supports_sharding = True
+    meta_type = AnalysisMeta
 
     def cache_signature(self, spec):
         payload = "analysis-v%d\x1e%s" % (ANALYSIS_VERSION,
@@ -82,13 +84,8 @@ class AnalysisBackend(Backend):
         return [Shard(index=0, iterations=0, seed=spec.seed)]
 
     def run_shard(self, spec, shard):
-        return self.run(spec)
-
-    def run(self, spec):
-        report = analyze_test(spec.test)
-        histogram = Histogram()
-        histogram.add(verdict_state(report.verdict))
-        return histogram
+        return ShardResult(Histogram(),
+                           meta=AnalysisMeta(analyze_test(spec.test).verdict))
 
 
 def analysis_session(jobs=1, executor="thread", cache=True, cache_dir=None,
@@ -113,8 +110,7 @@ def prescreen(specs, session=None):
         from ..errors import ReproError
         raise ReproError("prescreen needs an analysis session, got backend "
                          "%r" % session.backend.name)
-    return [verdict_from_histogram(result.histogram)
-            for result in session.run_specs(specs)]
+    return [result.meta.verdict for result in session.run_specs(specs)]
 
 
 def condition_skippable(test):
@@ -143,7 +139,8 @@ def run_prescreened(specs, session, analysis=None, skip=None):
     Returns ``(results, verdicts)``, both aligned with ``specs``.  A
     skipped spec's result is a :class:`~repro.api.result.SpecResult`
     tagged ``backend="analysis"`` with an *empty* histogram — zero
-    observations; everything else carries the real session's result.
+    observations — and its verdict as meta; everything else carries the
+    real session's result.
 
     ``skip(spec, verdict)`` decides what to skip; the default skips
     every clean spec, which is sound for *scenario* plans (observations
@@ -162,10 +159,11 @@ def run_prescreened(specs, session, analysis=None, skip=None):
     to_run = [spec for spec, skipped in zip(specs, skips) if not skipped]
     executed = iter(session.run_specs(to_run))
     results = []
-    for spec, skipped in zip(specs, skips):
+    for spec, verdict, skipped in zip(specs, verdicts, skips):
         if skipped:
             results.append(SpecResult(spec=spec, backend=AnalysisBackend.name,
-                                      histogram=Histogram(), cached=False))
+                                      histogram=Histogram(), cached=False,
+                                      meta=AnalysisMeta(verdict)))
         else:
             results.append(next(executed))
     return results, verdicts

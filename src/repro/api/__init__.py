@@ -41,7 +41,7 @@ from .backends import (Backend, DEFAULT_SHARD_SIZE, ModelBackend, Shard,
 from .cache import ResultCache, cache_key
 from .conformance import (CellConformance, ConformanceReport, Violation,
                           run_soundness, uniquify_tests)
-from .result import CampaignResult, SpecResult
+from .result import CampaignResult, ShardResult, SpecResult
 from .session import (DEFAULT_CHUNK_SIZE, Session, SessionStats,
                       run_campaign)
 from .spec import (BEST, RunSpec, matrix, parse_incantations,
@@ -53,7 +53,7 @@ __all__ = [
     "ResultCache", "cache_key",
     "CellConformance", "ConformanceReport", "Violation", "run_soundness",
     "uniquify_tests",
-    "CampaignResult", "SpecResult",
+    "CampaignResult", "ShardResult", "SpecResult",
     "DEFAULT_CHUNK_SIZE", "Session", "SessionStats", "run_campaign",
     "BEST", "RunSpec", "matrix", "parse_incantations", "resolve_chip",
     "resolve_incantations",

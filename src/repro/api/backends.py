@@ -1,18 +1,20 @@
 """Pluggable execution backends and deterministic shard planning.
 
-A :class:`Backend` turns a :class:`~repro.api.spec.RunSpec` into a
-:class:`~repro.harness.histogram.Histogram` of final states.  Two
-implementations ship:
+A :class:`Backend` splits a :class:`~repro.api.spec.RunSpec` into
+shards (:meth:`Backend.shards`) and runs each one into a
+:class:`~repro.api.result.ShardResult`: a
+:class:`~repro.harness.histogram.Histogram` of final states, the
+backend's typed meta and its execution stats.  Two implementations ship
+here:
 
 * :class:`SimBackend` — "run it on silicon": executes the spec on the
   operational GPU simulator, iteration by iteration, on the engine the
   spec names (``fast``: a memoised
   :class:`~repro.sim.compile.CompiledCell`; ``reference``:
   :class:`~repro.sim.machine.GpuMachine` — bit-identical histograms
-  either way).  Supports *sharding*: a spec's iterations are split into
-  fixed-size shards, each with a deterministic seed, so a pool can run
-  them in parallel and merge the histograms bit-identically to the
-  serial order.
+  either way).  A spec's iterations are split into fixed-size shards,
+  each with a deterministic seed, so a pool can run them in parallel
+  and merge the histograms bit-identically to the serial order.
 * :class:`ModelBackend` — "check it against the model": enumerates the
   candidate executions of an axiomatic model
   (:mod:`repro.model.models`) and returns the *allowed* final states as
@@ -40,6 +42,7 @@ from ..sim.batch import compile_batch_cell
 from ..sim.compile import compile_cell
 from ..sim.engine import run_batch
 from ..sim.machine import GpuMachine
+from .result import ShardResult
 
 #: Default iterations per shard.  Small campaign cells (every tier-1
 #: test and the CI-sized benchmarks) fit in one shard and therefore
@@ -95,14 +98,21 @@ def plan_shards(spec, shard_size=DEFAULT_SHARD_SIZE):
 class Backend:
     """Protocol for execution backends.
 
-    ``run`` must be deterministic in the spec.  Backends that set
-    ``supports_sharding`` must implement ``run_shard`` such that merging
-    all shard histograms of :meth:`shards` (any order) equals ``run``'s
-    histogram for the same shard size.
+    ``run_shard`` must be deterministic in the spec and the shard, and
+    merging the :class:`~repro.api.result.ShardResult` of every shard in
+    :meth:`shards` (:meth:`ShardResult.merge`, any order) is the result
+    of the whole spec — which :meth:`run` computes serially.
     """
 
     name = "backend"
-    supports_sharding = False
+
+    #: The type of this backend's ``ShardResult.meta``, or ``None`` when
+    #: the histogram is the whole answer.  The result cache decodes
+    #: stored meta through its ``from_json``.
+    meta_type = None
+
+    #: The shard size :meth:`run` decomposes with.
+    shard_size = DEFAULT_SHARD_SIZE
 
     def cache_signature(self, spec):
         """The part of ``spec`` this backend's result depends on.
@@ -116,14 +126,10 @@ class Backend:
     def shards(self, spec, shard_size):
         """Split ``spec`` into independent parallel work units.
 
-        ``None`` means the spec is indivisible and must go through
-        :meth:`run`.  The default for sharding backends is the
-        iteration decomposition of :func:`plan_shards`; backends whose
-        unit of work is not an iteration batch (one model verdict per
-        test) override this.
+        The default is the iteration decomposition of
+        :func:`plan_shards`; backends whose unit of work is not an
+        iteration batch (one model verdict per test) override this.
         """
-        if not self.supports_sharding:
-            return None
         return plan_shards(spec, shard_size)
 
     def cache_variant(self, spec, shard_size):
@@ -136,21 +142,17 @@ class Backend:
         """
         return ""
 
-    def run(self, spec):
-        """Execute ``spec`` fully; returns a Histogram."""
+    def run_shard(self, spec, shard):
+        """Execute one shard of ``spec``; returns a ShardResult."""
         raise NotImplementedError
 
-    def run_shard(self, spec, shard):
-        """Execute one shard of ``spec``; returns a Histogram."""
-        raise NotImplementedError(
-            "%s does not support sharded execution" % self.name)
-
-    def consume_stats(self):
-        """Execution statistics accumulated since the previous call
-        (e.g. plan-cache hits), or ``None``.  Called in the worker that
-        ran the shard, so process pools ship the counts back with the
-        histogram."""
-        return None
+    def run(self, spec):
+        """Execute every shard of ``spec`` in order, in this thread;
+        returns the merged ShardResult.  The serial reference the
+        session's pooled runs must reproduce."""
+        return ShardResult.merge(self.run_shard(spec, shard)
+                                 for shard in self.shards(spec,
+                                                          self.shard_size))
 
 
 class SimBackend(Backend):
@@ -174,7 +176,6 @@ class SimBackend(Backend):
     """
 
     name = "sim"
-    supports_sharding = True
 
     #: Compiled-cell memo cap; a long-lived session (e.g. the benchmark
     #: suite's shared one) must not accumulate closures without bound.
@@ -302,18 +303,18 @@ class SimBackend(Backend):
         return machine
 
     def consume_stats(self):
+        """This process's plan-cache counters since the previous call,
+        or ``None``; taken in the worker that ran the shard, so process
+        pools ship them back with its result."""
         if not self.plan_dir:
             return None
         from ..sim.plancache import plan_store
         return plan_store(self.plan_dir).consume_stats()
 
     def run_shard(self, spec, shard):
-        return run_batch(self._machine(spec), shard.iterations,
-                         random.Random(shard.seed), Histogram())
-
-    def run(self, spec):
-        return Histogram.merge(self.run_shard(spec, shard)
-                               for shard in plan_shards(spec, self.shard_size))
+        histogram = run_batch(self._machine(spec), shard.iterations,
+                              random.Random(shard.seed), Histogram())
+        return ShardResult(histogram, stats=self.consume_stats())
 
 
 class ModelBackend(Backend):
@@ -336,8 +337,6 @@ class ModelBackend(Backend):
     pool one verdict per worker (the verdict — one per test text — is
     already the memoisation unit, so chips never multiply the work).
     """
-
-    supports_sharding = True
 
     def __init__(self, model="ptx", fuel=128, max_executions=None):
         self.model = load_model(model) if isinstance(model, str) else model
@@ -362,9 +361,6 @@ class ModelBackend(Backend):
         return [Shard(index=0, iterations=0, seed=spec.seed)]
 
     def run_shard(self, spec, shard):
-        return self.run(spec)
-
-    def run(self, spec):
         # on_limit="error" is non-negotiable here: the campaign layer
         # treats this histogram as the *complete* allowed set, and a
         # truncated enumeration would manufacture false "violations" in
@@ -377,7 +373,7 @@ class ModelBackend(Backend):
         histogram = Histogram()
         for state in allowed:
             histogram.add(state)
-        return histogram
+        return ShardResult(histogram)
 
 
 def make_backend(backend):

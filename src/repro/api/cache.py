@@ -9,12 +9,22 @@ model-checked are distinct entries.
 
 Disk entries store the histogram as a list of ``{regs, mem, count}``
 records (a :class:`~repro.litmus.condition.FinalState` is a pair of
-sorted tuples, which maps cleanly onto JSON lists) plus enough metadata
-to audit the cache directory by hand.
+sorted tuples, which maps cleanly onto JSON lists), the backend's typed
+meta as its ``to_json`` payload (``null`` for histogram-only backends),
+plus enough metadata to audit the cache directory by hand (entries are
+compact JSON; ``python -m json.tool`` pretty-prints one).  Reads decode
+the meta through the backend's ``meta_type.from_json``; an entry whose
+meta does not decode is a miss, like any other corrupt entry.
+
+Writers never collide: each entry is written through its own temporary
+file in the cache directory and moved into place with an atomic
+rename, so sessions sharing a directory (threads, processes, parallel
+CI legs) only ever see whole entries.
 """
 
 import json
 import os
+import tempfile
 
 from ..harness.histogram import Histogram
 from ..litmus.condition import FinalState
@@ -22,7 +32,8 @@ from .result import SpecResult
 
 #: Bump when the on-disk entry layout changes; mismatched versions are
 #: treated as misses so stale caches degrade to re-simulation, not errors.
-DISK_FORMAT_VERSION = 1
+#: v2: typed backend meta stored beside the histogram, compact JSON.
+DISK_FORMAT_VERSION = 2
 
 
 def cache_key(backend_name, signature, variant=""):
@@ -30,9 +41,9 @@ def cache_key(backend_name, signature, variant=""):
     ``signature`` (:meth:`Backend.cache_signature`).
 
     ``variant`` captures execution parameters outside the spec that
-    still shape the result — for sharding backends the canonical shard
-    decomposition, since per-shard seeding makes the histogram a
-    function of the decomposition, not just the spec.
+    still shape the result — for iteration-sharded backends the
+    canonical shard decomposition, since per-shard seeding makes the
+    histogram a function of the decomposition, not just the spec.
     """
     parts = [backend_name.replace(":", "_")]
     if variant:
@@ -41,20 +52,20 @@ def cache_key(backend_name, signature, variant=""):
     return "-".join(parts)
 
 
-def _encode_state(state, count):
+def encode_state(state):
+    """A :class:`FinalState` as a JSON-ready ``{regs, mem}`` record."""
     return {"regs": [[tid, reg, value] for (tid, reg), value in state.regs],
-            "mem": [[loc, value] for loc, value in state.mem],
-            "count": count}
+            "mem": [[loc, value] for loc, value in state.mem]}
 
 
-def _decode_state(record):
+def decode_state(record):
     regs = {(tid, reg): value for tid, reg, value in record["regs"]}
     mem = {loc: value for loc, value in record["mem"]}
-    return FinalState.make(regs, mem), record["count"]
+    return FinalState.make(regs, mem)
 
 
 def encode_histogram(histogram):
-    return [_encode_state(state, count)
+    return [dict(encode_state(state), count=count)
             for state, count in sorted(histogram.counts.items(),
                                        key=lambda kv: str(kv[0]))]
 
@@ -62,13 +73,17 @@ def encode_histogram(histogram):
 def decode_histogram(records):
     histogram = Histogram()
     for record in records:
-        state, count = _decode_state(record)
-        histogram.add(state, count)
+        histogram.add(decode_state(record), record["count"])
     return histogram
 
 
 class ResultCache:
-    """Two-tier (memory + optional disk) memo of completed specs."""
+    """Two-tier (memory + optional disk) memo of completed specs.
+
+    An entry is a ``(counts, meta)`` pair: a private copy of the result
+    histogram's counts and the backend's meta, which is immutable and
+    therefore shared by every hit.
+    """
 
     def __init__(self, cache_dir=None):
         self.cache_dir = cache_dir
@@ -84,51 +99,50 @@ class ResultCache:
     def _path(self, key):
         return os.path.join(self.cache_dir, key + ".json")
 
-    def get(self, backend_name, spec, signature=None, variant=""):
-        """The cached :class:`SpecResult` for ``spec``, or ``None``.
+    def get(self, key, spec, backend_name, meta_type=None):
+        """The cached :class:`SpecResult` under ``key`` (a
+        :func:`cache_key`), or ``None``.
 
-        Returned results are marked ``cached=True``, rebound to the
-        *caller's* spec object (signature equality guarantees the
+        Returned results are marked ``cached=True``, bound to the
+        *caller's* spec object (key equality guarantees the
         backend-relevant content matches) and carry a *fresh* histogram
         copy, so mutating a returned histogram can never poison later
-        hits.
+        hits.  ``meta_type`` decodes the stored meta of a disk entry.
         """
-        key = cache_key(backend_name, signature or spec.fingerprint(),
-                        variant)
         entry = self._memory.get(key)
         if entry is None and self.cache_dir:
-            entry = self._read_disk(key)
+            entry = self._read_disk(key, meta_type)
             if entry is not None:
                 self._memory[key] = entry
         if entry is None:
             self.misses += 1
             return None
         self.hits += 1
+        counts, meta = entry
         return SpecResult(spec=spec, backend=backend_name,
-                          histogram=Histogram(dict(entry.counts)),
-                          cached=True)
+                          histogram=Histogram(dict(counts)), cached=True,
+                          meta=meta)
 
-    def put(self, result, signature=None, variant=""):
-        key = cache_key(result.backend,
-                        signature or result.spec.fingerprint(), variant)
+    def put(self, key, result):
         # Store a private copy: callers own (and may mutate) the result
         # histogram they were handed.
-        self._memory[key] = Histogram(dict(result.histogram.counts))
+        self._memory[key] = (dict(result.histogram.counts), result.meta)
         if self.cache_dir:
             self._write_disk(key, result)
 
-    def _read_disk(self, key):
-        path = self._path(key)
-        if not os.path.exists(path):
-            return None
+    def _read_disk(self, key, meta_type):
         try:
-            with open(path) as handle:
+            with open(self._path(key)) as handle:
                 payload = json.load(handle)
             if payload.get("version") != DISK_FORMAT_VERSION:
                 return None
-            return decode_histogram(payload["histogram"])
-        except (ValueError, KeyError, TypeError, OSError):
-            # A corrupt entry must never poison a campaign: treat as miss.
+            histogram = decode_histogram(payload["histogram"])
+            meta = (None if meta_type is None
+                    else meta_type.from_json(payload["meta"]))
+            return histogram.counts, meta
+        except (ValueError, KeyError, TypeError, AttributeError, OSError):
+            # A missing or corrupt entry must never poison a campaign:
+            # treat it as a miss.
             return None
 
     def _write_disk(self, key, result):
@@ -142,9 +156,20 @@ class ResultCache:
             "seed": result.spec.seed,
             "fingerprint": result.spec.fingerprint(),
             "histogram": encode_histogram(result.histogram),
+            "meta": None if result.meta is None else result.meta.to_json(),
         }
-        path = self._path(key)
-        temporary = path + ".tmp"
-        with open(temporary, "w") as handle:
-            json.dump(payload, handle, indent=1)
-        os.replace(temporary, path)
+        # A private temporary per write: concurrent writers of one key
+        # each rename a whole file into place, and the last one wins.
+        descriptor, temporary = tempfile.mkstemp(
+            dir=self.cache_dir, prefix=key + ".", suffix=".tmp")
+        try:
+            with os.fdopen(descriptor, "w") as handle:
+                # Compact separators keep json on its C encoder.
+                handle.write(json.dumps(payload, separators=(",", ":")))
+            os.replace(temporary, self._path(key))
+        except BaseException:
+            try:
+                os.unlink(temporary)
+            except OSError:
+                pass
+            raise

@@ -1,11 +1,18 @@
-"""Result types of the campaign API: :class:`SpecResult` and
-:class:`CampaignResult`.
+"""Result types of the campaign API: :class:`ShardResult`,
+:class:`SpecResult` and :class:`CampaignResult`.
+
+``ShardResult`` is what every backend returns for one shard of one spec:
+a histogram, the backend's typed meta and its execution stats.  Shard
+results merge (:meth:`ShardResult.merge`) into the result of the whole
+spec, whatever order the shards finished in.
 
 ``SpecResult`` is the unified per-cell outcome shared by every backend:
 a histogram plus the spec that produced it.  For the sim backend the
 histogram counts observed final states over the spec's iterations; for
 a model backend it holds the allowed final states (count 1 each), so
 ``observations``/``allowed`` give the paper's Allowed/Forbidden verdict.
+Backends with more to say than a histogram (an analysis verdict, an
+exploration's counters and witness) return it as ``meta``.
 
 ``CampaignResult`` aggregates the cells of one campaign into the
 paper's grid — per-test and per-chip views plus the figure-style
@@ -13,8 +20,50 @@ summary tables of obs/100k counts.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .._util import format_table
+from ..harness.histogram import Histogram
+
+
+def _merge_stats(parts):
+    """Sum stats dicts per key; ``None`` when no part reported any."""
+    total = {}
+    for part in parts:
+        if part:
+            for key, value in part.items():
+                total[key] = total.get(key, 0) + value
+    return total or None
+
+
+@dataclass(frozen=True)
+class ShardResult:
+    """What one shard of one spec produced.
+
+    ``meta`` is the backend's typed verdict data, an instance of its
+    :attr:`~repro.api.backends.Backend.meta_type` (``None`` for the
+    sampling backends, whose whole answer is the histogram).  A meta
+    type declares ``merge`` (associative and commutative, so shards
+    merge in any order), ``to_json`` and ``from_json`` (the disk
+    cache's round trip).  ``stats`` holds execution counters taken in
+    the worker that ran the shard (e.g. plan-cache hits), or ``None``.
+    """
+
+    histogram: object
+    meta: object = None
+    stats: dict = None
+
+    @classmethod
+    def merge(cls, parts):
+        """Fold shard results into one: histograms and stats add, metas
+        fold through their type's ``merge``."""
+        parts = list(parts)
+        metas = [part.meta for part in parts if part.meta is not None]
+        return cls(histogram=Histogram.merge(part.histogram
+                                             for part in parts),
+                   meta=reduce(lambda a, b: a.merge(b), metas)
+                   if metas else None,
+                   stats=_merge_stats(part.stats for part in parts))
 
 
 @dataclass
@@ -30,6 +79,9 @@ class SpecResult:
     #: or ``None`` when the backend reported nothing.  Cached results
     #: carry ``None`` — nothing executed.
     stats: dict = None
+    #: The backend's typed meta (see :class:`ShardResult`), fresh or
+    #: cached alike, or ``None``.
+    meta: object = None
 
     # -- spec delegation (RunResult-compatible surface) -------------------
 

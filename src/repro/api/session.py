@@ -12,11 +12,17 @@ plan; ``Session.campaign`` plans the cartesian product (the old
 ``run_matrix`` grid) and returns a
 :class:`~repro.api.result.CampaignResult`.
 
+Every spec takes one path: the backend splits it into shards
+(:meth:`~repro.api.backends.Backend.shards`), each shard runs into a
+:class:`~repro.api.result.ShardResult` — in this thread or on a worker —
+and the shard results merge into the spec's
+:class:`~repro.api.result.SpecResult`, meta and stats included.
+
 Determinism.  The shard decomposition and per-shard seeds are pure
 functions of each spec (:func:`~repro.api.backends.plan_shards`), and
-shard histograms are merged in shard-index order — so ``jobs=8``
-produces bit-identical histograms to ``jobs=1`` for the same specs, and
-a single-shard run reproduces the legacy serial iteration stream.
+shard results are merged in shard-index order — so ``jobs=8`` produces
+bit-identical histograms to ``jobs=1`` for the same specs, and a
+single-shard run reproduces the legacy serial iteration stream.
 """
 
 import contextlib
@@ -28,7 +34,7 @@ from ..errors import ReproError
 from ..harness.histogram import Histogram
 from .backends import DEFAULT_SHARD_SIZE, make_backend
 from .cache import ResultCache, cache_key
-from .result import CampaignResult, SpecResult
+from .result import CampaignResult, ShardResult, SpecResult
 from .spec import BEST, RunSpec, matrix
 
 #: Specs per :meth:`Session.run_stream` execution chunk.  Large enough to
@@ -49,32 +55,6 @@ def chunked(iterable, size):
             chunk = []
     if chunk:
         yield chunk
-
-
-def _execute_shard(backend, spec, shard):
-    """Module-level so process pools can pickle the work unit.
-
-    Returns ``(histogram, stats)`` — the stats delta (e.g. plan-cache
-    hits) is captured *in the worker that ran the shard*, so process
-    pools ship their counters back with the result.
-    """
-    histogram = backend.run_shard(spec, shard)
-    return histogram, backend.consume_stats()
-
-
-def _execute_spec(backend, spec):
-    histogram = backend.run(spec)
-    return histogram, backend.consume_stats()
-
-
-def _merge_stats(parts):
-    """Sum per-shard stats dicts; ``None`` when no shard reported any."""
-    total = {}
-    for part in parts:
-        if part:
-            for key, value in part.items():
-                total[key] = total.get(key, 0) + value
-    return total or None
 
 
 @dataclass
@@ -240,19 +220,20 @@ class Session:
                 self.stats.deduplicated += 1
                 continue
             first_seen[key] = index
-            cached = self._lookup(spec)
+            cached = self._lookup(key, spec)
             if cached is not None:
                 self.stats.cache_hits += 1
                 results[index] = cached
             else:
-                pending.append((index, spec))
+                pending.append((index, key, spec,
+                                self.backend.shards(spec, self.shard_size)))
         if pending:
-            if self.jobs > 1:
-                executed = self._run_parallel(pending)
-            else:
-                executed = self._run_serial(pending)
-            for index, result in executed:
-                self._store(result)
+            execute = self._run_parallel if self.jobs > 1 else self._run_serial
+            for (index, key, spec, shards), parts in zip(pending,
+                                                         execute(pending)):
+                result = self._result(spec, shards, parts)
+                if self.cache is not None:
+                    self.cache.put(key, result)
                 results[index] = result
         for index, original in duplicates.items():
             # Each plan position gets its own histogram copy so callers
@@ -261,7 +242,7 @@ class Session:
             results[index] = SpecResult(
                 spec=specs[index], backend=source.backend,
                 histogram=Histogram(dict(source.histogram.counts)),
-                cached=True)
+                cached=True, meta=source.meta)
         return [results[index] for index in range(len(specs))]
 
     def campaign(self, tests, chips, incantations=BEST, iterations=None,
@@ -332,75 +313,20 @@ class Session:
 
     # -- execution strategies ---------------------------------------------
 
-    def _shards(self, spec):
-        """The backend's parallel decomposition of ``spec`` (None =
-        indivisible; sim: iteration shards; model: one verdict unit)."""
-        return self.backend.shards(spec, self.shard_size)
-
     def _run_serial(self, pending):
-        executed = []
-        for index, spec in pending:
-            shards = self._shards(spec)
-            if shards is not None:
-                outcomes = [_execute_shard(self.backend, spec, shard)
-                            for shard in shards]
-                histogram = Histogram.merge(h for h, _ in outcomes)
-                stats = _merge_stats(s for _, s in outcomes)
-                self._account(spec, shards)
-            else:
-                histogram, stats = _execute_spec(self.backend, spec)
-                self._account(spec, None)
-            executed.append((index, self._result(spec, histogram, stats)))
-        return executed
+        """Each pending spec's shard results, run in this thread."""
+        for _, _, spec, shards in pending:
+            yield [self.backend.run_shard(spec, shard) for shard in shards]
 
     def _run_parallel(self, pending):
-        # Decomposition is per spec (Backend.shards may return None for
-        # an indivisible spec even on a sharding backend), so split the
-        # plan accordingly instead of branching on the class-level flag.
+        """Each pending spec's shard results in shard-index order, every
+        shard of the plan submitted to the pool up front."""
         with self._pool() as pool:
-            sharded = []
-            whole = []
-            for index, spec in pending:
-                shards = self._shards(spec)
-                if shards is not None:
-                    sharded.append((index, spec, shards))
-                else:
-                    whole.append((index, spec))
-            executed = []
-            if sharded:
-                executed.extend(self._run_parallel_sharded(pool, sharded))
-            if whole:
-                executed.extend(self._run_parallel_whole(pool, whole))
-            return executed
-
-    def _run_parallel_sharded(self, pool, plans):
-        tasks = {}
-        for index, spec, shards in plans:
-            for shard in shards:
-                tasks[(index, shard.index)] = pool.submit(
-                    _execute_shard, self.backend, spec, shard)
-        executed = []
-        for index, spec, shards in plans:
-            # Merge in shard-index order: bit-identical to the serial path
-            # no matter which worker finished first.
-            outcomes = [tasks[(index, shard.index)].result()
-                        for shard in shards]
-            histogram = Histogram.merge(h for h, _ in outcomes)
-            stats = _merge_stats(s for _, s in outcomes)
-            self._account(spec, shards)
-            executed.append((index, self._result(spec, histogram, stats)))
-        return executed
-
-    def _run_parallel_whole(self, pool, pending):
-        submitted = [(index, spec, pool.submit(_execute_spec, self.backend,
-                                               spec))
-                     for index, spec in pending]
-        executed = []
-        for index, spec, future in submitted:
-            histogram, stats = future.result()
-            self._account(spec, None)
-            executed.append((index, self._result(spec, histogram, stats)))
-        return executed
+            submitted = [[pool.submit(self.backend.run_shard, spec, shard)
+                          for shard in shards]
+                         for _, _, spec, shards in pending]
+            return [[future.result() for future in futures]
+                    for futures in submitted]
 
     def _pool(self):
         if self.pool is not None:
@@ -413,43 +339,35 @@ class Session:
 
     # -- bookkeeping ------------------------------------------------------
 
-    def _result(self, spec, histogram, stats=None):
-        if stats:
-            self.stats.plan_cache_hits += stats.get("plan_cache_hits", 0)
-            self.stats.plan_cache_misses += stats.get(
+    def _result(self, spec, shards, parts):
+        """Merge one executed spec's shard results and account for them."""
+        merged = ShardResult.merge(parts)
+        self.stats.executed += 1
+        self.stats.shards_executed += len(shards)
+        self.stats.simulated_iterations += sum(shard.iterations
+                                               for shard in shards)
+        if merged.stats:
+            self.stats.plan_cache_hits += merged.stats.get(
+                "plan_cache_hits", 0)
+            self.stats.plan_cache_misses += merged.stats.get(
                 "plan_cache_misses", 0)
         return SpecResult(spec=spec, backend=self.backend.name,
-                          histogram=histogram, cached=False, stats=stats)
-
-    def _account(self, spec, shards):
-        self.stats.executed += 1
-        if shards is not None:
-            self.stats.shards_executed += len(shards)
-            self.stats.simulated_iterations += sum(shard.iterations
-                                                   for shard in shards)
-
-    def _variant(self, spec):
-        """The execution-parameter component of the cache key —
-        delegated to the backend (the sim backend keys on the effective
-        shard decomposition; model verdicts are decomposition-free)."""
-        return self.backend.cache_variant(spec, self.shard_size)
+                          histogram=merged.histogram, cached=False,
+                          stats=merged.stats, meta=merged.meta)
 
     def _cache_key(self, spec):
+        """The result's identity: the backend's signature of ``spec``
+        plus its execution-parameter variant (the sim backend keys on the
+        effective shard decomposition; model verdicts are
+        decomposition-free)."""
         return cache_key(self.backend.name, self.backend.cache_signature(spec),
-                         self._variant(spec))
+                         self.backend.cache_variant(spec, self.shard_size))
 
-    def _lookup(self, spec):
+    def _lookup(self, key, spec):
         if self.cache is None:
             return None
-        return self.cache.get(self.backend.name, spec,
-                              signature=self.backend.cache_signature(spec),
-                              variant=self._variant(spec))
-
-    def _store(self, result):
-        if self.cache is not None:
-            self.cache.put(result,
-                           signature=self.backend.cache_signature(result.spec),
-                           variant=self._variant(result.spec))
+        return self.cache.get(key, spec, self.backend.name,
+                              self.backend.meta_type)
 
 
 def run_campaign(tests, chips, incantations=BEST, iterations=None, seed=0,

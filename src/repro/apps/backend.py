@@ -32,7 +32,8 @@ session layer knowing scenarios exist:
 import random
 import threading
 
-from ..api.backends import Backend, plan_shards
+from ..api.backends import Backend
+from ..api.result import ShardResult
 from ..harness.histogram import Histogram
 from ..litmus.writer import write_litmus
 from ..sim.batch import compile_batch_cell
@@ -57,7 +58,6 @@ class AppBackend(Backend):
     """Scenario execution on the simulated chips (Secs. 3.2, 6-7)."""
 
     name = "app"
-    supports_sharding = True
 
     #: Compiled-cell memo cap per worker thread.
     MAX_COMPILED = 128
@@ -155,6 +155,8 @@ class AppBackend(Backend):
         return machine
 
     def consume_stats(self):
+        """Plan-cache counters since the previous call, as for the sim
+        backend."""
         if not self.plan_dir:
             return None
         from ..sim.plancache import plan_store
@@ -163,8 +165,5 @@ class AppBackend(Backend):
     def run_shard(self, spec, shard):
         histogram = run_batch(self._machine(spec), shard.iterations,
                               random.Random(shard.seed), Histogram())
-        return spec.scenario.project_histogram(histogram)
-
-    def run(self, spec):
-        return Histogram.merge(self.run_shard(spec, shard)
-                               for shard in plan_shards(spec, self.shard_size))
+        return ShardResult(spec.scenario.project_histogram(histogram),
+                           stats=self.consume_stats())

@@ -623,7 +623,7 @@ def build_parser():
                         help="abort a cell loudly past this many "
                              "transitions (default 2000000)")
     verify.add_argument("--no-witness", action="store_true",
-                        help="skip re-deriving losing execution traces")
+                        help="omit losing execution traces from the output")
     verify.add_argument("--jobs", type=int, default=1,
                         help="worker count: each cell's exploration shards "
                              "by root branch across the pool (and cells fan "

@@ -16,14 +16,15 @@ Layers:
   :class:`~repro.model.relation.IndexedRelation` machinery);
 * :mod:`repro.exhaustive.backend` — :class:`ExhaustiveBackend`, the
   :class:`~repro.api.session.Session`-compatible verdict backend with
-  fingerprint-keyed caching;
+  fingerprint-keyed caching, whose results carry their counters and
+  first witness as typed meta (:class:`ExhaustiveMeta`);
 * :mod:`repro.exhaustive.verify` — the ``repro-litmus verify`` report
   (:func:`verify_scenarios`, :class:`VerifyReport`).
 """
 
-from .backend import (EXHAUSTIVE_VERSION, ExhaustiveBackend,
+from .backend import (EXHAUSTIVE_VERSION, ExhaustiveBackend, ExhaustiveMeta,
                       encode_exhaustive_histogram, exhaustive_session,
-                      exhaustive_verdict, split_exhaustive_histogram)
+                      exhaustive_verdict)
 from .explore import (DEFAULT_LOOP_BOUND, DEFAULT_MAX_TRANSITIONS,
                       STRATEGIES, ExhaustiveResult, Explorer, Witness,
                       WitnessEvent, execution_graph, explore_test)
@@ -32,9 +33,10 @@ from .verify import (VERIFIED_TEXT, VerifyReport, VerifyRow,
 
 __all__ = [
     "DEFAULT_LOOP_BOUND", "DEFAULT_MAX_TRANSITIONS", "EXHAUSTIVE_VERSION",
-    "ExhaustiveBackend", "ExhaustiveResult", "Explorer", "STRATEGIES",
+    "ExhaustiveBackend", "ExhaustiveMeta", "ExhaustiveResult", "Explorer",
+    "STRATEGIES",
     "VERIFIED_TEXT", "VerifyReport", "VerifyRow", "Witness", "WitnessEvent",
     "encode_exhaustive_histogram", "execution_graph", "exhaustive_session",
-    "exhaustive_verdict", "explore_test", "split_exhaustive_histogram",
-    "verify_scenarios", "verify_selection",
+    "exhaustive_verdict", "explore_test", "verify_scenarios",
+    "verify_selection",
 ]

@@ -11,23 +11,21 @@ Explorations shard by root branch: :meth:`ExhaustiveBackend.shards`
 materialises one shard per :meth:`~repro.exhaustive.explore.Explorer.root_plan`
 entry, each worker explores its branch independently
 (:meth:`~repro.exhaustive.explore.Explorer.run_branch`), and the
-session's shard-index-ordered merge reassembles exactly the serial
-result — ``repro-litmus verify --jobs N`` scales with cores without
-perturbing a single verdict bit.
+session's merge reassembles exactly the serial result —
+``repro-litmus verify --jobs N`` scales with cores without perturbing a
+single verdict bit.
 
-Results travel as histograms so the cache's JSON round-trip and the
-``SpecResult`` plumbing apply unchanged: every reachable final state
-appears with its branch multiplicity, and the exploration's metadata
-(bounded flag, execution/transition/loss counters) rides along as
-synthetic states under the reserved ``__exhaustive*`` locations.  The
-encoding is *merge-additive*: every metadata state keys the same
-``{location: 0}`` image and carries its payload in the *count* (value
-plus one per branch, so counts stay positive), which makes
-``Histogram.merge`` of per-branch encodings equal the encoding of the
-merged exploration.  :func:`split_exhaustive_histogram` divides the
-shard tally back out.  The synthetic states never flow through
-:meth:`~repro.harness.histogram.Histogram.observations` — decode first
-(which is why :func:`exhaustive_verdict` exists).
+Each branch comes back as a :class:`~repro.api.result.ShardResult`
+(:func:`encode_exhaustive_histogram`): its reachable final states as a
+histogram (count 1 per branch that reached them) and an
+:class:`ExhaustiveMeta` holding the execution, transition and loss
+counters, the ``bounded`` flag and the branch's first witness, tagged
+with its root-plan index.  Merging adds the counters, ORs the flag and
+keeps the witness of the lowest index — so merging the branches in any
+order yields the serial exploration's witness, and a losing cell's
+trace arrives with its verdict, fresh or cached (the disk cache stores
+the meta as JSON).  :func:`exhaustive_verdict` reads a verdict off a
+result against the loss predicate.
 
 Exploration is *intensity-structural*: only which relaxation intents are
 non-zero matters (the explorer enumerates both branches of every
@@ -38,115 +36,145 @@ the strategy.
 """
 
 import hashlib
+from dataclasses import dataclass
 
 from ..api.backends import Backend, Shard
+from ..api.cache import decode_state, encode_state
+from ..api.result import ShardResult
+from ..errors import ReproError
 from ..harness.histogram import Histogram
-from ..litmus.condition import FinalState
 from ..litmus.writer import write_litmus
-from .explore import (DEFAULT_LOOP_BOUND, DEFAULT_MAX_TRANSITIONS, Explorer)
-
-#: Reserved location prefix for exploration metadata states.  Real
-#: programs never name memory locations with a dunder prefix, so the
-#: split below is unambiguous.
-EXHAUSTIVE_PREFIX = "__exhaustive"
-
-#: The individual metadata locations.
-BOUNDED_LOCATION = "__exhaustive_bounded__"
-EXECUTIONS_LOCATION = "__exhaustive_executions__"
-TRANSITIONS_LOCATION = "__exhaustive_transitions__"
-LOSSES_LOCATION = "__exhaustive_losses__"
-SHARDS_LOCATION = "__exhaustive_shards__"
+from .explore import (DEFAULT_LOOP_BOUND, DEFAULT_MAX_TRANSITIONS, Explorer,
+                      Witness, WitnessEvent)
 
 #: Bump to invalidate cached explorations when the explorer changes.
-#: v2: branch-sharded explorations, merge-additive metadata encoding,
-#: intra-thread independence and state-hash loop closure.
+#: v2: branch-sharded explorations, intra-thread independence and
+#: state-hash loop closure.
 EXHAUSTIVE_VERSION = 2
 
 
-def _meta_state(location):
-    # The *value* in the state is always 0: the payload lives in the
-    # histogram count so per-branch encodings merge by addition.
-    return FinalState.make(mem={location: 0})
+def _typed(value, kind):
+    """``value`` if it is exactly of type ``kind`` (a JSON bool is no
+    int here), else ``TypeError`` — a malformed cache entry."""
+    if type(value) is not kind:
+        raise TypeError("expected %s, got %r" % (kind.__name__, value))
+    return value
 
 
-def encode_exhaustive_histogram(result):
-    """Encode an :class:`~repro.exhaustive.explore.ExhaustiveResult` —
-    of a full exploration or of a single branch — as a histogram:
-    reachable states plus count-carrying metadata states.
+def _witness_to_json(witness):
+    return {"events": [[event.tid, event.op, event.location, event.value,
+                        event.is_store] for event in witness.events],
+            "state": encode_state(witness.state)}
 
-    Counters encode as ``value + 1`` (counts must stay positive) and
-    the bounded flag as ``2 if bounded else 1``; the shard state counts
-    how many encodings were merged, so the decoder can subtract the
-    per-branch offsets back out.
+
+def _witness_from_json(payload):
+    events = []
+    for tid, op, location, value, is_store in payload["events"]:
+        # Fences name no location and carry no value.
+        events.append(WitnessEvent(
+            tid=_typed(tid, int), op=_typed(op, str),
+            location=None if location is None else _typed(location, str),
+            value=None if value is None else _typed(value, int),
+            is_store=_typed(is_store, bool)))
+    return Witness(events=tuple(events), state=decode_state(payload["state"]))
+
+
+@dataclass(frozen=True)
+class ExhaustiveMeta:
+    """What an exploration found besides its reachable states — of one
+    root branch or, merged, of the whole cell.
+
+    ``merge`` is associative and commutative: counters add, ``bounded``
+    ORs, and the witness of the lowest ``witness_branch`` survives, which
+    is the first witness of the serial in-order exploration.
+    """
+
+    executions: int       #: complete executions explored
+    transitions: int      #: transitions executed
+    losses: int           #: executions satisfying the loss predicate
+    bounded: bool         #: some branch hit the loop bound
+    witness: object = None        #: first losing Witness, or None
+    witness_branch: int = None    #: root-plan index that found it
+
+    def _witness_order(self):
+        return (self.witness is None, self.witness_branch or 0)
+
+    def merge(self, other):
+        first = min(self, other, key=ExhaustiveMeta._witness_order)
+        return ExhaustiveMeta(
+            executions=self.executions + other.executions,
+            transitions=self.transitions + other.transitions,
+            losses=self.losses + other.losses,
+            bounded=self.bounded or other.bounded,
+            witness=first.witness, witness_branch=first.witness_branch)
+
+    def to_json(self):
+        return {"executions": self.executions,
+                "transitions": self.transitions, "losses": self.losses,
+                "bounded": self.bounded,
+                "witness": (None if self.witness is None
+                            else _witness_to_json(self.witness)),
+                "witness_branch": self.witness_branch}
+
+    @classmethod
+    def from_json(cls, payload):
+        witness = payload["witness"]
+        branch = payload["witness_branch"]
+        if witness is not None:
+            witness = _witness_from_json(witness)
+            _typed(branch, int)
+        elif branch is not None:
+            raise ValueError("witness branch %r without a witness" % branch)
+        return cls(executions=_typed(payload["executions"], int),
+                   transitions=_typed(payload["transitions"], int),
+                   losses=_typed(payload["losses"], int),
+                   bounded=_typed(payload["bounded"], bool),
+                   witness=witness, witness_branch=branch)
+
+
+def encode_exhaustive_histogram(result, branch=0):
+    """The :class:`~repro.api.result.ShardResult` of an
+    :class:`~repro.exhaustive.explore.ExhaustiveResult`: the reachable
+    states (count 1 each) plus an :class:`ExhaustiveMeta`.
+
+    ``branch`` is the root-plan index the result explored, which tags
+    its witness; a whole exploration's witness is already the first in
+    plan order, so the default 0 fits it too.
     """
     histogram = Histogram()
     for state in result.reachable:
         histogram.add(state)
-    histogram.add(_meta_state(SHARDS_LOCATION))
-    histogram.add(_meta_state(BOUNDED_LOCATION), 2 if result.bounded else 1)
-    histogram.add(_meta_state(EXECUTIONS_LOCATION), result.executions + 1)
-    histogram.add(_meta_state(TRANSITIONS_LOCATION), result.transitions + 1)
-    histogram.add(_meta_state(LOSSES_LOCATION), result.losses + 1)
-    return histogram
+    return ShardResult(histogram, meta=ExhaustiveMeta(
+        executions=result.executions, transitions=result.transitions,
+        losses=result.losses, bounded=result.bounded,
+        witness=result.witness,
+        witness_branch=None if result.witness is None else branch))
 
 
-def _is_meta(state):
-    mem = state.mem
-    return (len(mem) == 1 and not state.regs
-            and mem[0][0].startswith(EXHAUSTIVE_PREFIX))
-
-
-def split_exhaustive_histogram(histogram):
-    """Split an encoded histogram into ``(reachable, meta)``.
-
-    ``reachable`` is a :class:`~repro.harness.histogram.Histogram` of
-    the real final states (counted once per branch that reached them);
-    ``meta`` maps the ``__exhaustive*`` locations to their decoded
-    integer values (branch offsets already divided out) plus the shard
-    tally itself.
-    """
-    reachable = Histogram()
-    tallies = {}
-    for state, count in histogram.counts.items():
-        if _is_meta(state):
-            tallies[state.mem[0][0]] = count
-        else:
-            reachable.add(state, count)
-    if SHARDS_LOCATION not in tallies or BOUNDED_LOCATION not in tallies:
-        from ..errors import ReproError
-        raise ReproError("not an exhaustive histogram: missing %r/%r states"
-                         % (SHARDS_LOCATION, BOUNDED_LOCATION))
-    shards = tallies[SHARDS_LOCATION]
-    meta = {SHARDS_LOCATION: shards}
-    for location, count in tallies.items():
-        if location == SHARDS_LOCATION:
-            continue
-        if location == BOUNDED_LOCATION:
-            meta[location] = 1 if count > shards else 0
-        else:
-            meta[location] = count - shards
-    return reachable, meta
-
-
-def exhaustive_verdict(histogram, condition):
-    """Decode an encoded histogram into a verdict dict.
+def exhaustive_verdict(result, condition):
+    """Read a verdict dict off an exhaustive result (a
+    :class:`~repro.api.result.SpecResult` or ``ShardResult``).
 
     Returns ``{"states", "executions", "transitions", "losses",
-    "bounded", "losing_states", "verified"}`` where ``losing_states``
-    are the reachable states satisfying ``condition`` (the loss
-    predicate) and ``verified`` means the exploration saw zero losing
-    executions.
+    "bounded", "losing_states", "verified", "witness"}`` where
+    ``losing_states`` are the reachable states satisfying ``condition``
+    (the loss predicate), ``verified`` means the exploration saw zero
+    losing executions and ``witness`` is the first losing execution
+    trace (``None`` when verified).
     """
-    reachable, meta = split_exhaustive_histogram(histogram)
-    losing = reachable.witnesses(condition)
+    meta = result.meta
+    if not isinstance(meta, ExhaustiveMeta):
+        raise ReproError("not an exhaustive result: its meta is %r"
+                         % (meta,))
     return {
-        "states": len(reachable),
-        "executions": meta[EXECUTIONS_LOCATION],
-        "transitions": meta[TRANSITIONS_LOCATION],
-        "losses": meta[LOSSES_LOCATION],
-        "bounded": bool(meta[BOUNDED_LOCATION]),
-        "losing_states": losing,
-        "verified": meta[LOSSES_LOCATION] == 0,
+        "states": len(result.histogram),
+        "executions": meta.executions,
+        "transitions": meta.transitions,
+        "losses": meta.losses,
+        "bounded": meta.bounded,
+        "losing_states": result.histogram.witnesses(condition),
+        "verified": meta.losses == 0,
+        "witness": meta.witness,
     }
 
 
@@ -156,9 +184,9 @@ class ExhaustiveBackend(Backend):
     ``shards`` splits the spec's exploration into its root branches (one
     shard each, ``iterations=0`` — the session's simulated-iteration
     statistic stays a sim/app-only number) and ``run_shard`` explores a
-    single branch; the session merges the per-branch histograms in shard
-    order, which by the explorer's determinism invariant reproduces the
-    serial result bit for bit.  The verdict is a pure function of the
+    single branch; the session merges the per-branch results, which by
+    the explorer's determinism invariant reproduces the serial result
+    bit for bit, witness included.  The verdict is a pure function of the
     spec — independent of ``--jobs``, the executor and the seed — so
     cached and fresh results are interchangeable.
 
@@ -170,7 +198,7 @@ class ExhaustiveBackend(Backend):
     """
 
     name = "exhaustive"
-    supports_sharding = True
+    meta_type = ExhaustiveMeta
 
     def __init__(self, strategy="dpor", loop_bound=DEFAULT_LOOP_BOUND,
                  max_transitions=DEFAULT_MAX_TRANSITIONS):
@@ -203,15 +231,7 @@ class ExhaustiveBackend(Backend):
 
     def run_shard(self, spec, shard):
         result = self._explorer(spec).run_branch(shard.index)
-        return encode_exhaustive_histogram(result)
-
-    def run(self, spec):
-        """One whole exploration, encoded as the merge of its branches
-        (so unsharded and sharded runs produce identical histograms)."""
-        explorer = self._explorer(spec)
-        return Histogram.merge(
-            encode_exhaustive_histogram(explorer.run_branch(index))
-            for index in range(len(explorer.root_plan())))
+        return encode_exhaustive_histogram(result, shard.index)
 
 
 def exhaustive_session(jobs=1, executor="thread", cache=True, cache_dir=None,

@@ -12,11 +12,10 @@ Verdicts route through an exhaustive
 fingerprint-keyed cache and ``--jobs`` fans work out exactly like any
 other campaign — not just across cells: every cell's exploration
 shards by root branch (:meth:`ExhaustiveBackend.shards`), so a single
-wide scenario saturates the pool too, and the shard-ordered merge
-keeps every verdict bit-identical to a serial run.  The witness trace
-for a losing cell is re-derived locally (the exploration is
-deterministic, so the re-run reaches the same first witness the cached
-verdict counted).
+wide scenario saturates the pool too, and the merge keeps every verdict
+bit-identical to a serial run.  The witness trace of a losing cell
+comes with its result, fresh or cached: the branch that found it
+recorded it, and the merge keeps the serial exploration's first one.
 """
 
 from dataclasses import dataclass
@@ -25,8 +24,7 @@ from ..apps.scenario import ScenarioSpec, select_scenarios
 from ..errors import ReproError
 from ..sim.chip import CHIPS
 from .backend import exhaustive_session, exhaustive_verdict
-from .explore import (DEFAULT_LOOP_BOUND, DEFAULT_MAX_TRANSITIONS,
-                      explore_test)
+from .explore import DEFAULT_LOOP_BOUND, DEFAULT_MAX_TRANSITIONS
 
 #: The exact verified-verdict sentence (tested verbatim; keep stable).
 VERIFIED_TEXT = "verified: 0 losses over all executions"
@@ -121,7 +119,8 @@ def verify_scenarios(scenarios, chips, intensity=1.0,
     (or registry names), ``chips`` short names or profiles.
     ``intensity`` is structural — any positive value explores the same
     space — and defaults to 1.0, the "small intensity" of the bench
-    corpus.  Returns a :class:`VerifyReport`.
+    corpus.  ``witnesses=False`` leaves the losing execution traces out
+    of the rows.  Returns a :class:`VerifyReport`.
     """
     from ..apps.scenario import get_scenario
     scenarios = [get_scenario(s) if isinstance(s, str) else s
@@ -137,21 +136,14 @@ def verify_scenarios(scenarios, chips, intensity=1.0,
              for scenario in scenarios for chip in chips]
     rows = []
     for spec, result in zip(specs, session.run_specs(specs)):
-        verdict = exhaustive_verdict(result.histogram, spec.test.condition)
-        witness = None
-        if witnesses and verdict["losses"] > 0:
-            # Deterministic re-exploration: same first witness as the
-            # (possibly cached) verdict's run.
-            witness = explore_test(
-                spec.test, spec.chip, intensity=float(intensity),
-                loop_bound=loop_bound,
-                max_transitions=max_transitions).witness
+        verdict = exhaustive_verdict(result, spec.test.condition)
         rows.append(VerifyRow(
             scenario=spec.scenario.name, chip=spec.chip.short,
             fenced=spec.scenario.fenced, states=verdict["states"],
             executions=verdict["executions"],
             transitions=verdict["transitions"], losses=verdict["losses"],
-            bounded=verdict["bounded"], witness=witness))
+            bounded=verdict["bounded"],
+            witness=verdict["witness"] if witnesses else None))
     return VerifyReport(rows=tuple(rows), loop_bound=loop_bound)
 
 

@@ -195,7 +195,7 @@ class ExhaustBenchCell:
     loop_bound: int
     states: int               #: reachable final states (both strategies)
     losses: int               #: losing executions under DPOR
-    bounded: bool
+    bounded: bool             #: DPOR hit the loop bound (its own flag)
     identical: bool           #: differential oracles matched (see bench)
     dpor_transitions: int
     naive_transitions: int    #: 0 on dpor-only cells (naive skipped)
@@ -221,7 +221,10 @@ def bench_exhaust_cell(kind, name, chip_short, loop_bound=DEFAULT_LOOP_BOUND,
     the per-branch profile behind ``balance_speedup`` and the parallel
     leg all describe the same work.  ``identical`` asserts every oracle
     pair that ran: DPOR vs naive reachable sets on differential cells,
-    and serial vs process-pool merged verdicts everywhere.
+    and serial vs process-pool merged verdicts (counts and first
+    witness) everywhere.  ``bounded`` is DPOR's own flag: naive
+    enumeration has no loop closure and hits the bound on spin cells
+    that DPOR explores completely.
     """
     from ..sim.chip import CHIPS
     test = exhaust_corpus_test(kind, name)
@@ -235,6 +238,7 @@ def bench_exhaust_cell(kind, name, chip_short, loop_bound=DEFAULT_LOOP_BOUND,
     reachable = set()
     executions = transitions = losses = 0
     bounded = False
+    witness = None
     for index in range(len(plan)):
         branch = explorer.run_branch(index)
         branch_transitions.append(branch.transitions)
@@ -243,11 +247,13 @@ def bench_exhaust_cell(kind, name, chip_short, loop_bound=DEFAULT_LOOP_BOUND,
         transitions += branch.transitions
         losses += branch.losses
         bounded = bounded or branch.bounded
+        witness = witness or branch.witness
     dpor_seconds = time.perf_counter() - began
 
     # Parallel leg: the same exploration through the session's process
-    # pool.  Its merged verdict must reproduce the serial counts — that
-    # is the determinism invariant the parallel mode rests on.
+    # pool.  Its merged verdict must reproduce the serial counts and
+    # first witness — that is the determinism invariant the parallel
+    # mode rests on.
     from ..api.spec import RunSpec
     from ..exhaustive.backend import exhaustive_session, exhaustive_verdict
     spec = RunSpec.make(test, chip, iterations=1, seed=0)
@@ -256,10 +262,11 @@ def bench_exhaust_cell(kind, name, chip_short, loop_bound=DEFAULT_LOOP_BOUND,
     began = time.perf_counter()
     merged = session.run(spec)
     parallel_seconds = time.perf_counter() - began
-    verdict = exhaustive_verdict(merged.histogram, test.condition)
+    verdict = exhaustive_verdict(merged, test.condition)
     identical = (verdict["transitions"] == transitions
                  and verdict["states"] == len(reachable)
-                 and verdict["losses"] == losses)
+                 and verdict["losses"] == losses
+                 and verdict["witness"] == witness)
 
     if dpor_only:
         naive_transitions = naive_executions = 0
@@ -270,7 +277,6 @@ def bench_exhaust_cell(kind, name, chip_short, loop_bound=DEFAULT_LOOP_BOUND,
                              loop_bound=loop_bound)
         naive_seconds = time.perf_counter() - began
         identical = identical and naive.reachable == frozenset(reachable)
-        bounded = bounded or naive.bounded
         naive_transitions = naive.transitions
         naive_executions = naive.executions
         reduction = naive.transitions / max(1, transitions)

@@ -9,12 +9,12 @@ the backend registry, and the CLI ``analyze`` subcommand.
 import pytest
 
 from repro.analysis import (CLEAN, RACY, UNKNOWN, AnalysisBackend,
-                            analysis_session, analyze_test,
-                            condition_skippable, prescreen, run_prescreened,
-                            verdict_from_histogram, verdict_state)
-from repro.analysis.backend import ANALYSIS_LOCATION
+                            AnalysisMeta, analysis_session, analyze_test,
+                            condition_skippable, prescreen, run_prescreened)
 from repro.analysis.consistency import check_library, check_scenarios
 from repro.api.backends import make_backend
+from repro.api.cache import ResultCache, cache_key
+from repro.api.result import SpecResult
 from repro.api.spec import RunSpec
 from repro.apps import app_matrix, app_session, select_scenarios
 from repro.apps.scenario import SCENARIOS
@@ -178,22 +178,38 @@ class TestDiagnostics:
 
 
 class TestVerdictEncoding:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
+        # Every verdict survives the disk cache as typed meta.
+        backend = AnalysisBackend()
+        spec = RunSpec.make(library.build("mp"), "Titan", iterations=10)
         for verdict in (CLEAN, UNKNOWN, RACY):
-            histogram = Histogram()
-            histogram.add(verdict_state(verdict))
-            assert verdict_from_histogram(histogram) == verdict
+            key = cache_key(backend.name, verdict)
+            ResultCache(cache_dir=str(tmp_path)).put(key, SpecResult(
+                spec=spec, backend=backend.name, histogram=Histogram(),
+                meta=AnalysisMeta(verdict)))
+            again = ResultCache(cache_dir=str(tmp_path)).get(
+                key, spec, backend.name, backend.meta_type)
+            assert again.cached
+            assert again.meta == AnalysisMeta(verdict)
 
-    def test_rejects_empty_histogram(self):
-        with pytest.raises(ReproError):
-            verdict_from_histogram(Histogram())
+    def test_rejects_missing_verdict(self):
+        with pytest.raises(KeyError):
+            AnalysisMeta.from_json({})
 
-    def test_rejects_foreign_histogram(self):
-        from repro.litmus.condition import FinalState
-        histogram = Histogram()
-        histogram.add(FinalState.make(mem={"x": 1}))
-        with pytest.raises(ReproError):
-            verdict_from_histogram(histogram)
+    def test_rejects_foreign_verdict(self):
+        with pytest.raises(ValueError):
+            AnalysisMeta.from_json({"verdict": "maybe"})
+
+    def test_merge_keeps_the_most_severe_verdict(self):
+        metas = [AnalysisMeta(CLEAN), AnalysisMeta(RACY),
+                 AnalysisMeta(UNKNOWN)]
+        for first in metas:
+            for second in metas:
+                assert first.merge(second) == second.merge(first)
+        assert AnalysisMeta(CLEAN).merge(AnalysisMeta(UNKNOWN)).verdict \
+            == UNKNOWN
+        assert AnalysisMeta(UNKNOWN).merge(AnalysisMeta(RACY)).verdict \
+            == RACY
 
 
 class TestAnalysisBackend:
@@ -219,7 +235,7 @@ class TestAnalysisBackend:
                  RunSpec.make(library.build("mp"), "GTX7", iterations=999,
                               seed=7)]
         results = session.run_specs(specs)
-        verdicts = [verdict_from_histogram(r.histogram) for r in results]
+        verdicts = [r.meta.verdict for r in results]
         assert verdicts == [RACY, RACY]
         # The signature covers only the litmus text: the second chip's
         # cell deduplicates in-plan, and nothing counts as simulated.
@@ -233,18 +249,17 @@ class TestAnalysisBackend:
                             iterations=10)
         first = analysis_session(cache_dir=str(tmp_path))
         result = first.run_specs([spec])[0]
-        assert verdict_from_histogram(result.histogram) == CLEAN
+        assert result.meta.verdict == CLEAN
         assert first.stats.cache_hits == 0
         second = analysis_session(cache_dir=str(tmp_path))
         again = second.run_specs([spec])[0]
         assert second.stats.cache_hits == 1
-        assert verdict_from_histogram(again.histogram) == CLEAN
+        assert again.meta.verdict == CLEAN
 
     def test_scenario_specs_run_through_the_backend(self):
         session = analysis_session(cache=False)
         specs = app_matrix(select_scenarios(["ticket"]), ["Titan"], runs=10)
-        verdicts = [verdict_from_histogram(r.histogram)
-                    for r in session.run_specs(specs)]
+        verdicts = [r.meta.verdict for r in session.run_specs(specs)]
         assert verdicts == [RACY, CLEAN]
 
 

