@@ -155,7 +155,25 @@ class Backend:
                                                           self.shard_size))
 
 
-class SimBackend(Backend):
+class PerThreadMemo:
+    """Mixin for backends that memoise compiled cells per worker thread
+    in ``self._local`` (a :class:`threading.local`): a compiled cell
+    mutates its own machine state, so pool threads must never share
+    one.  Compiled cells hold closures and do not pickle, so a process
+    pool's copy of the backend drops the memo and starts an empty one.
+    """
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_local"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._local = threading.local()
+
+
+class SimBackend(PerThreadMemo, Backend):
     """Operational execution on the simulated chips (Sec. 4 campaigns).
 
     ``spec.engine`` picks the execution engine per cell: ``"fast"``
@@ -183,10 +201,7 @@ class SimBackend(Backend):
 
     def __init__(self, shard_size=DEFAULT_SHARD_SIZE):
         self.shard_size = shard_size
-        # Per-*thread* memo: a CompiledCell mutates its own machine
-        # state during run_once, so two pool threads must never share
-        # one.  (Process pools sidestep this via pickling, which drops
-        # the memo entirely — see __getstate__.)
+        # Per-*thread* memo (see PerThreadMemo).
         self._local = threading.local()
         # Plan-cache directory (a plain string, so it *does* pickle
         # into process-pool workers — that is the whole point: workers
@@ -199,17 +214,6 @@ class SimBackend(Backend):
         """Share lowered batch plans through ``directory`` (None
         disables).  See :mod:`repro.sim.plancache`."""
         self.plan_dir = directory
-
-    def __getstate__(self):
-        # Compiled cells hold closures; drop the memo when a process
-        # pool pickles the backend into its workers.
-        state = self.__dict__.copy()
-        del state["_local"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._local = threading.local()
 
     def cache_signature(self, spec):
         """Fingerprint plus engine.

@@ -228,13 +228,16 @@ class Session:
                 pending.append((index, key, spec,
                                 self.backend.shards(spec, self.shard_size)))
         if pending:
+            # Each spec is stored as soon as its shards are in, so a
+            # failing spec loses only itself and the specs after it.
             execute = self._run_parallel if self.jobs > 1 else self._run_serial
-            for (index, key, spec, shards), parts in zip(pending,
-                                                         execute(pending)):
-                result = self._result(spec, shards, parts)
-                if self.cache is not None:
-                    self.cache.put(key, result)
-                results[index] = result
+            with contextlib.closing(execute(pending)) as executed:
+                for (index, key, spec, shards), parts in zip(pending,
+                                                             executed):
+                    result = self._result(spec, shards, parts)
+                    if self.cache is not None:
+                        self.cache.put(key, result)
+                    results[index] = result
         for index, original in duplicates.items():
             # Each plan position gets its own histogram copy so callers
             # mutating one result cannot corrupt its duplicates.
@@ -319,14 +322,22 @@ class Session:
             yield [self.backend.run_shard(spec, shard) for shard in shards]
 
     def _run_parallel(self, pending):
-        """Each pending spec's shard results in shard-index order, every
-        shard of the plan submitted to the pool up front."""
+        """Each pending spec's shard results in shard-index order,
+        yielded in plan order as each spec completes; every shard of the
+        plan is submitted to the pool up front.  If a shard raises (or
+        the caller stops early), the plan's not-yet-started shards are
+        cancelled."""
         with self._pool() as pool:
             submitted = [[pool.submit(self.backend.run_shard, spec, shard)
                           for shard in shards]
                          for _, _, spec, shards in pending]
-            return [[future.result() for future in futures]
-                    for futures in submitted]
+            try:
+                for futures in submitted:
+                    yield [future.result() for future in futures]
+            finally:
+                for futures in submitted:
+                    for future in futures:
+                        future.cancel()
 
     def _pool(self):
         if self.pool is not None:

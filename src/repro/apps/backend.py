@@ -32,7 +32,7 @@ session layer knowing scenarios exist:
 import random
 import threading
 
-from ..api.backends import Backend
+from ..api.backends import Backend, PerThreadMemo
 from ..api.result import ShardResult
 from ..harness.histogram import Histogram
 from ..litmus.writer import write_litmus
@@ -54,7 +54,7 @@ from ..sim.machine import GpuMachine
 DEFAULT_APP_SHARD_SIZE = 10000
 
 
-class AppBackend(Backend):
+class AppBackend(PerThreadMemo, Backend):
     """Scenario execution on the simulated chips (Secs. 3.2, 6-7)."""
 
     name = "app"
@@ -64,8 +64,7 @@ class AppBackend(Backend):
 
     def __init__(self, shard_size=DEFAULT_APP_SHARD_SIZE):
         self.shard_size = shard_size
-        # Per-*thread* memo: a CompiledCell mutates its own machine state
-        # during run_once, so two pool threads must never share one.
+        # Per-*thread* memo (see PerThreadMemo).
         self._local = threading.local()
         # Plan-cache directory — a plain string so it pickles into
         # process-pool workers, which then share lowered batch plans
@@ -77,17 +76,6 @@ class AppBackend(Backend):
         """Share lowered batch plans through ``directory`` (None
         disables)."""
         self.plan_dir = directory
-
-    def __getstate__(self):
-        # Compiled cells hold closures; drop the memo when a process
-        # pool pickles the backend into its workers.
-        state = self.__dict__.copy()
-        del state["_local"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._local = threading.local()
 
     def cache_signature(self, spec):
         """Fingerprint plus engine — same rationale as the sim backend:

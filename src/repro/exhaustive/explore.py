@@ -69,7 +69,12 @@ per branch for the same reason.
 
 Memory-system cache draws (L1 warm/evict) are *not* choice points: every
 modelled chip has ``p_stale = 0``, so L1 content is unobservable and the
-draws are semantically inert (enforced at construction).
+draws are semantically inert (enforced at construction).  For the same
+reason a state snapshot leaves L1 lines out, and it copies only the
+shared banks of the SMs the threads are placed on — no other bank is
+ever written.  The explorer remembers which snapshot the live machine
+equals, so restoring the state it has just snapshotted (the next frame
+on the stack, nearly every step of a deep path) costs nothing.
 
 The happens-before bookkeeping uses the same integer-bitmask row idiom
 as PR 4's :class:`~repro.model.relation.IndexedRelation`;
@@ -323,7 +328,10 @@ class Explorer:
         self.memory.reset(_StubRng(), False)
         for thread in self.threads:
             thread.reset(self._choice_rng)
+        placed = sorted({thread.sm for thread in self.threads})
+        self._banks = [self.memory.shared_mem[sm] for sm in placed]
         self._base = self._snapshot()
+        self._live = self._base
         self._plan = None
         self._active_seen = set()
         self._marks = set()
@@ -479,16 +487,29 @@ class Explorer:
     # -- state save/restore -------------------------------------------------
 
     def _snapshot(self):
-        memory = self.memory
+        """Everything a verdict can depend on: thread fronts, global
+        memory, the placed SMs' shared banks and the loop counts.  L1
+        lines are left out — unobservable with staleness off, the same
+        argument as :class:`_StubRng` and :meth:`_canonical_state`."""
         return (tuple((t.pc, t.seq, dict(t.regs), set(t.pending),
                        list(t.queue)) for t in self.threads),
-                dict(memory.global_mem),
-                [dict(bank) for bank in memory.shared_mem],
-                [dict(line) for line in memory.l1],
+                dict(self.memory.global_mem),
+                [dict(bank) for bank in self._banks],
                 list(self._loop_counts))
 
     def _restore(self, snapshot):
-        thread_states, global_mem, shared_mem, l1, loop_counts = snapshot
+        """Make the live machine equal ``snapshot``.
+
+        ``_live`` is the snapshot the machine already equals, or None:
+        set when a snapshot is taken of the live state or a restore
+        completes, cleared by everything that mutates the machine
+        (:meth:`_execute`, :meth:`_initial_decode`, a restore in
+        progress), so a restore to ``_live`` has nothing to do.
+        """
+        if snapshot is self._live:
+            return
+        self._live = None
+        thread_states, global_mem, banks, loop_counts = snapshot
         for thread, (pc, seq, regs, pending, queue) in zip(self.threads,
                                                            thread_states):
             thread.pc = pc
@@ -501,13 +522,11 @@ class Explorer:
         memory = self.memory
         memory.global_mem.clear()
         memory.global_mem.update(global_mem)
-        for bank, saved in zip(memory.shared_mem, shared_mem):
+        for bank, saved in zip(self._banks, banks):
             bank.clear()
             bank.update(saved)
-        for line, saved in zip(memory.l1, l1):
-            line.clear()
-            line.update(saved)
         self._loop_counts[:] = loop_counts
+        self._live = snapshot
 
     # -- transitions --------------------------------------------------------
 
@@ -588,6 +607,7 @@ class Explorer:
 
     def _execute(self, label, op, events):
         """Issue ``op`` and re-decode its thread to fixpoint."""
+        self._live = None
         self.transitions += 1
         explored = self.transitions - self._branch_base
         if explored > self.max_transitions:
@@ -664,6 +684,7 @@ class Explorer:
             self._record_terminal(events)
             return None
         frame = _Frame(self._snapshot(), enabled, sleep)
+        self._live = frame.snapshot
         if self.strategy == "naive":
             frame.backtrack = set(enabled)
             return frame
@@ -785,6 +806,7 @@ class Explorer:
             return
         labels = sorted(enabled)
         root = _Frame(self._snapshot(), enabled, set())
+        self._live = root.snapshot
         label = labels[branch]
         root.backtrack = {label}
         root.done = set(labels) - {label}
@@ -839,6 +861,7 @@ class Explorer:
 
     def _initial_decode(self):
         """Decode every thread to fixpoint before the first issue."""
+        self._live = None
         self._mark_tid = None   # back-edges here only count, never close
         for thread in self.threads:
             while thread.decode():

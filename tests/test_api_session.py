@@ -157,6 +157,51 @@ class TestDeterministicParallelism:
         assert wrapped.histogram.counts == direct.histogram.counts
 
 
+class _ShardFailure(ReproError):
+    """What :class:`_FailingSim` raises."""
+
+
+class _FailingSim(SimBackend):
+    """The sim backend, except that every shard of test ``fail`` raises."""
+
+    def __init__(self, fail):
+        super().__init__()
+        self.fail = fail
+
+    def run_shard(self, spec, shard):
+        if spec.test.name == self.fail:
+            raise _ShardFailure("shard of %s failed" % self.fail)
+        return super().run_shard(spec, shard)
+
+
+class TestCrashSafePlans:
+    """A failing spec of a pooled plan loses only itself and the specs
+    after it: the finished specs before it are already cached."""
+
+    NAMES = ("mp", "sb", "lb", "coRR", "mp-L1")
+
+    @pytest.mark.parametrize("executor", ("thread", "process"))
+    def test_rerun_executes_only_the_failed_spec_onwards(self, tmp_path,
+                                                         executor):
+        specs = [spec_for(name=name, iterations=60, seed=2)
+                 for name in self.NAMES]
+        failing = Session(backend=_FailingSim(fail="lb"), jobs=2,
+                          executor=executor, shard_size=25,
+                          cache_dir=str(tmp_path))
+        with pytest.raises(_ShardFailure):
+            failing.run_specs(specs)
+        assert failing.stats.executed == 2
+        rerun = Session(jobs=2, executor=executor, shard_size=25,
+                        cache_dir=str(tmp_path))
+        results = rerun.run_specs(specs)
+        assert [result.cached for result in results] \
+            == [True, True, False, False, False]
+        assert (rerun.stats.cache_hits, rerun.stats.executed) == (2, 3)
+        fresh = Session(shard_size=25, cache=False).run_specs(specs)
+        assert [result.histogram.counts for result in results] \
+            == [result.histogram.counts for result in fresh]
+
+
 class TestCaching:
     """Acceptance: a warm cache performs zero new simulations."""
 
