@@ -81,8 +81,8 @@ def report(name, text):
 def run_cells(test, chips, iterations_per_cell, seed=0):
     """Run one test across chips under the paper's best incantations.
 
-    Returns ``{chip short: SpecResult}`` (RunResult-compatible), served
-    from the shared cached session.
+    Returns ``{chip short: SpecResult}``, served from the shared cached
+    session.
     """
     campaign = session().campaign([test], chips, incantations="best",
                                   iterations=iterations_per_cell, seed=seed)

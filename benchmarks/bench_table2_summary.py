@@ -5,11 +5,11 @@ simulator observations, model verdicts, app clients, or compiler checks.
 """
 
 from repro._util import format_table
+from repro.api import Session
 from repro.apps import lb_scenario, mp_scenario
 from repro.compiler import (FENCE_REMOVED, LOAD_CAS_REORDERED,
                             compile_opencl_thread, effective_litmus)
 from repro.errors import OptcheckViolation
-from repro.harness import run_paper_config
 from repro.litmus import library
 from repro.ptx import Addr, Ld, Loc, Reg
 from repro.ptx.program import ThreadProgram
@@ -19,9 +19,13 @@ from repro.compiler import optcheck
 from _common import iterations, report
 
 
+def _run(test, chip, iters, seed=0):
+    """One cell under the paper's most effective incantations."""
+    return Session(cache=False).run(test, chip, iterations=iters, seed=seed)
+
+
 def _observed(name, chip, iters, seed=0):
-    return run_paper_config(library.build(name), chip,
-                            iterations=iters, seed=seed).observations > 0
+    return _run(library.build(name), chip, iters, seed=seed).observations > 0
 
 
 def test_table2_summary(benchmark):
@@ -34,10 +38,10 @@ def test_table2_summary(benchmark):
                      _observed("coRR", "TesC", iters)
                      and _observed("coRR", "Titan", iters)))
         # Fermi: fences do not restore mp-L1 / coRR-L2-L1 orderings.
-        mp_l1_sys = run_paper_config(library.mp_l1(fence=Scope.SYS), "TesC",
-                                     iterations=max(iters, 20000), seed=1)
-        corr_l21_sys = run_paper_config(library.corr_l2_l1(fence=Scope.SYS),
-                                        "TesC", iterations=iters, seed=1)
+        mp_l1_sys = _run(library.mp_l1(fence=Scope.SYS), "TesC",
+                         max(iters, 20000), seed=1)
+        corr_l21_sys = _run(library.corr_l2_l1(fence=Scope.SYS), "TesC",
+                            iters, seed=1)
         rows.append(("Fermi (TesC)", "mp-L1, coRR-L2-L1 under membar.sys",
                      mp_l1_sys.observations > 0 and corr_l21_sys.observations > 0))
         # PTX ISA: volatile does not restore SC.

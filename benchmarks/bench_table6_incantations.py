@@ -12,7 +12,8 @@ Reproduces the headline qualitative findings of Sec. 4.3:
 """
 
 from repro._util import format_table
-from repro.harness import ALL_COMBINATIONS, TABLE6, run_litmus
+from repro.api import Session
+from repro.harness import ALL_COMBINATIONS, TABLE6
 from repro.litmus import library
 
 from _common import assert_shape, iterations, report
@@ -30,14 +31,16 @@ def test_table6_incantations(benchmark):
     per_cell = iterations(1200)
 
     def sweep():
+        session = Session(cache=False)
         measured = {}
         for chip, vendor in _CHIPS.items():
             for name, build in _TESTS.items():
                 test = build()
                 row = []
                 for incantations in ALL_COMBINATIONS:
-                    result = run_litmus(test, chip, incantations=incantations,
-                                        iterations=per_cell, seed=3)
+                    result = session.run(test, chip,
+                                         incantations=incantations,
+                                         iterations=per_cell, seed=3)
                     row.append(result.per_100k)
                 measured[(chip, name)] = row
         return measured

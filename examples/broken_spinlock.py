@@ -14,8 +14,8 @@ confirms the distilled litmus test (cas-sl) agrees with the axiomatic
 model.
 """
 
+from repro.api import Session
 from repro.apps import run_app_campaign, select_scenarios
-from repro.harness import run_paper_config
 from repro.litmus import library
 from repro.model.models import ptx_model
 
@@ -43,7 +43,8 @@ def main():
     print()
     print("the distilled litmus test (cas-sl, Fig. 9):")
     test = library.build("cas-sl")
-    result = run_paper_config(test, "Titan", iterations=20000, seed=7)
+    result = Session(cache=False).run(test, "Titan", iterations=20000,
+                                      seed=7)
     print("  %s" % result.summary())
     print("  paper observed 512/100k on the GTX Titan")
     model = ptx_model()

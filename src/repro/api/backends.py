@@ -22,11 +22,11 @@ here:
   checking share one request/result shape (cf. GPUMC's unified driver).
 
 Shard seeding.  Shard 0 always uses the spec's own seed with a fresh
-``random.Random`` — for a single-shard run this reproduces the legacy
-``run_litmus`` iteration stream exactly.  Later shards derive their
-seeds from the spec fingerprint and the shard index via SHA-256, so the
-decomposition depends only on the spec and the shard size, never on the
-worker count or execution order.
+``random.Random`` — for a single-shard run this reproduces the serial
+iteration stream of :func:`repro.sim.engine.run_batch` exactly.  Later
+shards derive their seeds from the spec fingerprint and the shard index
+via SHA-256, so the decomposition depends only on the spec and the
+shard size, never on the worker count or execution order.
 """
 
 import hashlib
@@ -226,17 +226,7 @@ class SimBackend(PerThreadMemo, Backend):
         bit-identity/distribution-equivalence contracts in the first
         place, and the batch engine's histograms are only
         distribution-equivalent, not bit-identical.
-
-        The batch engine's tail fraction joins for the same reason:
-        the straggler hand-off changes the RNG stream, so histograms
-        produced under different tails are distinct statistical draws
-        and must not share cache entries.  The other engines have no
-        tail, so the knob is omitted (their entries stay stable however
-        ``REPRO_BATCH_TAIL`` is set).
         """
-        if spec.engine == "batch":
-            return "%s-%s-tail%g" % (spec.fingerprint(), spec.engine,
-                                     spec.batch_tail)
         return "%s-%s" % (spec.fingerprint(), spec.engine)
 
     def cache_variant(self, spec, shard_size):
@@ -258,12 +248,9 @@ class SimBackend(PerThreadMemo, Backend):
             # engine, test text, chip profile, incantation column — not
             # the full fingerprint, so iteration/seed variants of one
             # cell share a single compilation (and the two compiling
-            # engines never share one).  The batch tail joins for batch
-            # cells: it is baked into the lowered cell.
+            # engines never share one).
             key = (spec.engine, spec.test.name, write_litmus(spec.test),
                    repr(spec.chip), spec.incantations.column)
-            if spec.engine == "batch":
-                key += (spec.batch_tail,)
             machine = cells.get(key)
             if machine is None:
                 if len(cells) >= self.MAX_COMPILED:
@@ -286,8 +273,6 @@ class SimBackend(PerThreadMemo, Backend):
         the lowering is looked up by content signature before paying
         the analysis pass, and published after a miss — so a process
         pool analyses each cell once per campaign, not once per worker.
-        The tail fraction is deliberately not part of the signature
-        (plans are tail-independent runtime parameters).
         """
         plan = store = signature = None
         if self.plan_dir:
@@ -300,8 +285,7 @@ class SimBackend(PerThreadMemo, Backend):
             plan = store.get(signature)
         machine = compile_batch_cell(
             spec.test, spec.chip, intensity=intensity,
-            shuffle_placement=spec.incantations.thread_rand,
-            tail_fraction=spec.batch_tail, plan=plan)
+            shuffle_placement=spec.incantations.thread_rand, plan=plan)
         if store is not None and plan is None:
             store.put(signature, machine.plan())
         return machine
@@ -405,7 +389,9 @@ def make_backend(backend):
         from ..exhaustive.backend import ExhaustiveBackend
         return ExhaustiveBackend()
     if isinstance(backend, str) and backend.startswith("model:"):
-        return ModelBackend(backend.split(":", 1)[1])
+        model = backend.split(":", 1)[1]
+        if model in MODELS:
+            return ModelBackend(model)
     from ..errors import ReproError
     raise ReproError(
         "unknown backend %r (expected 'analysis', 'app', 'exhaustive', "

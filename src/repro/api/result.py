@@ -83,7 +83,7 @@ class SpecResult:
     #: cached alike, or ``None``.
     meta: object = None
 
-    # -- spec delegation (RunResult-compatible surface) -------------------
+    # -- spec delegation ---------------------------------------------------
 
     @property
     def test(self):

@@ -8,8 +8,7 @@ A session is the single front door for campaign execution.  It owns
 * an optional :class:`~repro.api.cache.ResultCache`.
 
 ``Session.run`` executes one cell; ``Session.run_specs`` executes any
-plan; ``Session.campaign`` plans the cartesian product (the old
-``run_matrix`` grid) and returns a
+plan; ``Session.campaign`` plans the cartesian product and returns a
 :class:`~repro.api.result.CampaignResult`.
 
 Every spec takes one path: the backend splits it into shards
@@ -133,7 +132,7 @@ class Session:
 
     def __init__(self, backend="sim", jobs=1, cache=True, cache_dir=None,
                  shard_size=DEFAULT_SHARD_SIZE, executor="thread", pool=None,
-                 engine=None, model_engine=None, batch_tail=None):
+                 engine=None, model_engine=None):
         self.backend = make_backend(backend)
         if jobs < 1:
             raise ReproError("jobs must be >= 1, got %r" % jobs)
@@ -154,10 +153,6 @@ class Session:
             from ..model.models import resolve_model_engine
             model_engine = resolve_model_engine(model_engine)
         self.model_engine = model_engine
-        if batch_tail is not None:
-            from ..sim.engine import resolve_batch_tail
-            batch_tail = resolve_batch_tail(batch_tail)
-        self.batch_tail = batch_tail
         if isinstance(cache, ResultCache):
             self.cache = cache
         elif cache_dir or cache:
@@ -176,7 +171,7 @@ class Session:
     # -- public API -------------------------------------------------------
 
     def run(self, test, chip=None, incantations=BEST, iterations=None,
-            seed=0, engine=None, model_engine=None, batch_tail=None):
+            seed=0, engine=None, model_engine=None):
         """Execute one cell; accepts a prepared :class:`RunSpec` or the
         (test, chip, ...) fields of one.
 
@@ -197,8 +192,7 @@ class Session:
             spec = RunSpec.make(test, chip, incantations=incantations,
                                 iterations=iterations, seed=seed,
                                 engine=self._engine(engine),
-                                model_engine=self._model_engine(model_engine),
-                                batch_tail=self._batch_tail(batch_tail))
+                                model_engine=self._model_engine(model_engine))
         return self.run_specs([spec])[0]
 
     def run_specs(self, specs):
@@ -249,20 +243,19 @@ class Session:
         return [results[index] for index in range(len(specs))]
 
     def campaign(self, tests, chips, incantations=BEST, iterations=None,
-                 seed=0, engine=None, model_engine=None, batch_tail=None):
+                 seed=0, engine=None, model_engine=None):
         """Plan and execute the cartesian product campaign."""
         specs = matrix(tests, chips, incantations=incantations,
                        iterations=iterations, seed=seed,
                        engine=self._engine(engine),
-                       model_engine=self._model_engine(model_engine),
-                       batch_tail=self._batch_tail(batch_tail))
+                       model_engine=self._model_engine(model_engine))
         campaign = CampaignResult()
         for result in self.run_specs(specs):
             campaign.add(result)
         return campaign
 
     def plan(self, tests, chips, incantations=BEST, iterations=None, seed=0,
-             engine=None, model_engine=None, batch_tail=None):
+             engine=None, model_engine=None):
         """Lazily yield the cartesian-product plan of :meth:`campaign`.
 
         The generator twin of :func:`~repro.api.spec.matrix`: ``tests``
@@ -274,13 +267,11 @@ class Session:
         chips = list(chips)
         engine = self._engine(engine)
         model_engine = self._model_engine(model_engine)
-        batch_tail = self._batch_tail(batch_tail)
         for test in tests:
             for chip in chips:
                 yield RunSpec.make(test, chip, incantations=incantations,
                                    iterations=iterations, seed=seed,
-                                   engine=engine, model_engine=model_engine,
-                                   batch_tail=batch_tail)
+                                   engine=engine, model_engine=model_engine)
 
     def run_stream(self, specs, chunk_size=DEFAULT_CHUNK_SIZE):
         """Execute a plan in chunks; yields results in plan order.
@@ -300,9 +291,6 @@ class Session:
             for result in self.run_specs(chunk):
                 yield result
 
-    #: Backwards-friendly alias mirroring the old harness name.
-    run_matrix = campaign
-
     def _engine(self, engine):
         """Per-call engine override, else the session default (which may
         itself be ``None`` = environment default)."""
@@ -310,9 +298,6 @@ class Session:
 
     def _model_engine(self, model_engine):
         return model_engine if model_engine is not None else self.model_engine
-
-    def _batch_tail(self, batch_tail):
-        return batch_tail if batch_tail is not None else self.batch_tail
 
     # -- execution strategies ---------------------------------------------
 
@@ -383,10 +368,9 @@ class Session:
 
 def run_campaign(tests, chips, incantations=BEST, iterations=None, seed=0,
                  backend="sim", jobs=1, cache_dir=None, engine=None,
-                 model_engine=None, batch_tail=None):
+                 model_engine=None):
     """One-shot convenience: build a Session, run the campaign."""
     session = Session(backend=backend, jobs=jobs, cache_dir=cache_dir,
-                      engine=engine, model_engine=model_engine,
-                      batch_tail=batch_tail)
+                      engine=engine, model_engine=model_engine)
     return session.campaign(tests, chips, incantations=incantations,
                             iterations=iterations, seed=seed)

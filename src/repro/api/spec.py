@@ -18,8 +18,7 @@ from ..harness.incantations import Incantations, best_for
 from ..litmus.writer import write_litmus
 from ..model.models import resolve_model_engine
 from ..sim.chip import CHIPS, ChipProfile
-from ..sim.engine import (DEFAULT_BATCH_TAIL, resolve_batch_tail,
-                          resolve_engine)
+from ..sim.engine import resolve_engine
 
 #: Sentinel accepted wherever an incantation combination is expected:
 #: resolve to the most effective combination for the chip's vendor and
@@ -141,20 +140,10 @@ class RunSpec:
     #: ``"reference"`` (materialise-then-check).  Excluded from the
     #: fingerprint, included in the model backend's cache signature.
     model_engine: str = "fast"
-    #: Straggler-tail threshold of the batch engine (see
-    #: :func:`repro.sim.engine.resolve_batch_tail`): live fraction at
-    #: which a lockstep chunk suspends its survivors for coalesced
-    #: draining.  Same discipline as ``engine``: excluded from the
-    #: fingerprint (shard seeds stay knob-neutral), included in the sim
-    #: backend's cache signature when the engine is ``batch`` (the tail
-    #: hand-off changes the RNG stream, so histograms from different
-    #: tails must not share cache entries).  Ignored by the other
-    #: engines.
-    batch_tail: float = DEFAULT_BATCH_TAIL
 
     @staticmethod
     def make(test, chip, incantations=BEST, iterations=None, seed=0,
-             engine=None, model_engine=None, batch_tail=None):
+             engine=None, model_engine=None):
         """Build a normalised spec.
 
         ``engine=None`` resolves through
@@ -162,9 +151,7 @@ class RunSpec:
         environment variable, default ``"fast"``); ``model_engine=None``
         likewise through
         :func:`repro.model.models.resolve_model_engine`
-        (``REPRO_MODEL_ENGINE``, default ``"fast"``); ``batch_tail=None``
-        through :func:`repro.sim.engine.resolve_batch_tail`
-        (``REPRO_BATCH_TAIL``, default 0.05).
+        (``REPRO_MODEL_ENGINE``, default ``"fast"``).
 
         >>> from repro.litmus import library
         >>> spec = RunSpec.make(library.build("mp"), "Titan",
@@ -187,8 +174,7 @@ class RunSpec:
         return RunSpec(test=test, chip=chip, incantations=incantations,
                        iterations=int(iterations), seed=int(seed),
                        engine=resolve_engine(engine),
-                       model_engine=resolve_model_engine(model_engine),
-                       batch_tail=resolve_batch_tail(batch_tail))
+                       model_engine=resolve_model_engine(model_engine))
 
     @property
     def key(self):
@@ -204,9 +190,6 @@ class RunSpec:
     def with_model_engine(self, model_engine):
         return replace(self,
                        model_engine=resolve_model_engine(model_engine))
-
-    def with_batch_tail(self, batch_tail):
-        return replace(self, batch_tail=resolve_batch_tail(batch_tail))
 
     def fingerprint(self):
         """Stable content hash of this spec (hex digest).
@@ -243,16 +226,14 @@ class RunSpec:
 
 
 def matrix(tests, chips, incantations=BEST, iterations=None, seed=0,
-           engine=None, model_engine=None, batch_tail=None):
+           engine=None, model_engine=None):
     """Cartesian-product campaign plan: one :class:`RunSpec` per
-    (test, chip) cell — the planner behind ``Session.campaign`` and the
-    successor of the old ``run_matrix`` loop."""
+    (test, chip) cell — the planner behind ``Session.campaign``."""
     specs = []
     for test in tests:
         for chip in chips:
             specs.append(RunSpec.make(test, chip, incantations=incantations,
                                       iterations=iterations, seed=seed,
                                       engine=engine,
-                                      model_engine=model_engine,
-                                      batch_tail=batch_tail))
+                                      model_engine=model_engine))
     return specs

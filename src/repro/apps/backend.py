@@ -81,12 +81,7 @@ class AppBackend(PerThreadMemo, Backend):
         """Fingerprint plus engine — same rationale as the sim backend:
         the fingerprint stays engine-neutral, but a histogram cached by
         one engine must never mask a divergence in another (and batch
-        histograms are only distribution-equivalent).  The batch tail
-        joins for batch cells: different tails are different RNG
-        streams and must not share entries."""
-        if spec.engine == "batch":
-            return "%s-%s-tail%g" % (spec.fingerprint(), spec.engine,
-                                     spec.batch_tail)
+        histograms are only distribution-equivalent)."""
         return "%s-%s" % (spec.fingerprint(), spec.engine)
 
     def cache_variant(self, spec, shard_size):
@@ -105,8 +100,6 @@ class AppBackend(PerThreadMemo, Backend):
             # compilation.
             key = (spec.engine, spec.scenario.name, write_litmus(spec.test),
                    repr(spec.chip), spec.intensity)
-            if spec.engine == "batch":
-                key += (spec.batch_tail,)
             machine = cells.get(key)
             if machine is None:
                 if len(cells) >= self.MAX_COMPILED:
@@ -123,8 +116,8 @@ class AppBackend(PerThreadMemo, Backend):
     def _lower_batch(self, spec):
         """Lower a batch cell through the cross-worker plan cache —
         same discipline as ``SimBackend._lower_batch``: plans are
-        content-keyed, tail-independent, and any miss publishes the
-        fresh analysis for the other workers."""
+        content-keyed, and any miss publishes the fresh analysis for the
+        other workers."""
         plan = store = signature = None
         if self.plan_dir:
             from ..sim.batch import PLAN_VERSION
@@ -135,9 +128,7 @@ class AppBackend(PerThreadMemo, Backend):
                 repr(spec.chip), spec.intensity)
             plan = store.get(signature)
         machine = compile_batch_cell(spec.test, spec.chip,
-                                     intensity=spec.intensity,
-                                     tail_fraction=spec.batch_tail,
-                                     plan=plan)
+                                     intensity=spec.intensity, plan=plan)
         if store is not None and plan is None:
             store.put(signature, machine.plan())
         return machine

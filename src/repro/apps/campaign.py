@@ -43,7 +43,7 @@ def app_session(jobs=1, executor="thread", cache=True, cache_dir=None,
 
 
 def app_matrix(scenarios, chips, runs=None, seed=0, intensity=STRESS,
-               engine=None, batch_tail=None):
+               engine=None):
     """Cartesian-product campaign plan: one :class:`ScenarioSpec` per
     (scenario, chip) cell — the app twin of :func:`repro.api.spec.matrix`."""
     specs = []
@@ -51,26 +51,24 @@ def app_matrix(scenarios, chips, runs=None, seed=0, intensity=STRESS,
         for chip in chips:
             specs.append(ScenarioSpec.make(scenario, chip, runs=runs,
                                            seed=seed, intensity=intensity,
-                                           engine=engine,
-                                           batch_tail=batch_tail))
+                                           engine=engine))
     return specs
 
 
 def run_scenario(scenario, chip, runs=None, seed=0, intensity=STRESS,
-                 engine=None, batch_tail=None, jobs=1, session=None):
+                 engine=None, jobs=1, session=None):
     """Execute one scenario cell; returns its
     :class:`~repro.api.result.SpecResult` (``result.observations`` is
     the loss count over ``runs`` launches)."""
     if session is None:
         session = app_session(jobs=jobs)
     spec = ScenarioSpec.make(scenario, chip, runs=runs, seed=seed,
-                             intensity=intensity, engine=engine,
-                             batch_tail=batch_tail)
+                             intensity=intensity, engine=engine)
     return session.run_specs([spec])[0]
 
 
 def run_app_campaign(scenarios, chips, runs=None, seed=0, intensity=STRESS,
-                     engine=None, batch_tail=None, jobs=1, executor="thread",
+                     engine=None, jobs=1, executor="thread",
                      cache_dir=None, session=None):
     """Plan and execute a scenarios x chips campaign; returns a
     :class:`~repro.api.result.CampaignResult` keyed by
@@ -79,8 +77,7 @@ def run_app_campaign(scenarios, chips, runs=None, seed=0, intensity=STRESS,
         session = app_session(jobs=jobs, executor=executor,
                               cache_dir=cache_dir)
     specs = app_matrix(scenarios, chips, runs=runs, seed=seed,
-                       intensity=intensity, engine=engine,
-                       batch_tail=batch_tail)
+                       intensity=intensity, engine=engine)
     campaign = CampaignResult()
     for result in session.run_specs(specs):
         campaign.add(result)

@@ -116,12 +116,13 @@ def _load_tests(specs):
 
 
 def _session(args):
+    if args.backend == "app":
+        raise SystemExit("--backend app runs scenarios, not litmus tests; "
+                         "use `repro-litmus app`")
     try:
         return Session(backend=args.backend, jobs=args.jobs,
                        executor=args.executor, cache_dir=args.cache_dir,
-                       engine=args.engine,
-                       model_engine=getattr(args, "model_engine", None),
-                       batch_tail=getattr(args, "batch_tail", None))
+                       engine=args.engine, model_engine=args.model_engine)
     except ReproError as error:
         raise SystemExit(str(error))
 
@@ -140,18 +141,6 @@ def _engine_argument(parser):
                              "sets the default")
 
 
-def _batch_tail_argument(parser):
-    parser.add_argument("--batch-tail", default=None,
-                        help="batch-engine straggler hand-off threshold: "
-                             "the live-row fraction below which a "
-                             "chunk's survivors leave numpy lockstep "
-                             "and drain on the compiled fast engine "
-                             "(float in [0, 0.5]; 0 disables the "
-                             "hand-off and reproduces the pre-tail "
-                             "bit-exact batch stream; REPRO_BATCH_TAIL "
-                             "sets the default)")
-
-
 def _model_engine_argument(parser):
     parser.add_argument("--model-engine", default=None,
                         choices=MODEL_ENGINES,
@@ -163,22 +152,28 @@ def _model_engine_argument(parser):
                              "REPRO_MODEL_ENGINE sets the default")
 
 
-def _session_arguments(parser):
-    parser.add_argument("--jobs", type=int, default=1,
+def _pool_parent():
+    """The worker-pool and result-cache flags of every subcommand that
+    executes cells, shared as an argparse parent."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--jobs", type=int, default=1,
                         help="worker count for sharded execution")
-    parser.add_argument("--executor", default="process",
+    parent.add_argument("--executor", default="process",
                         choices=("process", "thread"),
                         help="worker pool kind for --jobs > 1 (default: "
                              "process — the simulator is CPU-bound pure "
                              "Python, so threads cannot speed it up)")
+    parent.add_argument("--cache-dir", default=None,
+                        help="directory for the on-disk result cache")
+    return parent
+
+
+def _session_arguments(parser):
     parser.add_argument("--backend", default="sim",
                         help="execution backend: sim (default), model, "
                              "model:NAME, analysis (static verdicts), or "
                              "exhaustive (DPOR stateless model checking)")
-    parser.add_argument("--cache-dir", default=None,
-                        help="directory for the on-disk result cache")
     _engine_argument(parser)
-    _batch_tail_argument(parser)
     _model_engine_argument(parser)
 
 
@@ -350,8 +345,7 @@ def _cmd_app(args):
         if args.prescreen:
             specs = app_matrix(scenarios, args.chips, runs=runs,
                                seed=args.seed, intensity=args.intensity,
-                               engine=args.engine,
-                               batch_tail=args.batch_tail)
+                               engine=args.engine)
             campaign = _run_prescreened_campaign(
                 specs, session, proof="(losses) by proof")
         else:
@@ -359,7 +353,6 @@ def _cmd_app(args):
                                         seed=args.seed,
                                         intensity=args.intensity,
                                         engine=args.engine,
-                                        batch_tail=args.batch_tail,
                                         session=session)
     except ReproError as error:
         raise SystemExit(str(error))
@@ -518,8 +511,10 @@ def build_parser():
         prog="repro-litmus",
         description="GPU litmus testing on simulated chips (ASPLOS'15 repro)")
     sub = parser.add_subparsers(dest="command", required=True)
+    pool = _pool_parent()
 
-    run = sub.add_parser("run", help="run a test on a simulated chip")
+    run = sub.add_parser("run", parents=[pool],
+                         help="run a test on a simulated chip")
     run.add_argument("test")
     run.add_argument("--chip", default="Titan", choices=sorted(CHIPS))
     run.add_argument("--iterations", type=int, default=None)
@@ -532,7 +527,8 @@ def build_parser():
     run.set_defaults(func=_cmd_run)
 
     campaign = sub.add_parser(
-        "campaign", help="run a test x chip campaign through one session")
+        "campaign", parents=[pool],
+        help="run a test x chip campaign through one session")
     campaign.add_argument("tests", nargs="+",
                           help="library tests / .litmus files, or 'all'")
     campaign.add_argument("--chips", nargs="+", default=list(RESULT_CHIPS),
@@ -551,7 +547,8 @@ def build_parser():
     campaign.set_defaults(func=_cmd_campaign)
 
     app = sub.add_parser(
-        "app", help="run application scenario campaigns (Secs. 3.2, 6-7)")
+        "app", parents=[pool],
+        help="run application scenario campaigns (Secs. 3.2, 6-7)")
     app.add_argument("--scenario", "-s", dest="scenarios", nargs="+",
                      default=["all"], metavar="NAME",
                      help="scenario names or families; 'all' (default) "
@@ -573,13 +570,6 @@ def build_parser():
                      help="relaxation-intent multiplier standing in for "
                           "the paper's stressful workloads (default %g; "
                           "1.0 = bare chip rates)" % STRESS)
-    app.add_argument("--jobs", type=int, default=1,
-                     help="worker count for sharded execution")
-    app.add_argument("--executor", default="process",
-                     choices=("process", "thread"),
-                     help="worker pool kind for --jobs > 1")
-    app.add_argument("--cache-dir", default=None,
-                     help="directory for the on-disk result cache")
     app.add_argument("--prescreen", action="store_true",
                      help="statically analyse each scenario first; "
                           "provably-clean cells skip simulation and "
@@ -592,13 +582,17 @@ def build_parser():
                           "verdicts (ignores --runs/--seed/--engine; see "
                           "`repro-litmus verify` for the full knob set)")
     _engine_argument(app)
-    _batch_tail_argument(app)
     app.set_defaults(func=_cmd_app)
 
     verify = sub.add_parser(
-        "verify",
+        "verify", parents=[pool],
         help="exhaustively verify scenarios: enumerate every execution "
-             "(DPOR-pruned) and prove fenced variants lose zero times")
+             "(DPOR-pruned) and prove fenced variants lose zero times",
+        description="Exhaustively verify scenarios.  --jobs shards each "
+                    "cell's exploration by root branch across the pool "
+                    "(and cells fan out like any other campaign); "
+                    "verdicts are bit-identical to --jobs 1.  --cache-dir "
+                    "holds the verdicts, witnesses included.")
     verify.add_argument("--scenario", "-s", dest="scenarios", nargs="+",
                         default=["all"], metavar="NAME",
                         help="scenario names or families; 'all' (default) "
@@ -624,23 +618,16 @@ def build_parser():
                              "transitions (default 2000000)")
     verify.add_argument("--no-witness", action="store_true",
                         help="omit losing execution traces from the output")
-    verify.add_argument("--jobs", type=int, default=1,
-                        help="worker count: each cell's exploration shards "
-                             "by root branch across the pool (and cells fan "
-                             "out like any other campaign); verdicts are "
-                             "bit-identical to --jobs 1")
-    verify.add_argument("--executor", default="process",
-                        choices=("process", "thread"),
-                        help="worker pool kind for --jobs > 1")
-    verify.add_argument("--cache-dir", default=None,
-                        help="directory for the on-disk verdict cache")
     verify.set_defaults(func=_cmd_verify)
 
     analyze = sub.add_parser(
-        "analyze",
+        "analyze", parents=[pool],
         help="static race/ordering verdicts, no simulation; --cross-check "
              "holds clean verdicts to campaign losses and model "
-             "allowed-sets")
+             "allowed-sets",
+        description="Static race/ordering verdicts, no simulation.  "
+                    "--jobs, --executor and --cache-dir apply to the "
+                    "--cross-check campaign.")
     analyze.add_argument("tests", nargs="*",
                          help="library tests / .litmus files, or 'all'")
     analyze.add_argument("--scenario", "-s", dest="scenarios", nargs="+",
@@ -672,14 +659,6 @@ def build_parser():
     analyze.add_argument("--fuel", type=int, default=128,
                          help="model enumeration fuel for the library "
                               "cross-check (default 128)")
-    analyze.add_argument("--jobs", type=int, default=1,
-                         help="worker count for the cross-check campaign")
-    analyze.add_argument("--executor", default="process",
-                         choices=("process", "thread"),
-                         help="worker pool kind for --jobs > 1")
-    analyze.add_argument("--cache-dir", default=None,
-                         help="on-disk result cache for the cross-check "
-                              "campaign")
     analyze.set_defaults(func=_cmd_analyze)
 
     model = sub.add_parser("model", help="model-check a test")
@@ -711,8 +690,14 @@ def build_parser():
     gen.set_defaults(func=_cmd_generate)
 
     soundness = sub.add_parser(
-        "soundness",
-        help="Sec. 5.4: check a diy corpus's observations against a model")
+        "soundness", parents=[pool],
+        help="Sec. 5.4: check a diy corpus's observations against a model",
+        description="Sec. 5.4: check a diy corpus's observations against "
+                    "a model.  The pipeline runs the sim and model "
+                    "backends together, so there is no --backend: --jobs "
+                    "is shared by the sim shards and the model "
+                    "enumerations, and --cache-dir by both backends (a "
+                    "second identical run is served from it).")
     _corpus_arguments(soundness, default_fences=("cta", "gl"),
                       default_max=None)
     soundness.add_argument("--chips", nargs="+",
@@ -733,18 +718,6 @@ def build_parser():
     soundness.add_argument("--max-rows", type=int, default=40,
                            help="summary-table row cap; violations always "
                                 "shown (default 40)")
-    # The session knobs of _session_arguments minus --backend: the
-    # soundness pipeline is inherently dual-backend (sim + model).
-    soundness.add_argument("--jobs", type=int, default=1,
-                           help="worker count shared by the sim shards and "
-                                "the model enumerations")
-    soundness.add_argument("--executor", default="process",
-                           choices=("process", "thread"),
-                           help="worker pool kind for --jobs > 1")
-    soundness.add_argument("--cache-dir", default=None,
-                           help="on-disk result cache shared by both "
-                                "backends; a second identical run is "
-                                "served from it")
     _engine_argument(soundness)
     _model_engine_argument(soundness)
     soundness.set_defaults(func=_cmd_soundness)

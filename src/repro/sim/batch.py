@@ -73,12 +73,10 @@ from .compile import (K_ADD, K_CAS, K_EXCH, K_FENCE, K_LOAD, K_STORE,
                       SLOT_BYPASS_BASE, SLOT_MIXED_HAZARD, SLOT_RR_HAZARD,
                       SLOT_VOLATILE, _bypass_slots, _PASS_PAIR, _SCOPES,
                       compile_cell)
-from .engine import resolve_batch_tail
 from .machine import _FUEL_PER_INSTRUCTION
 
-#: Iterations per lockstep batch.  One default shard
-#: (:data:`repro.api.backends.DEFAULT_SHARD_SIZE`) is exactly one batch;
-#: larger requests split so state arrays stay cache- and memory-friendly.
+#: Cap on a lockstep chunk's width, so state arrays stay cache- and
+#: memory-friendly however wide the shard.
 MAX_BATCH = 25000
 
 #: Issue-window size and decode budget (the reference engine's).
@@ -86,6 +84,11 @@ WINDOW = 16
 BUDGET = 32
 
 _NO_SEQ = 1 << 62  # masked-argmin filler; larger than any real seq
+
+#: Straggler-tail threshold: once a lockstep chunk's live rows fall to
+#: this share of its width, the survivors are suspended and coalesced
+#: for draining instead of paying full-width numpy dispatch per tick.
+_TAIL_FRACTION = 0.05
 
 #: Once a straggler tail has coalesced down to this many rows, lockstep
 #: dispatch stops paying for itself (fixed per-tick kernel overhead
@@ -253,27 +256,19 @@ class _BatchState:
 
     __slots__ = ("n", "rng", "threads", "glob", "shm", "l1h", "l1v", "iv",
                  "any_intent", "stale", "sm", "fuel", "stalled", "progress",
-                 "budget", "dec", "adaptive")
+                 "budget", "dec")
 
-    def __init__(self, cell, n, rng, adaptive=False):
+    def __init__(self, cell, n, rng):
         self.n = n
         self.rng = rng
-        # Adaptive-path flag: chunks of the tail hand-off path may
-        # break the legacy RNG stream (the contract there is
-        # distribution equivalence, not bit-identity), which lets both
-        # the draws below and the kernels skip semantically inert work.
-        self.adaptive = adaptive
         # -- incantation draws, one Bernoulli matrix per batch --------
+        # Zero-probability slots can never fire: draw only the live
+        # columns.
         cols = cell._nz_prob_cols
-        if adaptive and len(cols) < len(cell.draw_probs):
-            # Zero-probability slots can never fire: draw only the
-            # live columns (stream-breaking, adaptive chunks only).
-            self.iv = np.zeros((n, len(cell.draw_probs)), dtype=bool)
-            if len(cols):
-                self.iv[:, cols] = (rng.random((n, len(cols)))
-                                    < cell._probs_row[cols])
-        else:
-            self.iv = rng.random((n, len(cell.draw_probs))) < cell._probs_row
+        self.iv = np.zeros((n, len(cell.draw_probs)), dtype=bool)
+        if len(cols):
+            self.iv[:, cols] = (rng.random((n, len(cols)))
+                                < cell._probs_row[cols])
         self.any_intent = self.iv.any(axis=1)
         stale = rng.random(n) < cell.p_stale
         self.stale = stale & cell.l1_active
@@ -286,24 +281,13 @@ class _BatchState:
             self.shm = None
         if cell.l1_active:
             eshape = (n, cell.n_sms_eff, cell.n_global)
-            if adaptive:
-                # Stream-breaking compact draw: only the SMs the static
-                # placement uses, and none at all when lines can never
-                # start warm.
-                if cell.p_l1_warm > 0.0:
-                    warm = (self.stale[:, None, None]
-                            & (rng.random(eshape) < cell.p_l1_warm))
-                else:
-                    warm = np.zeros(eshape, dtype=bool)
+            # Draw only for the SMs the placement uses, and not at all
+            # when lines can never start warm.
+            if cell.p_l1_warm > 0.0:
+                warm = (self.stale[:, None, None]
+                        & (rng.random(eshape) < cell.p_l1_warm))
             else:
-                # The warm draw keeps the full n_sms shape so the RNG
-                # stream is unchanged; only the used-SM slices are
-                # stored.
-                shape = (n, cell.n_sms, cell.n_global)
-                draw = rng.random(shape) < cell.p_l1_warm
-                if cell.n_sms_eff != cell.n_sms:
-                    draw = draw[:, cell._sm_used, :]
-                warm = self.stale[:, None, None] & draw
+                warm = np.zeros(eshape, dtype=bool)
             self.l1h = warm
             # Values only matter where a line is present; fill warm
             # lines with the initial image, leave the rest garbage.
@@ -355,7 +339,7 @@ class BatchCell:
 
     def __init__(self, test, chip, intensity=1.0, stale_intensity=None,
                  shuffle_placement=False, fuel=None, scope_blind=False,
-                 tail_fraction=None, plan=None):
+                 plan=None):
         require_numpy()
         self.test = test
         self.chip = chip
@@ -364,7 +348,6 @@ class BatchCell:
                                 else stale_intensity)
         self.shuffle_placement = shuffle_placement
         self.scope_blind = scope_blind
-        self.tail_fraction = resolve_batch_tail(tail_fraction)
         address_map = test.address_map()
         self.address_map = address_map
 
@@ -390,8 +373,7 @@ class BatchCell:
                 probs[index] = 0.0
         self.draw_probs = probs
         self._probs_row = np.asarray(probs)
-        # Columns that can actually fire — adaptive chunks (free to
-        # break the legacy stream) draw only these.
+        # Columns that can actually fire — chunks draw only these.
         self._nz_prob_cols = np.nonzero(self._probs_row > 0.0)[0]
         self.p_stale = chip.p_stale * self.stale_intensity
         self.l1_active = chip.l1_stale_reads
@@ -547,43 +529,29 @@ class BatchCell:
         if histogram is None:
             from ..harness.histogram import Histogram
             histogram = Histogram()
-        tail = self.tail_fraction
         blocks = []
-        if tail <= 0.0:
-            # Legacy fixed-width chunking — kept *bit-identical* to the
-            # pre-tail batch stream (property-tested), which is why the
-            # tail/adaptive paths below are fully fenced off here.
-            remaining = iterations
-            while remaining > 0:
-                size = min(remaining, MAX_BATCH)
-                gen = np.random.Generator(
-                    np.random.PCG64(rng.getrandbits(64)))
-                blocks.append(self._run_batch_rows(size, gen))
-                remaining -= size
-        else:
-            tails = []
-            remaining = iterations
-            width = self._first_width()
-            ticks = row_ticks = peak = 0
-            while remaining > 0:
-                size = min(remaining, width)
-                gen = np.random.Generator(
-                    np.random.PCG64(rng.getrandbits(64)))
-                st = _BatchState(self, size, gen, adaptive=True)
-                survivor = self._advance(st, blocks, int(tail * size))
-                chunk_ticks, chunk_rows = self._last_ticks
-                ticks += chunk_ticks
-                row_ticks += chunk_rows
-                peak = max(peak, size)
-                if survivor is not None and survivor.n:
-                    tails.append(survivor)
-                remaining -= size
-                width = self._next_width(size, ticks, row_ticks)
-            drained = sum(t.n for t in tails)
-            if tails:
-                self._drain_tail(tails, rng, blocks)
-            self._profile = {"ticks": ticks, "row_ticks": row_ticks,
-                             "peak_width": peak, "drained": drained}
+        tails = []
+        remaining = iterations
+        width = self._first_width()
+        ticks = row_ticks = peak = 0
+        while remaining > 0:
+            size = min(remaining, width)
+            gen = np.random.Generator(np.random.PCG64(rng.getrandbits(64)))
+            st = _BatchState(self, size, gen)
+            survivor = self._advance(st, blocks, int(_TAIL_FRACTION * size))
+            chunk_ticks, chunk_rows = self._last_ticks
+            ticks += chunk_ticks
+            row_ticks += chunk_rows
+            peak = max(peak, size)
+            if survivor is not None and survivor.n:
+                tails.append(survivor)
+            remaining -= size
+            width = self._next_width(size, ticks, row_ticks)
+        drained = sum(t.n for t in tails)
+        if tails:
+            self._drain_tail(tails, rng, blocks)
+        self._profile = {"ticks": ticks, "row_ticks": row_ticks,
+                         "peak_width": peak, "drained": drained}
         matrix = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
         states, counts = _unique_rows(matrix)
         add = histogram.add
@@ -619,9 +587,8 @@ class BatchCell:
 
     def run_once(self, rng):
         """Compatibility single-iteration entry (``GpuMachine`` shape)."""
-        gen = np.random.Generator(np.random.PCG64(rng.getrandbits(64)))
-        row = self._run_batch_rows(1, gen)[0].tolist()
-        return self._final_state(row)
+        (state,) = self.run_many(1, rng).counts
+        return state
 
     def _final_state(self, row):
         nreg = len(self._obs_plan)
@@ -655,12 +622,6 @@ class BatchCell:
             else:
                 columns.append(st.glob[idx, loc])
         return np.stack(columns, axis=1)
-
-    def _run_batch_rows(self, n, rng):
-        st = _BatchState(self, n, rng)
-        blocks = []
-        self._advance(st, blocks, 0)
-        return np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
 
     def _advance(self, st, blocks, tail_rows):
         """Advance a lockstep batch until every row retires — or, with
@@ -758,7 +719,6 @@ class BatchCell:
             return states[0]
         st = _BatchState.__new__(_BatchState)
         st.rng = states[0].rng
-        st.adaptive = states[0].adaptive
         for name in ("iv", "any_intent", "stale", "glob", "sm", "fuel",
                      "stalled", "progress", "budget", "dec"):
             setattr(st, name,
@@ -799,9 +759,8 @@ class BatchCell:
         """
         st = self._concat_states(tails)
         st.rng = np.random.Generator(np.random.PCG64(rng.getrandbits(64)))
-        fraction = self.tail_fraction
         while st is not None and st.n > _DRAIN_ROWS:
-            threshold = max(int(fraction * st.n), _DRAIN_ROWS)
+            threshold = max(int(_TAIL_FRACTION * st.n), _DRAIN_ROWS)
             st = self._advance(st, blocks, threshold)
         if st is None or not st.n:
             return
@@ -1597,15 +1556,11 @@ class _BatchCompiler:
             return base
         if cop == "ca":
             has = st.l1h[idx, sm, gloc]
-            hit = has & st.stale[idx]
-            value = np.where(hit, st.l1v[idx, sm, gloc], base)
-            fill = ~hit
-            if st.adaptive:
-                # Lines of non-stale rows can never hit (``hit`` needs
-                # ``stale``), so filling them is semantically inert; it
-                # only perturbs downstream ``has.any()`` draw gates,
-                # i.e. the RNG stream — skipped off the legacy path.
-                fill &= st.stale[idx]
+            stale = st.stale[idx]
+            value = np.where(has & stale, st.l1v[idx, sm, gloc], base)
+            # Lines of non-stale rows can never hit, so only stale rows
+            # fill on a miss.
+            fill = stale & ~has
             if fill.any():
                 st.l1v[idx[fill], sm[fill], gloc] = base[fill]
                 st.l1h[idx[fill], sm[fill], gloc] = True
@@ -1635,11 +1590,9 @@ class _BatchCompiler:
                 value[g] = base
             elif cop == "ca":
                 has = st.l1h[gi, gs, gloc]
-                hit = has & st.stale[gi]
-                value[g] = np.where(hit, st.l1v[gi, gs, gloc], base)
-                fill = ~hit
-                if st.adaptive:
-                    fill &= st.stale[gi]
+                stale = st.stale[gi]
+                value[g] = np.where(has & stale, st.l1v[gi, gs, gloc], base)
+                fill = stale & ~has
                 if fill.any():
                     st.l1v[gi[fill], gs[fill], gloc[fill]] = base[fill]
                     st.l1h[gi[fill], gs[fill], gloc[fill]] = True
@@ -1777,7 +1730,7 @@ class _BatchCompiler:
 
 def compile_batch_cell(test, chip, intensity=1.0, stale_intensity=None,
                        shuffle_placement=False, fuel=None, scope_blind=False,
-                       tail_fraction=None, plan=None):
+                       plan=None):
     """Lower one campaign cell into a :class:`BatchCell`.
 
     Parameters mirror :func:`~repro.sim.compile.compile_cell`; the
@@ -1786,14 +1739,10 @@ def compile_batch_cell(test, chip, intensity=1.0, stale_intensity=None,
     docstring for the RNG-stream contract).  Raises
     :class:`~repro.errors.ConfigurationError` when numpy is missing.
 
-    ``tail_fraction`` tunes the straggler hand-off threshold (``None``
-    resolves ``REPRO_BATCH_TAIL``/the default; ``0`` disables the tail
-    and reproduces the legacy bit-exact batch stream).  ``plan`` is an
-    optional pre-analyzed lowering plan from :meth:`BatchCell.plan` —
-    a plan-cache hit skips the analysis pass.
+    ``plan`` is an optional pre-analyzed lowering plan from
+    :meth:`BatchCell.plan` — a plan-cache hit skips the analysis pass.
     """
     return BatchCell(test, chip, intensity=intensity,
                      stale_intensity=stale_intensity,
                      shuffle_placement=shuffle_placement, fuel=fuel,
-                     scope_blind=scope_blind, tail_fraction=tail_fraction,
-                     plan=plan)
+                     scope_blind=scope_blind, plan=plan)

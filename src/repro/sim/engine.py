@@ -52,54 +52,6 @@ def resolve_engine(engine):
                           "engine")
 
 
-#: Default straggler-tail threshold of the batch engine: once the live
-#: fraction of a lockstep chunk falls to this share of its width, the
-#: surviving rows are suspended and drained on the fast engine instead
-#: of paying full-width numpy dispatch per tick (see
-#: :mod:`repro.sim.batch`).
-DEFAULT_BATCH_TAIL = 0.05
-
-#: Valid range of the tail threshold.  0 disables the hand-off entirely
-#: (bit-identical to the pre-tail batch stream); above 0.5 the engine
-#: would spend most of its time re-batching instead of executing.
-BATCH_TAIL_RANGE = (0.0, 0.5)
-
-
-def resolve_batch_tail(value):
-    """Normalise a batch tail-fraction choice.
-
-    ``None`` consults the ``REPRO_BATCH_TAIL`` environment variable and
-    falls back to :data:`DEFAULT_BATCH_TAIL`.  Anything else (string or
-    number) must parse as a float inside :data:`BATCH_TAIL_RANGE`;
-    junk raises :class:`~repro.errors.ConfigurationError` naming the
-    valid range.  The knob only affects ``engine='batch'`` — the other
-    engines have no lockstep tail to hand off.
-    """
-    import os
-
-    from ..errors import ConfigurationError
-    source = "batch tail fraction"
-    if value is None:
-        raw = os.environ.get("REPRO_BATCH_TAIL")
-        if raw is None or raw == "":
-            return DEFAULT_BATCH_TAIL
-        value = raw
-        source = "REPRO_BATCH_TAIL"
-    try:
-        parsed = float(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            "%s must be a float in [%g, %g], got %r"
-            % (source, BATCH_TAIL_RANGE[0], BATCH_TAIL_RANGE[1], value)
-        ) from None
-    low, high = BATCH_TAIL_RANGE
-    if not (low <= parsed <= high):
-        raise ConfigurationError(
-            "%s must be in [%g, %g], got %r"
-            % (source, low, high, value))
-    return parsed
-
-
 def run_batch(machine, iterations, rng, histogram=None):
     """Run ``iterations`` iterations of ``machine`` into a histogram.
 

@@ -145,7 +145,7 @@ def run_iterations(test, chip, iterations, seed=0, intensity=1.0,
                    engine=None):
     """Convenience: run ``iterations`` runs, returning a histogram dict
     ``FinalState -> count``.  (The full-featured runner with incantations
-    lives in :mod:`repro.harness.runner`.)
+    is :meth:`repro.api.Session.run`.)
 
     ``engine`` picks the execution engine: ``"reference"`` interprets
     through :class:`GpuMachine`, ``"fast"`` runs the compiled cell of

@@ -1,15 +1,18 @@
 """Tests for the repro.api execution layer: specs, backends, sharding,
 sessions, caching and campaign aggregation."""
 
+import random
+
 import pytest
 
-from repro.api import (BEST, CampaignResult, ModelBackend, ResultCache,
-                       RunSpec, Session, SimBackend, make_backend, matrix,
-                       parse_incantations, plan_shards, shard_seed)
+from repro.api import (BEST, ModelBackend, ResultCache, RunSpec, Session,
+                       SimBackend, make_backend, matrix, parse_incantations,
+                       plan_shards, shard_seed)
 from repro.errors import ReproError
-from repro.harness import Histogram, Incantations, run_litmus, run_matrix
+from repro.harness import Histogram, Incantations, efficacy
 from repro.litmus import library
 from repro.model.models import load_model
+from repro.sim import CHIPS, compile_cell, run_batch
 
 
 def spec_for(name="mp", chip="Titan", iterations=300, seed=3,
@@ -147,14 +150,19 @@ class TestDeterministicParallelism:
 
     def test_single_shard_matches_legacy_runner_stream(self):
         """Shard 0 reuses the spec seed, so a one-shard session run is
-        bit-identical to the pre-api serial loop (and to run_litmus)."""
+        bit-identical to the pre-api serial loop."""
         test = library.build("mp")
-        wrapped = run_litmus(test, "Titan", incantations=Incantations.all(),
-                             iterations=400, seed=11)
+        chip = CHIPS["Titan"]
+        incantations = Incantations.all()
+        cell = compile_cell(
+            test, chip, intensity=efficacy(chip.vendor, test.idiom or "mp",
+                                           incantations),
+            shuffle_placement=incantations.thread_rand)
+        serial = run_batch(cell, 400, random.Random(11))
         direct = Session(cache=False).run(
-            RunSpec.make(test, "Titan", incantations=Incantations.all(),
+            RunSpec.make(test, "Titan", incantations=incantations,
                          iterations=400, seed=11))
-        assert wrapped.histogram.counts == direct.histogram.counts
+        assert serial.counts == direct.histogram.counts
 
 
 class _ShardFailure(ReproError):
@@ -304,6 +312,10 @@ class TestBackends:
         backend = SimBackend()
         assert make_backend(backend) is backend
 
+    def test_make_backend_rejects_unknown_model(self):
+        with pytest.raises(ReproError, match="unknown backend 'model:nope'"):
+            make_backend("model:nope")
+
     def test_make_backend_rejects_unknown(self):
         with pytest.raises(ReproError):
             make_backend("quantum")
@@ -382,17 +394,11 @@ class TestSessionApi:
         results = session.run_specs(specs)
         assert [result.spec.key[0] for result in results] == ["lb", "mp", "sb"]
 
-    def test_run_matrix_alias(self):
-        session = Session()
-        campaign = session.run_matrix([library.build("mp")], ["Titan"],
-                                      iterations=50)
-        assert isinstance(campaign, CampaignResult)
-
-    def test_legacy_run_matrix_wrapper_routes_through_session(self):
+    def test_pooled_campaign_executes_each_cell_once(self):
         session = Session(jobs=2, shard_size=100)
-        results = run_matrix([library.build("mp")], ["Titan", "GTX6"],
-                             iterations=150, seed=1, session=session)
-        assert set(results) == {("mp", "Titan"), ("mp", "GTX6")}
+        campaign = session.campaign([library.build("mp")], ["Titan", "GTX6"],
+                                    iterations=150, seed=1)
+        assert set(campaign.results) == {("mp", "Titan"), ("mp", "GTX6")}
         assert session.stats.executed == 2
 
 

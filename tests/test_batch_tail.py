@@ -1,21 +1,17 @@
 """Straggler-tail hand-off and cross-worker plan-cache contracts.
 
-The batch engine's tail hand-off (``tail_fraction`` /
-``REPRO_BATCH_TAIL``) drains a chunk's last spinning survivors on the
-compiled fast engine instead of paying full-width numpy dispatch.  Its
-contracts, enforced here:
+The batch engine's tail hand-off drains a chunk's last spinning
+survivors on the compiled fast engine instead of paying full-width
+numpy dispatch, once a chunk is down to 5 % live rows.  Its contracts,
+enforced here:
 
-* ``tail_fraction=0`` is the legacy path — **bit-identical** to the
-  pre-tail batch stream (pinned golden histogram signatures);
-* any tail stays **distribution-equivalent** to the pure-lockstep
-  stream and to the fast engine (TVD inside the sampling envelope,
-  loss verdicts agreeing) on the spin-heavy scenarios the hand-off
-  exists for;
+* the batch stream is pinned by golden histogram signatures, so any
+  change to the RNG draw order shows up here first;
+* the hand-off stays **distribution-equivalent** to the fast engine
+  (TVD inside the sampling envelope, loss verdicts agreeing) on the
+  spin-heavy scenarios it exists for;
 * results are deterministic per seed and invariant across the
   session's jobs/executor decomposition;
-* the knob resolves with ``ConfigurationError`` on junk, stays out of
-  spec fingerprints and joins backend cache signatures (the ``engine``
-  discipline);
 * lowered plans round-trip through the process-safe plan store
   (:mod:`repro.sim.plancache`) bit-identically, tolerate corrupt
   entries, and surface hit/miss counters through ``SpecResult.stats``
@@ -28,16 +24,13 @@ import random
 
 import pytest
 
-from repro.api import RunSpec, Session, SimBackend
-from repro.apps import AppBackend, app_session, get_scenario, run_scenario
+from repro.apps import app_session, get_scenario, run_scenario
 from repro.apps.scenario import ScenarioSpec
-from repro.errors import ConfigurationError
 from repro.harness.histogram import Histogram
 from repro.litmus import library
 from repro.perf import tvd, tvd_envelope
 from repro.sim import CHIPS, compile_batch_cell, compile_cell, have_numpy
-from repro.sim.engine import (BATCH_TAIL_RANGE, DEFAULT_BATCH_TAIL,
-                              resolve_batch_tail, run_batch)
+from repro.sim.engine import run_batch
 from repro.sim.plancache import plan_signature, plan_store
 
 requires_numpy = pytest.mark.skipif(not have_numpy(),
@@ -52,17 +45,19 @@ SPIN_CELLS = (
     ("ticket", "TesC"),
 )
 
-#: Pinned histogram signatures of the pre-tail batch engine.  The
-#: ``tail_fraction=0`` path must keep reproducing these exact streams —
-#: any optimisation that perturbs the legacy RNG draw order shows up
-#: here first.
+#: Pinned histogram signatures of the batch engine's stream.
 LITMUS_GOLDENS = (
-    ("mp", "Titan", 3000, 11, "6f829a37626e7328"),
-    ("sb", "GTX5", 3000, 13, "5f7c64085ecb7620"),
-    # > MAX_BATCH: exercises the legacy fixed-width chunk seeding.
-    ("mp", "Titan", 26000, 5, "7d3e0f0617959b19"),
+    ("mp", "Titan", 3000, 11, "9c02bc0211d22054"),
+    ("sb", "GTX5", 3000, 13, "f8df65608216ae38"),
+    # > MAX_BATCH: more than one chunk.
+    ("mp", "Titan", 26000, 5, "9348454f01b5e2b4"),
 )
-DOT_GOLDEN = ("dot-cbe", "Titan", 3000, 17, "d81a174e65df21d1")
+DOT_GOLDEN = ("dot-cbe", "Titan", 3000, 17, "029379b67897e1d6")
+
+#: Pinned projected-histogram signatures of the spin cells through the
+#: app backend (2000 launches, seed 17, the default stress intensity).
+APP_GOLDENS = dict(zip(SPIN_CELLS, ("ef5e68c6a1b06341", "835c31717b924202",
+                                    "0704fc27db2ab1cd", "ef1080640069bec7")))
 
 
 def _signature(histogram):
@@ -75,30 +70,34 @@ def _losses(histogram, test):
 
 
 @requires_numpy
-class TestTailZeroBitIdentity:
-    """``tail_fraction=0`` reproduces the pre-tail batch stream."""
+class TestStreamGoldens:
+    """The batch stream reproduces its pinned signatures."""
 
     @pytest.mark.parametrize("name,chip,n,seed,expected", LITMUS_GOLDENS)
     def test_litmus_goldens(self, name, chip, n, seed, expected):
-        cell = compile_batch_cell(library.build(name), CHIPS[chip],
-                                  tail_fraction=0.0)
+        cell = compile_batch_cell(library.build(name), CHIPS[chip])
         histogram = run_batch(cell, n, random.Random(seed))
         assert _signature(histogram) == expected
 
     def test_scenario_golden(self):
         name, chip, n, seed, expected = DOT_GOLDEN
         cell = compile_batch_cell(get_scenario(name).test(), CHIPS[chip],
-                                  intensity=100.0, tail_fraction=0.0)
+                                  intensity=100.0)
         histogram = run_batch(cell, n, random.Random(seed))
         assert _signature(histogram) == expected
+
+    @pytest.mark.parametrize("name,chip", SPIN_CELLS)
+    def test_app_backend_goldens(self, name, chip):
+        result = run_scenario(name, chip, runs=2000, seed=17, engine="batch",
+                              session=app_session(cache=False))
+        assert _signature(result.histogram) == APP_GOLDENS[name, chip]
 
     @pytest.mark.parametrize("name,chip", (("mp", "Titan"), ("sb", "GTX5")))
     def test_plan_roundtrip_is_stream_neutral(self, name, chip):
         """A cell rebuilt from its pickled plan draws the same stream."""
         test = library.build(name)
-        fresh = compile_batch_cell(test, CHIPS[chip], tail_fraction=0.0)
-        replayed = compile_batch_cell(test, CHIPS[chip], tail_fraction=0.0,
-                                      plan=fresh.plan())
+        fresh = compile_batch_cell(test, CHIPS[chip])
+        replayed = compile_batch_cell(test, CHIPS[chip], plan=fresh.plan())
         a = run_batch(fresh, 2000, random.Random(3))
         b = run_batch(replayed, 2000, random.Random(3))
         assert a.counts == b.counts
@@ -109,26 +108,19 @@ class TestTailParity:
     """The hand-off changes the RNG stream, never the distribution."""
 
     @pytest.mark.parametrize("name,chip", SPIN_CELLS)
-    def test_spin_scenarios_tail_vs_lockstep_and_fast(self, name, chip):
+    def test_spin_scenarios_tail_vs_fast(self, name, chip):
         runs, seed = 4000, 0
         test = get_scenario(name).test()
         profile = CHIPS[chip]
-        tailed = compile_batch_cell(test, profile, intensity=100.0,
-                                    tail_fraction=0.25)
-        lockstep = compile_batch_cell(test, profile, intensity=100.0,
-                                      tail_fraction=0.0)
+        tailed = compile_batch_cell(test, profile, intensity=100.0)
         fast = compile_cell(test, profile, intensity=100.0)
         tailed_h = run_batch(tailed, runs, random.Random(seed))
-        lockstep_h = run_batch(lockstep, runs, random.Random(seed))
         fast_h = run_batch(fast, runs, random.Random(seed))
-        envelope = tvd_envelope(runs)
-        assert tvd(tailed_h.counts, lockstep_h.counts, runs) <= envelope
-        assert tvd(tailed_h.counts, fast_h.counts, runs) <= envelope
-        for other in (lockstep_h, fast_h):
-            losses = _losses(tailed_h, test)
-            other_losses = _losses(other, test)
-            if max(losses, other_losses) >= 5:  # decisive mass only
-                assert (losses > 0) == (other_losses > 0)
+        assert tvd(tailed_h.counts, fast_h.counts, runs) <= tvd_envelope(runs)
+        losses = _losses(tailed_h, test)
+        fast_losses = _losses(fast_h, test)
+        if max(losses, fast_losses) >= 5:  # decisive mass only
+            assert (losses > 0) == (fast_losses > 0)
 
 
 @requires_numpy
@@ -136,15 +128,14 @@ class TestTailDeterminism:
     def test_same_seed_reproduces(self):
         test = get_scenario("dot-cbe").test()
         for _ in range(2):
-            cell = compile_batch_cell(test, CHIPS["Titan"], intensity=100.0,
-                                      tail_fraction=0.1)
+            cell = compile_batch_cell(test, CHIPS["Titan"], intensity=100.0)
             histogram = run_batch(cell, 3000, random.Random(7))
             if _ == 0:
                 first = histogram.counts
         assert histogram.counts == first
 
     def test_jobs_and_executor_invariant(self):
-        kwargs = dict(runs=600, seed=3, engine="batch", batch_tail=0.2)
+        kwargs = dict(runs=600, seed=3, engine="batch")
         serial = app_session(cache=False, shard_size=150)
         threaded = app_session(cache=False, shard_size=150, jobs=3)
         process = app_session(cache=False, shard_size=150, jobs=2,
@@ -154,65 +145,6 @@ class TestTailDeterminism:
         assert (results[0].histogram.counts == results[1].histogram.counts
                 == results[2].histogram.counts)
         assert serial.stats.shards_executed == 4  # ceil(600 / 150)
-
-
-class TestBatchTailKnob:
-    def test_default_and_env_and_explicit(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH_TAIL", raising=False)
-        assert resolve_batch_tail(None) == DEFAULT_BATCH_TAIL
-        monkeypatch.setenv("REPRO_BATCH_TAIL", "0.25")
-        assert resolve_batch_tail(None) == 0.25
-        assert resolve_batch_tail(0.4) == 0.4
-        assert resolve_batch_tail("0.125") == 0.125
-
-    @pytest.mark.parametrize("value", (BATCH_TAIL_RANGE[0],
-                                       BATCH_TAIL_RANGE[1], 0.05))
-    def test_endpoints_accepted(self, value):
-        assert resolve_batch_tail(value) == value
-
-    @pytest.mark.parametrize("value", ("junk", -0.1, 0.9, "2"))
-    def test_rejects_naming_the_range(self, value):
-        with pytest.raises(ConfigurationError) as excinfo:
-            resolve_batch_tail(value)
-        assert "[0, 0.5]" in str(excinfo.value)
-
-    def test_bad_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_TAIL", "lots")
-        with pytest.raises(ConfigurationError):
-            resolve_batch_tail(None)
-
-    def test_excluded_from_fingerprints(self):
-        test = library.build("mp")
-        run_a = RunSpec.make(test, "Titan", iterations=100, batch_tail=0.0)
-        run_b = run_a.with_batch_tail(0.3)
-        assert run_b.batch_tail == 0.3
-        assert run_a.fingerprint() == run_b.fingerprint()
-        app_a = ScenarioSpec.make("ticket", "TesC", runs=100, batch_tail=0.0)
-        app_b = app_a.with_batch_tail(0.3)
-        assert app_a.fingerprint() == app_b.fingerprint()
-
-    def test_in_cache_signature_only_for_batch(self):
-        test = library.build("mp")
-        sim = SimBackend()
-        batch_a = RunSpec.make(test, "Titan", iterations=100, engine="batch",
-                               batch_tail=0.0)
-        batch_b = batch_a.with_batch_tail(0.3)
-        assert (sim.cache_signature(batch_a)
-                != sim.cache_signature(batch_b))
-        fast_a = batch_a.with_engine("fast")
-        fast_b = batch_b.with_engine("fast")
-        assert sim.cache_signature(fast_a) == sim.cache_signature(fast_b)
-        app = AppBackend()
-        spec_a = ScenarioSpec.make("ticket", "TesC", runs=100,
-                                   engine="batch", batch_tail=0.0)
-        spec_b = spec_a.with_batch_tail(0.3)
-        assert app.cache_signature(spec_a) != app.cache_signature(spec_b)
-        assert (app.cache_signature(spec_a.with_engine("fast"))
-                == app.cache_signature(spec_b.with_engine("fast")))
-
-    def test_session_rejects_junk(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            Session(batch_tail="junk")
 
 
 @requires_numpy
@@ -254,18 +186,22 @@ class TestPlanCache:
         assert plan_signature("a", 1) == plan_signature("a", 1)
 
     def test_in_process_hit_and_spec_result_stats(self, tmp_path):
-        session = app_session(cache_dir=str(tmp_path))
+        first = app_session(cache_dir=str(tmp_path))
+        second = app_session(cache_dir=str(tmp_path))
         spec_a = ScenarioSpec.make("ticket", "TesC", runs=200,
-                                   engine="batch", batch_tail=0.05)
-        # Same lowering (scenario/chip/intensity), different memo and
-        # cache keys — the second lowering must hit the shared store.
-        spec_b = spec_a.with_batch_tail(0.2)
-        result_a, result_b = session.run_specs([spec_a, spec_b])
+                                   engine="batch")
+        # Same lowering (scenario/chip/intensity), different cache key;
+        # the second session has its own compiled-cell memo, so its
+        # lowering must hit the shared store.
+        spec_b = ScenarioSpec.make("ticket", "TesC", runs=200, seed=1,
+                                   engine="batch")
+        result_a = first.run_specs([spec_a])[0]
+        result_b = second.run_specs([spec_b])[0]
         assert result_a.stats["plan_cache_misses"] >= 1
         assert result_b.stats["plan_cache_hits"] >= 1
-        assert session.stats.plan_cache_hits >= 1
-        assert session.stats.plan_cache_misses >= 1
-        cached = session.run_specs([spec_a])[0]
+        assert second.stats.plan_cache_hits >= 1
+        assert first.stats.plan_cache_misses >= 1
+        cached = first.run_specs([spec_a])[0]
         assert cached.cached and cached.stats is None
 
     def test_process_pool_workers_hit_shared_store(self, tmp_path):

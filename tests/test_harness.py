@@ -2,12 +2,12 @@
 
 import pytest
 
+from repro.api import Session
 from repro.errors import ConfigurationError
 from repro.litmus import library
 from repro.litmus.condition import FinalState, parse_condition
 from repro.harness import (ALL_COMBINATIONS, Histogram, Incantations, TABLE6,
-                           best_for, default_iterations, efficacy, run_litmus,
-                           run_matrix, run_paper_config)
+                           best_for, default_iterations, efficacy)
 
 
 class TestIncantationColumns:
@@ -168,33 +168,37 @@ class TestHistogram:
 
 class TestRunner:
     def test_no_incantations_no_weakness_on_nvidia(self):
-        result = run_litmus(library.build("mp"), "Titan", iterations=400, seed=1)
+        result = Session(cache=False).run(library.build("mp"), "Titan",
+                                          incantations=None, iterations=400,
+                                          seed=1)
         assert result.observations == 0
 
     def test_paper_config_witnesses_mp_on_titan(self):
-        result = run_paper_config(library.build("mp"), "Titan",
-                                  iterations=2000, seed=1)
+        result = Session(cache=False).run(library.build("mp"), "Titan",
+                                          iterations=2000, seed=1)
         assert result.observations > 0
         assert result.per_100k > 0
 
     def test_amd_weak_even_without_incantations(self):
-        result = run_litmus(library.build("lb"), "HD7970", iterations=1500,
-                            seed=1)
+        result = Session(cache=False).run(library.build("lb"), "HD7970",
+                                          incantations=None, iterations=1500,
+                                          seed=1)
         assert result.observations > 0
 
     def test_result_summary_format(self):
-        result = run_paper_config(library.build("mp"), "Titan",
-                                  iterations=200, seed=1)
+        result = Session(cache=False).run(library.build("mp"), "Titan",
+                                          iterations=200, seed=1)
         assert "mp on Titan" in result.summary()
 
-    def test_run_matrix_keys(self):
-        results = run_matrix([library.build("mp")], ["Titan", "GTX7"],
-                             iterations=100, seed=1)
-        assert set(results) == {("mp", "Titan"), ("mp", "GTX7")}
+    def test_campaign_keys(self):
+        campaign = Session(cache=False).campaign(
+            [library.build("mp")], ["Titan", "GTX7"], iterations=100, seed=1)
+        assert set(campaign.results) == {("mp", "Titan"), ("mp", "GTX7")}
 
     def test_iterations_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_ITERS", "37")
-        result = run_litmus(library.build("mp"), "GTX7")
+        result = Session(cache=False).run(library.build("mp"), "GTX7",
+                                          incantations=None)
         assert result.iterations == 37
 
 

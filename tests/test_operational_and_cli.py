@@ -190,3 +190,39 @@ class TestCli:
         from repro.errors import ReproError
         with pytest.raises(ReproError, match="exhaustive"):
             make_backend("banana")
+
+    @pytest.mark.parametrize("argv,message", (
+        (["run", "mp", "--backend", "app"], "repro-litmus app"),
+        (["campaign", "mp", "--backend", "app"], "repro-litmus app"),
+        (["run", "mp", "--backend", "model:nope"], "unknown backend"),
+        (["campaign", "mp", "--backend", "model:nope"], "unknown backend"),
+    ))
+    def test_bad_backend_exits_without_traceback(self, argv, message):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        env = dict(os.environ, REPRO_ITERS="50",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(
+                       repro.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "repro.cli"] + argv,
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert message in proc.stderr
+
+    @pytest.mark.parametrize("command", (["run", "mp"], ["campaign", "mp"],
+                                         ["app"], ["verify"], ["analyze"],
+                                         ["soundness"]))
+    def test_pool_flags_on_every_executing_subcommand(self, command):
+        from repro.cli import build_parser
+        parser = build_parser()
+        args = parser.parse_args(command + ["--jobs", "2", "--executor",
+                                            "thread", "--cache-dir", "D"])
+        assert (args.jobs, args.executor, args.cache_dir) == (2, "thread",
+                                                              "D")
+        args = parser.parse_args(command)
+        assert (args.jobs, args.executor, args.cache_dir) == (1, "process",
+                                                              None)

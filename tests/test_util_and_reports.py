@@ -4,7 +4,8 @@ import pytest
 
 from repro._util import (HIGH_BIT32, format_table, to_signed32, wrap32,
                          wrap64)
-from repro.harness import comparison_line, figure_table, run_paper_config
+from repro.api import Session
+from repro.harness import comparison_line, figure_table
 from repro.litmus import library
 
 
@@ -41,7 +42,7 @@ class TestFormatTable:
 class TestReportHelpers:
     def test_figure_table_includes_paper_numbers(self):
         test = library.build("mp")
-        result = run_paper_config(test, "GTX7", iterations=50, seed=0)
+        result = Session(cache=False).run(test, "GTX7", iterations=50, seed=0)
         text = figure_table(
             "t", [("mp", "mp")], ["GTX7"], {("mp", "GTX7"): result},
             paper={("mp", "GTX7"): 3})
