@@ -163,7 +163,8 @@ def run_prescreened(specs, session, analysis=None, skip=None):
         if skipped:
             results.append(SpecResult(spec=spec, backend=AnalysisBackend.name,
                                       histogram=Histogram(), cached=False,
-                                      meta=AnalysisMeta(verdict)))
+                                      meta=AnalysisMeta(verdict),
+                                      provenance=AnalysisBackend.name))
         else:
             results.append(next(executed))
     return results, verdicts

@@ -142,6 +142,23 @@ class Backend:
         """
         return ""
 
+    def exact(self, spec):
+        """A :class:`~repro.api.result.ShardResult` that answers the
+        whole of ``spec`` without executing its shards, or ``None`` to
+        execute them.
+
+        The session asks this on every cache miss.  An answer must equal
+        what :meth:`run` would return for any seed, so only backends
+        that can prove their result implement it; the default never
+        answers.
+        """
+        return None
+
+    def provenance(self, spec):
+        """What produced an executed result of ``spec``: the backend's
+        name, or the engine for the sampling backends."""
+        return self.name
+
     def run_shard(self, spec, shard):
         """Execute one shard of ``spec``; returns a ShardResult."""
         raise NotImplementedError
@@ -228,6 +245,9 @@ class SimBackend(PerThreadMemo, Backend):
         distribution-equivalent, not bit-identical.
         """
         return "%s-%s" % (spec.fingerprint(), spec.engine)
+
+    def provenance(self, spec):
+        return spec.engine
 
     def cache_variant(self, spec, shard_size):
         """Per-shard seeding makes the histogram a function of the

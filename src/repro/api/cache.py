@@ -10,9 +10,11 @@ model-checked are distinct entries.
 Disk entries store the histogram as a list of ``{regs, mem, count}``
 records (a :class:`~repro.litmus.condition.FinalState` is a pair of
 sorted tuples, which maps cleanly onto JSON lists), the backend's typed
-meta as its ``to_json`` payload (``null`` for histogram-only backends),
-plus enough metadata to audit the cache directory by hand (entries are
-compact JSON; ``python -m json.tool`` pretty-prints one).  Reads decode
+meta as its ``to_json`` payload (``null`` for histogram-only backends)
+and the result's provenance (the engine or backend that executed it, or
+``"exhaustive"`` for a proved result), plus enough metadata to audit
+the cache directory by hand (entries are compact JSON;
+``python -m json.tool`` pretty-prints one).  Reads decode
 the meta through the backend's ``meta_type.from_json``; an entry whose
 meta does not decode is a miss, like any other corrupt entry.
 
@@ -33,7 +35,8 @@ from .result import SpecResult
 #: Bump when the on-disk entry layout changes; mismatched versions are
 #: treated as misses so stale caches degrade to re-simulation, not errors.
 #: v2: typed backend meta stored beside the histogram, compact JSON.
-DISK_FORMAT_VERSION = 2
+#: v3: the result's provenance.
+DISK_FORMAT_VERSION = 3
 
 
 def cache_key(backend_name, signature, variant=""):
@@ -80,9 +83,10 @@ def decode_histogram(records):
 class ResultCache:
     """Two-tier (memory + optional disk) memo of completed specs.
 
-    An entry is a ``(counts, meta)`` pair: a private copy of the result
-    histogram's counts and the backend's meta, which is immutable and
-    therefore shared by every hit.
+    An entry is a ``(counts, meta, provenance)`` triple: a private copy
+    of the result histogram's counts, the backend's meta, which is
+    immutable and therefore shared by every hit, and the result's
+    provenance.
     """
 
     def __init__(self, cache_dir=None):
@@ -118,15 +122,16 @@ class ResultCache:
             self.misses += 1
             return None
         self.hits += 1
-        counts, meta = entry
+        counts, meta, provenance = entry
         return SpecResult(spec=spec, backend=backend_name,
                           histogram=Histogram(dict(counts)), cached=True,
-                          meta=meta)
+                          meta=meta, provenance=provenance)
 
     def put(self, key, result):
         # Store a private copy: callers own (and may mutate) the result
         # histogram they were handed.
-        self._memory[key] = (dict(result.histogram.counts), result.meta)
+        self._memory[key] = (dict(result.histogram.counts), result.meta,
+                             result.provenance)
         if self.cache_dir:
             self._write_disk(key, result)
 
@@ -139,7 +144,10 @@ class ResultCache:
             histogram = decode_histogram(payload["histogram"])
             meta = (None if meta_type is None
                     else meta_type.from_json(payload["meta"]))
-            return histogram.counts, meta
+            provenance = payload["provenance"]
+            if provenance is not None and not isinstance(provenance, str):
+                raise TypeError("provenance %r" % (provenance,))
+            return histogram.counts, meta, provenance
         except (ValueError, KeyError, TypeError, AttributeError, OSError):
             # A missing or corrupt entry must never poison a campaign:
             # treat it as a miss.
@@ -157,6 +165,7 @@ class ResultCache:
             "fingerprint": result.spec.fingerprint(),
             "histogram": encode_histogram(result.histogram),
             "meta": None if result.meta is None else result.meta.to_json(),
+            "provenance": result.provenance,
         }
         # A private temporary per write: concurrent writers of one key
         # each rename a whole file into place, and the last one wins.

@@ -12,7 +12,9 @@ histogram counts observed final states over the spec's iterations; for
 a model backend it holds the allowed final states (count 1 each), so
 ``observations``/``allowed`` give the paper's Allowed/Forbidden verdict.
 Backends with more to say than a histogram (an analysis verdict, an
-exploration's counters and witness) return it as ``meta``.
+exploration's counters and witness) return it as ``meta``, and every
+result names its ``provenance``: the engine or backend that executed it,
+or :data:`PROVED` when the backend's exact tier answered it instead.
 
 ``CampaignResult`` aggregates the cells of one campaign into the
 paper's grid — per-test and per-chip views plus the figure-style
@@ -24,6 +26,11 @@ from functools import reduce
 
 from .._util import format_table
 from ..harness.histogram import Histogram
+
+
+#: The provenance of a result the backend's exact tier proved
+#: (:meth:`~repro.api.backends.Backend.exact`) instead of executing.
+PROVED = "exhaustive"
 
 
 def _merge_stats(parts):
@@ -82,6 +89,11 @@ class SpecResult:
     #: The backend's typed meta (see :class:`ShardResult`), fresh or
     #: cached alike, or ``None``.
     meta: object = None
+    #: What produced the histogram, fresh or cached alike: the engine
+    #: or backend that executed the spec
+    #: (:meth:`~repro.api.backends.Backend.provenance`), or
+    #: :data:`PROVED` when an exact proof fixed it.
+    provenance: str = None
 
     # -- spec delegation ---------------------------------------------------
 
@@ -121,9 +133,12 @@ class SpecResult:
         return self.observations > 0
 
     def summary(self):
+        via = self.backend
+        if self.provenance not in (None, self.backend):
+            via += " (%s)" % self.provenance
         return ("%s on %s [%s] via %s: %d/%d weak (%.0f per 100k)%s"
                 % (self.test.name, self.chip.short, self.incantations,
-                   self.backend, self.observations, self.histogram.total,
+                   via, self.observations, self.histogram.total,
                    self.per_100k, " [cached]" if self.cached else ""))
 
 

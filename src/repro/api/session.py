@@ -11,7 +11,12 @@ A session is the single front door for campaign execution.  It owns
 plan; ``Session.campaign`` plans the cartesian product and returns a
 :class:`~repro.api.result.CampaignResult`.
 
-Every spec takes one path: the backend splits it into shards
+Every spec takes one path: on a cache miss the session first asks the
+backend's exact tier (:meth:`~repro.api.backends.Backend.exact`), whose
+answer, when it has one, becomes the spec's
+:class:`~repro.api.result.SpecResult` with no shard executed (its
+``provenance`` is :data:`~repro.api.result.PROVED`).  Otherwise the
+backend splits the spec into shards
 (:meth:`~repro.api.backends.Backend.shards`), each shard runs into a
 :class:`~repro.api.result.ShardResult` — in this thread or on a worker —
 and the shard results merge into the spec's
@@ -33,7 +38,7 @@ from ..errors import ReproError
 from ..harness.histogram import Histogram
 from .backends import DEFAULT_SHARD_SIZE, make_backend
 from .cache import ResultCache, cache_key
-from .result import CampaignResult, ShardResult, SpecResult
+from .result import PROVED, CampaignResult, ShardResult, SpecResult
 from .spec import BEST, RunSpec, matrix
 
 #: Specs per :meth:`Session.run_stream` execution chunk.  Large enough to
@@ -62,6 +67,7 @@ class SessionStats:
 
     planned: int = 0                #: specs requested
     executed: int = 0               #: specs that ran on the backend
+    proved: int = 0                 #: of those, answered by its exact tier
     cache_hits: int = 0             #: specs satisfied from the cache
     deduplicated: int = 0           #: specs satisfied by an in-plan twin
     shards_executed: int = 0        #: shards run on the backend
@@ -200,6 +206,7 @@ class Session:
 
         Duplicate specs within one plan (same backend cache key)
         execute once; the later occurrences share the first's result.
+        A spec the backend's exact tier answers executes no shard.
         """
         specs = list(specs)
         self.stats.planned += len(specs)
@@ -218,6 +225,10 @@ class Session:
             if cached is not None:
                 self.stats.cache_hits += 1
                 results[index] = cached
+                continue
+            exact = self.backend.exact(spec)
+            if exact is not None:
+                results[index] = self._store(key, self._proved(spec, exact))
             else:
                 pending.append((index, key, spec,
                                 self.backend.shards(spec, self.shard_size)))
@@ -228,10 +239,8 @@ class Session:
             with contextlib.closing(execute(pending)) as executed:
                 for (index, key, spec, shards), parts in zip(pending,
                                                              executed):
-                    result = self._result(spec, shards, parts)
-                    if self.cache is not None:
-                        self.cache.put(key, result)
-                    results[index] = result
+                    results[index] = self._store(
+                        key, self._result(spec, shards, parts))
         for index, original in duplicates.items():
             # Each plan position gets its own histogram copy so callers
             # mutating one result cannot corrupt its duplicates.
@@ -239,7 +248,7 @@ class Session:
             results[index] = SpecResult(
                 spec=specs[index], backend=source.backend,
                 histogram=Histogram(dict(source.histogram.counts)),
-                cached=True, meta=source.meta)
+                cached=True, meta=source.meta, provenance=source.provenance)
         return [results[index] for index in range(len(specs))]
 
     def campaign(self, tests, chips, incantations=BEST, iterations=None,
@@ -349,7 +358,23 @@ class Session:
                 "plan_cache_misses", 0)
         return SpecResult(spec=spec, backend=self.backend.name,
                           histogram=merged.histogram, cached=False,
-                          stats=merged.stats, meta=merged.meta)
+                          stats=merged.stats, meta=merged.meta,
+                          provenance=self.backend.provenance(spec))
+
+    def _proved(self, spec, exact):
+        """Account for a spec the backend's exact tier answered: it
+        counts as executed, with no shard and no iteration."""
+        self.stats.executed += 1
+        self.stats.proved += 1
+        return SpecResult(spec=spec, backend=self.backend.name,
+                          histogram=exact.histogram, cached=False,
+                          stats=exact.stats, meta=exact.meta,
+                          provenance=PROVED)
+
+    def _store(self, key, result):
+        if self.cache is not None:
+            self.cache.put(key, result)
+        return result
 
     def _cache_key(self, spec):
         """The result's identity: the backend's signature of ``spec``

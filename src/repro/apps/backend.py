@@ -27,6 +27,11 @@ session layer knowing scenarios exist:
   scenario's observable locations before it leaves the backend, so the
   cache stores (and campaigns merge) the projected outcome histograms
   the loss predicates read.
+* **exact tier** — :meth:`AppBackend.exact` answers a cell without
+  sampling when an early-stopping DPOR probe
+  (:meth:`repro.exhaustive.explore.Explorer.probe`) shows every
+  execution reaches one projected final state: every engine's histogram
+  is then that state counted once per launch, for any seed.
 """
 
 import random
@@ -34,6 +39,7 @@ import threading
 
 from ..api.backends import Backend, PerThreadMemo
 from ..api.result import ShardResult
+from ..errors import ConfigurationError
 from ..harness.histogram import Histogram
 from ..litmus.writer import write_litmus
 from ..sim.batch import compile_batch_cell
@@ -88,6 +94,34 @@ class AppBackend(PerThreadMemo, Backend):
         """Per-shard seeding makes the histogram a function of the
         effective decomposition, exactly as for the sim backend."""
         return "shard%d" % min(shard_size, spec.iterations)
+
+    def provenance(self, spec):
+        return spec.engine
+
+    def exact(self, spec):
+        """``{s: launches}`` when a complete DPOR exploration of the cell
+        reaches the single projected final state ``s``, else ``None``.
+
+        Every engine samples inside the explorer's reachable set (the
+        structural-intent argument of :mod:`repro.exhaustive.explore`,
+        enforced by the differential tests), so there every engine's
+        histogram is ``{s: launches}`` whatever the seed.  The probe
+        gives up at a second projected state, a loop-bound hit or past
+        ``launches`` x the cell's static op count transitions, fewer
+        than sampling the launches would issue.
+        """
+        # Local import: the exhaustive package sits above the apps layer.
+        from ..exhaustive.explore import Explorer
+        try:
+            explorer = Explorer(spec.test, spec.chip,
+                                intensity=spec.intensity)
+        except ConfigurationError:
+            return None         # stale-L1 chips are not enumerable
+        state = explorer.probe(spec.scenario.project,
+                               spec.iterations * explorer.static_ops)
+        if state is None:
+            return None
+        return ShardResult(Histogram({state: spec.iterations}))
 
     def _machine(self, spec):
         if spec.engine in ("fast", "batch"):

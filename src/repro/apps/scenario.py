@@ -34,6 +34,7 @@ the engine (fast/reference bit-identity keeps shard streams shared).
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 
 from ..errors import ConfigurationError, ReproError
@@ -181,6 +182,14 @@ class ScenarioSpec:
     #: excluded from the fingerprint (shard seeds stay engine-neutral),
     #: included in the app backend's cache signature.
     engine: str = "fast"
+
+    def __post_init__(self):
+        # A negative or NaN multiplier silently disables every
+        # relaxation (no draw ever fires), which would "verify" the
+        # published, losing code; infinity is no intensity either.
+        if not (math.isfinite(self.intensity) and self.intensity >= 0):
+            raise ReproError("intensity must be a finite number >= 0, "
+                             "got %r" % (self.intensity,))
 
     @staticmethod
     def make(scenario, chip, runs=None, seed=0, intensity=STRESS,

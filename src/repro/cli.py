@@ -54,7 +54,10 @@ Subcommands::
         sharded app backend and print the losses-per-100k grid.
         ``--scenario`` takes registry names or families (``all`` runs
         the whole registry); ``--fenced`` filters to the published
-        (``off``) or fixed (``on``) variants.
+        (``off``) or fixed (``on``) variants.  A cell whose every
+        execution reaches one projected final state (a DPOR proof) is
+        answered exactly instead of sampled; the ``session:`` line
+        counts these ``proved`` cells among those executed.
 
     repro-litmus list
         List the library tests, chips, models and application scenarios.
@@ -365,10 +368,11 @@ def _cmd_app(args):
     for name, chip in lossy_fenced:
         print("UNEXPECTED: fenced scenario %s lost on %s" % (name, chip))
     stats = session.stats
-    print("session: %d cells executed, %d cache hits, %d deduplicated, "
-          "%d shards, %d launches"
-          % (stats.executed, stats.cache_hits, stats.deduplicated,
-             stats.shards_executed, stats.simulated_iterations))
+    print("session: %d cells executed, %d proved, %d cache hits, "
+          "%d deduplicated, %d shards, %d launches"
+          % (stats.executed, stats.proved, stats.cache_hits,
+             stats.deduplicated, stats.shards_executed,
+             stats.simulated_iterations))
     if stats.plan_cache_hits or stats.plan_cache_misses:
         print("plan cache: %d hits, %d misses"
               % (stats.plan_cache_hits, stats.plan_cache_misses))

@@ -67,6 +67,13 @@ sets, transition counts, loss counts and the bounded flag all agree
 regardless of ``--jobs`` or executor.  The transition budget applies
 per branch for the same reason.
 
+**Probing.**  :meth:`Explorer.probe` walks the same plan but stops as
+soon as the answer to "does every execution reach one projected final
+state?" is no: at a second distinct state, a loop-bound hit or a total
+transition budget.  A yes is exact for every sampling engine, since
+their samples lie inside the reachable set (the structural intent
+vector above); the app backend's exact tier rests on it.
+
 Memory-system cache draws (L1 warm/evict) are *not* choice points: every
 modelled chip has ``p_stale = 0``, so L1 content is unobservable and the
 draws are semantically inert (enforced at construction).  For the same
@@ -129,6 +136,10 @@ class _LoopBoundExceeded(Exception):
 
 class _LoopClosed(Exception):
     """Internal: a backward branch reproduced an already-seen state."""
+
+
+class _ProbeStop(Exception):
+    """Internal: a probe found the cell's outcome is not fixed."""
 
 
 class _ChoiceRng:
@@ -316,10 +327,11 @@ class Explorer:
         self._slot_index = [
             {id(st): slot for slot, st in enumerate(statics)}
             for statics in cell._op_statics]
-        self._sleep_only = (
-            strategy == "dpor"
-            and sum(len(statics) for statics in cell._op_statics)
-            <= SLEEP_ONLY_MAX_OPS)
+        #: Ops the threads' programs enqueue, counting each static op
+        #: once: a lower bound on the transitions of one launch.
+        self.static_ops = sum(len(statics) for statics in cell._op_statics)
+        self._sleep_only = (strategy == "dpor"
+                            and self.static_ops <= SLEEP_ONLY_MAX_OPS)
         self._closure = not self._fence_choice_points()
         self._loop_counts = [0] * len(self.threads)
         self._wrap_backward_branches()
@@ -337,6 +349,8 @@ class Explorer:
         self._marks = set()
         self._mark_tid = None
         self._branch_base = 0
+        self._project = None
+        self._projected = set()
         self._reset_results()
 
     # -- static commutation analysis ----------------------------------------
@@ -661,6 +675,10 @@ class Explorer:
         state = self.cell._final_state()
         self.executions += 1
         self.reachable.add(state)
+        if self._project is not None:
+            self._projected.add(self._project(state))
+            if len(self._projected) > 1:
+                raise _ProbeStop()
         if self.condition is not None and self.condition.holds(state):
             self.losses += 1
             if self.witness is None:
@@ -836,7 +854,7 @@ class Explorer:
             try:
                 detail = self._execute(frame.label, op, events)
             except _LoopBoundExceeded:
-                self.bounded = True
+                self._hit_bound()
                 self._queue_variants(frame.variants, script,
                                      tuple(rng.taken))
                 continue
@@ -904,6 +922,13 @@ class Explorer:
         self._plan = plan
         return plan
 
+    def _hit_bound(self):
+        """A branch was abandoned at the loop bound: the reachable set is
+        now incomplete, which ends a probe."""
+        self.bounded = True
+        if self._project is not None:
+            raise _ProbeStop()
+
     def _reset_results(self):
         self.reachable = set()
         self.executions = 0
@@ -929,7 +954,7 @@ class Explorer:
         try:
             self._initial_decode()
         except _LoopBoundExceeded:
-            self.bounded = True
+            self._hit_bound()
             return
         if branch < 0:
             if not self._enabled():
@@ -955,6 +980,36 @@ class Explorer:
         self._reset_results()
         self._run_branch(self.root_plan()[index])
         return self._result()
+
+    def probe(self, project, budget):
+        """The single projected final state of the cell, or ``None``.
+
+        An early-stopping :meth:`run` for callers that need only know
+        whether every execution reaches one ``project(state)``: it
+        explores :meth:`root_plan` in order and returns ``None`` at the
+        second distinct projected state, at the first loop-bound hit
+        (the reachable set would be incomplete) or once more than
+        ``budget`` transitions in total are spent, so it never raises
+        :class:`~repro.errors.ExplorationLimit`.
+        """
+        plan = self.root_plan()
+        self._reset_results()
+        self._project = project
+        self._projected = set()
+        per_branch = self.max_transitions
+        try:
+            for entry in plan:
+                # _execute enforces a per-branch budget: give each
+                # branch what is left of the total.
+                self.max_transitions = budget - self.transitions
+                self._run_branch(entry)
+        except (_ProbeStop, ExplorationLimit):
+            return None
+        finally:
+            self._project = None
+            self.max_transitions = per_branch
+        (state,) = self._projected
+        return state
 
 
 def explore_test(test, chip, intensity=1.0, strategy="dpor",

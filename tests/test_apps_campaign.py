@@ -3,9 +3,11 @@
 Covers the PR's contracts:
 
 * fast/reference engine parity for every registered scenario across the
-  chip table (bit-identical projected histograms);
-* sharded/serial and thread/process RNG-stream parity;
-* single-shard campaign cells reproduce the ``Grid.launch_many`` stream
+  chip table (bit-identical projected histograms), checked on the
+  backend itself, below the session's exact tier, so every cell samples;
+* sharded/serial and thread/process RNG-stream parity, with the cells a
+  DPOR proof fixes answered exactly (no shard executed);
+* single-shard backend runs reproduce the ``Grid.launch_many`` stream
   (legacy driver parity);
 * two-tier cache-hit correctness for the app backend, including engine
   separation;
@@ -17,11 +19,15 @@ Covers the PR's contracts:
   and the scenario listing work.
 """
 
+import json
+import os
+
 import pytest
 
 from repro import cli
 from repro.api import CampaignResult, make_backend
 from repro.api.cache import ResultCache
+from repro.api.result import PROVED
 from repro.apps import (AppBackend, Grid, LaunchResult, SCENARIOS,
                         ScenarioSpec, app_session, dot_product_scenario,
                         get_scenario, launch, run_app_campaign,
@@ -39,6 +45,13 @@ CHIP_TABLE = list(RESULT_CHIPS) + ["GTX280"]
 
 UNFENCED = sorted(name for name, s in SCENARIOS.items() if not s.fenced)
 FENCED = sorted(name for name, s in SCENARIOS.items() if s.fenced)
+
+#: The scenarios a DPOR proof fixes on the Titan (see
+#: ``tests/test_exact_tier.py``): the session answers them exactly.
+with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                       "proved_cells.json")) as _handle:
+    PROVED_ON_TITAN = {cell.split("@")[0] for cell in json.load(_handle)
+                       if cell.endswith("@Titan")}
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +129,22 @@ class TestSpec:
         with pytest.raises(ConfigurationError):
             ScenarioSpec.make("deque-mp", "NoSuchChip")
 
+    @pytest.mark.parametrize("intensity", (-1, -0.5, float("nan"),
+                                           float("inf"), float("-inf")))
+    def test_intensity_must_be_finite_and_non_negative(self, intensity):
+        with pytest.raises(ReproError) as excinfo:
+            ScenarioSpec.make("deque-mp", "Titan", intensity=intensity)
+        assert repr(float(intensity)) in str(excinfo.value)
+        # Direct construction (as verify does) is checked too.
+        with pytest.raises(ReproError):
+            ScenarioSpec(scenario=get_scenario("deque-mp"),
+                         chip=ScenarioSpec.make("deque-mp", "Titan").chip,
+                         iterations=1, intensity=float(intensity))
+
+    def test_zero_intensity_stays_legal(self):
+        assert ScenarioSpec.make("deque-mp", "Titan",
+                                 intensity=0).intensity == 0.0
+
     def test_key_and_runs(self):
         spec = ScenarioSpec.make("ticket", "GTX6", runs=42)
         assert spec.key == ("ticket", "GTX6")
@@ -124,18 +153,18 @@ class TestSpec:
 
 class TestEngineParity:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_fast_matches_reference_across_chip_table(self, name, session):
+    def test_fast_matches_reference_across_chip_table(self, name):
         scenario = SCENARIOS[name]
+        backend = AppBackend()
         for chip in CHIP_TABLE:
-            fast = session.run_specs([ScenarioSpec.make(
-                scenario, chip, runs=20, seed=3, intensity=STRESS,
-                engine="fast")])[0]
-            ref = session.run_specs([ScenarioSpec.make(
-                scenario, chip, runs=20, seed=3, intensity=STRESS,
-                engine="reference")])[0]
-            assert fast.histogram.counts == ref.histogram.counts, \
+            spec = ScenarioSpec.make(scenario, chip, runs=20, seed=3,
+                                     intensity=STRESS, engine="fast")
+            fast = backend.run(spec).histogram
+            ref = backend.run(spec.with_engine("reference")).histogram
+            assert fast.counts == ref.counts, \
                 "engine divergence: %s on %s" % (name, chip)
-            assert fast.observations == ref.observations
+            assert (fast.observations(scenario.loss)
+                    == ref.observations(scenario.loss))
 
 
 class TestShardingParity:
@@ -148,7 +177,11 @@ class TestShardingParity:
         a = serial.run_specs([spec])[0]
         b = threaded.run_specs([spec])[0]
         assert a.histogram.counts == b.histogram.counts
-        assert serial.stats.shards_executed == 4  # ceil(40 / 13)
+        if name in PROVED_ON_TITAN:
+            assert serial.stats.shards_executed == 0
+            assert a.provenance == b.provenance == PROVED
+        else:
+            assert serial.stats.shards_executed == 4  # ceil(40 / 13)
 
     def test_process_pool_parity(self):
         spec = ScenarioSpec.make("deque-mp", "Titan", runs=60, seed=5,
@@ -166,7 +199,7 @@ class TestShardingParity:
         scenario = SCENARIOS[name]
         spec = ScenarioSpec.make(scenario, "HD7970", runs=30, seed=7,
                                  intensity=STRESS, engine="reference")
-        result = app_session(cache=False).run_specs([spec])[0]
+        result = AppBackend().run(spec)
         grid = Grid(list(scenario.kernels), "HD7970",
                     dict(scenario.init_mem), placement=scenario.placement,
                     intensity=STRESS, engine="reference")

@@ -213,6 +213,40 @@ class TestCli:
         assert "Traceback" not in proc.stdout + proc.stderr
         assert message in proc.stderr
 
+    @pytest.mark.parametrize("argv,value", (
+        (["verify", "--scenario", "deque-mp", "--chips", "Titan",
+          "--intensity", "-1"], "-1.0"),
+        (["verify", "--scenario", "deque-mp", "--chips", "Titan",
+          "--intensity", "nan"], "nan"),
+        (["app", "--scenario", "deque-mp", "--chips", "Titan",
+          "--intensity", "-1"], "-1.0"),
+        (["app", "--scenario", "deque-mp", "--chips", "Titan",
+          "--intensity", "nan"], "nan"),
+        (["app", "--scenario", "deque-mp", "--chips", "Titan",
+          "--intensity", "inf"], "inf"),
+        (["analyze", "--scenario", "deque-mp", "--cross-check",
+          "--chips", "Titan", "--intensity", "-1"], "-1.0"),
+    ))
+    def test_bad_intensity_exits_without_traceback(self, argv, value):
+        """A negative or NaN intensity disables every relaxation, which
+        used to "verify" the published, losing deque-mp."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        env = dict(os.environ, REPRO_ITERS="50",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(
+                       repro.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "repro.cli"] + argv,
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert "verified" not in proc.stdout
+        (line,) = proc.stderr.splitlines()
+        assert "intensity" in line and value in line
+
     @pytest.mark.parametrize("command", (["run", "mp"], ["campaign", "mp"],
                                          ["app"], ["verify"], ["analyze"],
                                          ["soundness"]))

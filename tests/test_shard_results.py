@@ -162,10 +162,13 @@ class TestCacheMeta:
         assert cached.meta == fresh.meta
         assert cached.histogram.counts == fresh.histogram.counts
         with open(self._entry(str(tmp_path))) as handle:
-            assert json.load(handle)["version"] == DISK_FORMAT_VERSION == 2
+            assert json.load(handle)["version"] == DISK_FORMAT_VERSION == 3
 
     @pytest.mark.parametrize("change", [
         lambda payload: payload.update(version=1),
+        lambda payload: payload.update(version=2),
+        lambda payload: payload.pop("provenance"),
+        lambda payload: payload.update(provenance=3),
         lambda payload: payload.pop("meta"),
         lambda payload: payload.update(meta=None),
         lambda payload: payload.update(meta={}),
@@ -177,9 +180,10 @@ class TestCacheMeta:
         lambda payload: payload["meta"]["witness"]["events"][0].__setitem__(
             0, "T0"),
         lambda payload: payload["meta"]["witness"].pop("state"),
-    ], ids=["v1", "no-meta", "null-meta", "empty-meta", "list-meta",
-            "bad-counter", "bad-flag", "witness-without-branch",
-            "short-event", "bad-tid", "no-final-state"])
+    ], ids=["v1", "v2", "no-provenance", "bad-provenance", "no-meta",
+            "null-meta", "empty-meta", "list-meta", "bad-counter",
+            "bad-flag", "witness-without-branch", "short-event", "bad-tid",
+            "no-final-state"])
     def test_stale_or_malformed_entry_is_a_miss(self, tmp_path, change):
         spec = scenario_spec("deque-mp")
         original = run_one(exhaustive_session(cache_dir=str(tmp_path)), spec)
