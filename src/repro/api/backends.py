@@ -38,7 +38,6 @@ from ..harness.histogram import Histogram
 from ..harness.incantations import efficacy
 from ..litmus.writer import write_litmus
 from ..model.models import MODELS, load_model
-from ..sim.batch import compile_batch_cell
 from ..sim.compile import compile_cell
 from ..sim.engine import run_batch
 from ..sim.machine import GpuMachine
@@ -294,9 +293,10 @@ class SimBackend(PerThreadMemo, Backend):
         the analysis pass, and published after a miss — so a process
         pool analyses each cell once per campaign, not once per worker.
         """
+        from ..sim.batch import PLAN_VERSION, compile_batch_cell
+
         plan = store = signature = None
         if self.plan_dir:
-            from ..sim.batch import PLAN_VERSION
             from ..sim.plancache import plan_signature, plan_store
             store = plan_store(self.plan_dir)
             signature = plan_signature(

@@ -42,7 +42,6 @@ from ..api.result import ShardResult
 from ..errors import ConfigurationError
 from ..harness.histogram import Histogram
 from ..litmus.writer import write_litmus
-from ..sim.batch import compile_batch_cell
 from ..sim.compile import compile_cell
 from ..sim.engine import run_batch
 from ..sim.machine import GpuMachine
@@ -152,9 +151,10 @@ class AppBackend(PerThreadMemo, Backend):
         same discipline as ``SimBackend._lower_batch``: plans are
         content-keyed, and any miss publishes the fresh analysis for the
         other workers."""
+        from ..sim.batch import PLAN_VERSION, compile_batch_cell
+
         plan = store = signature = None
         if self.plan_dir:
-            from ..sim.batch import PLAN_VERSION
             from ..sim.plancache import plan_signature, plan_store
             store = plan_store(self.plan_dir)
             signature = plan_signature(

@@ -462,6 +462,12 @@ def _corpus_arguments(parser, default_fences, default_max):
 def _corpus(args):
     """Build the diy corpus an invocation's corpus flags describe,
     sorted by (unique) test name for deterministic output."""
+    if args.length < 2:
+        raise SystemExit("--length must be at least 2 (a cycle has two "
+                         "edges or more), got %d" % args.length)
+    if args.max_tests is not None and args.max_tests < 0:
+        raise SystemExit("--max-tests must be 0 or more, got %d"
+                         % args.max_tests)
     try:
         pool = default_pool(scopes=scopes_from_names(args.scopes),
                             fences=fences_from_names(args.fences))

@@ -140,47 +140,61 @@ def try_cycle(edges):
         return None
 
 
-def enumerate_cycles(pool, length, max_cycles=None):
-    """Enumerate well-formed cycles of exactly ``length`` edges from
-    ``pool``, deduplicated up to rotation.
+def enumerate_cycles(pool, length):
+    """Yield the well-formed cycles of exactly ``length`` edges from
+    ``pool``, one per rotation class.
 
     Mirrors diy's behaviour: the pool lists candidate relaxations and the
     tool "enumerates the possible cycles that can be formed with those
-    edges" (Sec. 4.1).
+    edges" (Sec. 4.1).  This is a generator, so a caller that stops
+    early builds only the cycles it took.
+
+    Edges are told apart by name; a repeated pool edge counts once, at
+    its first occurrence.  Each rotation class is yielded at its least
+    rotation by pool position -- the one a depth-first walk over the
+    pool in order reaches first -- and classes come in the order that
+    walk reaches them.  The walk is the Fredricksen-Kessler-Maiorana
+    necklace generator restricted to direction-compatible sequences: it
+    extends only prefixes that can still begin a least rotation, closes
+    the last edge onto the first edge's direction, and builds a
+    candidate cycle only for a sequence no rotation of which is smaller.
     """
-    seen = set()
-    results = []
+    if length < 2:
+        return
+    unique = {}
+    for edge in pool:
+        unique.setdefault(edge.name, edge)
+    edges = list(unique.values())
+    successors = [[j for j, nxt in enumerate(edges) if nxt.src == edge.dst]
+                  for edge in edges]
 
-    def extend(sequence):
-        if max_cycles is not None and len(results) >= max_cycles:
+    def walk(sequence, period):
+        # ``sequence`` is a least-rotation prefix: its longest Lyndon
+        # prefix, of length ``period``, repeated and then cut short.  The
+        # next edge may not sort before the one a period back.
+        position = len(sequence)
+        if position == length:
+            # A least-rotation prefix is a least rotation exactly when
+            # its period divides its length.
+            if length % period == 0:
+                cycle = try_cycle([edges[i] for i in sequence])
+                if cycle is not None:
+                    yield cycle
             return
-        if len(sequence) == length:
-            cycle = try_cycle(sequence)
-            if cycle is None:
-                return
-            key = cycle.canonical()
-            if key not in seen:
-                seen.add(key)
-                results.append(cycle)
-            return
-        last = sequence[-1] if sequence else None
-        for edge in pool:
-            if last is not None and last.dst != edge.src:
+        bound = sequence[position - period]
+        closing = edges[sequence[0]].src if position == length - 1 else None
+        for j in successors[sequence[-1]]:
+            if j < bound or (closing is not None and edges[j].dst != closing):
                 continue
-            # Cheap pruning: partial thread/location walks cannot recover
-            # from having no external edge by the last position.
-            extend(sequence + [edge])
+            yield from walk(sequence + (j,),
+                            period if j == bound else position + 1)
 
-    extend([])
-    return results
+    for first in range(len(edges)):
+        yield from walk((first,), 1)
 
 
-def cycles_up_to(pool, max_length, max_cycles=None):
-    """All cycles of length 2..max_length (deduplicated per length)."""
-    cycles = []
+def cycles_up_to(pool, max_length):
+    """Yield the cycles of lengths 2..max_length, shortest first, each
+    length in :func:`enumerate_cycles` order (a generator)."""
     for length in range(2, max_length + 1):
-        remaining = None if max_cycles is None else max_cycles - len(cycles)
-        if remaining is not None and remaining <= 0:
-            break
-        cycles.extend(enumerate_cycles(pool, length, remaining))
-    return cycles
+        yield from enumerate_cycles(pool, length)

@@ -301,7 +301,9 @@ def generate_tests(pool, max_length, max_tests=None, regions=None):
     litmus tests with corpus-unique names: distinct cycles that classify
     to the same idiom (e.g. inter- and intra-CTA ``coRR``) are
     disambiguated with deterministic ordinal suffixes, so name-keyed
-    campaign tables never merge rows silently.
+    campaign tables never merge rows silently.  Cycles are enumerated
+    lazily, so the first ``max_tests`` tests cost only the cycles that
+    precede them.
     """
     from dataclasses import replace
 
@@ -309,8 +311,10 @@ def generate_tests(pool, max_length, max_tests=None, regions=None):
 
     names = NameAllocator()
     tests = []
-    for cycle in cycles_up_to(pool, max_length):
-        if max_tests is not None and len(tests) >= max_tests:
+    cycles = cycles_up_to(pool, max_length)
+    while max_tests is None or len(tests) < max_tests:
+        cycle = next(cycles, None)
+        if cycle is None:
             break
         try:
             test = cycle_to_test(cycle, regions=regions)

@@ -12,7 +12,10 @@ Three engines execute litmus iterations:
   order of magnitude faster again.  Distribution-equivalent rather than
   bit-identical (a documented seeded RNG-stream-break) and gated on the
   optional ``repro[batch]`` dependency; ``fast`` is the parity
-  reference its tests compare against.
+  reference its tests compare against.  Its names here
+  (:class:`BatchCell`, :func:`compile_batch_cell`, :func:`have_numpy`)
+  load :mod:`repro.sim.batch`, and numpy with it, on first use, so a
+  run that never lowers a batch cell never imports numpy.
 
 Pick one per run via :func:`run_iterations`'s ``engine`` argument, the
 ``engine`` field of :class:`repro.api.RunSpec`, or the CLI's
@@ -20,7 +23,6 @@ Pick one per run via :func:`run_iterations`'s ``engine`` argument, the
 ``REPRO_ENGINE`` environment default.
 """
 
-from .batch import BatchCell, compile_batch_cell, have_numpy
 from .chip import (AMD_RESULT_CHIPS, CHIPS, ChipProfile,
                    NVIDIA_RESULT_CHIPS, RESULT_CHIPS, chip)
 from .compile import CompiledCell, compile_cell
@@ -39,3 +41,11 @@ __all__ = [
     "GpuMachine", "run_iterations",
     "MemorySystem",
 ]
+
+
+def __getattr__(name):
+    """Serve the batch engine's names, importing it on first use."""
+    if name in ("BatchCell", "compile_batch_cell", "have_numpy"):
+        from . import batch
+        return getattr(batch, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

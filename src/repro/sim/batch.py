@@ -71,8 +71,7 @@ from ..ptx.operands import Imm, Loc, Reg
 from ..ptx.types import MemorySpace, Scope
 from .compile import (K_ADD, K_CAS, K_EXCH, K_FENCE, K_LOAD, K_STORE,
                       SLOT_BYPASS_BASE, SLOT_MIXED_HAZARD, SLOT_RR_HAZARD,
-                      SLOT_VOLATILE, _bypass_slots, _PASS_PAIR, _SCOPES,
-                      compile_cell)
+                      SLOT_VOLATILE, _bypass_slots, _PASS_PAIR, _SCOPES)
 from .machine import _FUEL_PER_INSTRUCTION
 
 #: Cap on a lockstep chunk's width, so state arrays stay cache- and
@@ -778,6 +777,11 @@ class BatchCell:
     def _fast_twin(self):
         """The embedded fast-engine cell straggler rows resume on."""
         if self._fast is None:
+            # Looked up when called, not bound at import: this module
+            # loads on first use, which may fall while a tracer (such
+            # as perfbench's) has wrapped compile_cell, and a name bound
+            # then would keep the wrapper after the tracer restores it.
+            from .compile import compile_cell
             self._fast = compile_cell(
                 self.test, self.chip, intensity=self.intensity,
                 stale_intensity=self.stale_intensity,

@@ -195,6 +195,24 @@ class TestFamilyGeneration:
         for test in generate_tests(pool, max_length=3, max_tests=40):
             assert test.validate() == [], test.name
 
+    def test_short_corpus_builds_few_candidates(self, monkeypatch):
+        """The first 40 tests of the Sec. 5.4 corpus cost only the
+        cycles before them: an eager enumeration builds all 50,888
+        direction-compatible sequences of length 2-4 as candidates."""
+        from repro.diy import cycles as cycles_module
+
+        built = []
+
+        def counting(edges):
+            built.append(edges)
+            return try_cycle(edges)
+
+        monkeypatch.setattr(cycles_module, "try_cycle", counting)
+        pool = default_pool(scopes=("dev", "cta"),
+                            fences=(Scope.CTA, Scope.GL))
+        assert len(generate_tests(pool, max_length=4, max_tests=40)) == 40
+        assert 0 < len(built) < 2000
+
 
 class TestNameUniqueness:
     """Distinct cycles classifying to one idiom must not share a name

@@ -8,6 +8,30 @@ from repro.model.operational import (SorensenOperationalModel,
                                      unsoundness_witness)
 from repro.sim import chip
 
+#: Runs the CLI on ``sys.argv[1:]`` in a fresh interpreter.
+_CLI = """
+import sys
+from repro.cli import main
+status = main(sys.argv[1:])
+"""
+
+
+def _cli_subprocess(argv, timeout=120, before="", after=""):
+    """Run ``repro-litmus argv`` in a fresh interpreter, with the
+    ``before`` source run first and ``after`` run once the command has
+    returned; the CLI's exit status is the process's."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+    env = dict(os.environ, REPRO_ITERS="50",
+               PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    source = before + _CLI + after + "\nraise SystemExit(status)\n"
+    return subprocess.run([sys.executable, "-c", source] + argv,
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
+
 
 class TestSorensenModel:
     def test_forbids_lb_with_cta_fences(self):
@@ -198,17 +222,7 @@ class TestCli:
         (["campaign", "mp", "--backend", "model:nope"], "unknown backend"),
     ))
     def test_bad_backend_exits_without_traceback(self, argv, message):
-        import os
-        import subprocess
-        import sys
-
-        import repro
-        env = dict(os.environ, REPRO_ITERS="50",
-                   PYTHONPATH=os.path.dirname(os.path.dirname(
-                       repro.__file__)))
-        proc = subprocess.run([sys.executable, "-m", "repro.cli"] + argv,
-                              capture_output=True, text=True, env=env,
-                              timeout=120)
+        proc = _cli_subprocess(argv)
         assert proc.returncode != 0
         assert "Traceback" not in proc.stdout + proc.stderr
         assert message in proc.stderr
@@ -230,22 +244,34 @@ class TestCli:
     def test_bad_intensity_exits_without_traceback(self, argv, value):
         """A negative or NaN intensity disables every relaxation, which
         used to "verify" the published, losing deque-mp."""
-        import os
-        import subprocess
-        import sys
-
-        import repro
-        env = dict(os.environ, REPRO_ITERS="50",
-                   PYTHONPATH=os.path.dirname(os.path.dirname(
-                       repro.__file__)))
-        proc = subprocess.run([sys.executable, "-m", "repro.cli"] + argv,
-                              capture_output=True, text=True, env=env,
-                              timeout=120)
+        proc = _cli_subprocess(argv)
         assert proc.returncode != 0
         assert "Traceback" not in proc.stdout + proc.stderr
         assert "verified" not in proc.stdout
         (line,) = proc.stderr.splitlines()
         assert "intensity" in line and value in line
+
+    @pytest.mark.parametrize("argv,flag", (
+        (["generate", "--max-tests", "-1"], "--max-tests"),
+        (["generate", "--length", "1"], "--length"),
+        (["soundness", "--max-tests", "-1"], "--max-tests"),
+        (["soundness", "--length", "1"], "--length"),
+    ))
+    def test_bad_corpus_flags_exit_without_traceback(self, argv, flag):
+        """Both used to print an empty corpus and exit 0."""
+        proc = _cli_subprocess(argv)
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stdout + proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert flag in line
+
+    def test_short_corpus_of_long_cycles_stops_early(self):
+        """Two tests come from the shortest cycles; enumerating every
+        cycle up to length 40 first never finished."""
+        proc = _cli_subprocess(["generate", "--length", "40",
+                                "--max-tests", "2"], timeout=60)
+        assert proc.returncode == 0
+        assert "// 2 tests" in proc.stderr
 
     @pytest.mark.parametrize("command", (["run", "mp"], ["campaign", "mp"],
                                          ["app"], ["verify"], ["analyze"],
@@ -260,3 +286,41 @@ class TestCli:
         args = parser.parse_args(command)
         assert (args.jobs, args.executor, args.cache_dir) == (1, "process",
                                                               None)
+
+
+class TestOptionalNumpy:
+    """numpy is the ``repro[batch]`` extra: only a run that lowers a
+    batch cell may import it, and without it only that run fails."""
+
+    _BLOCK_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
+    _REPORT_NUMPY = "\nprint('numpy loaded:', 'numpy' in sys.modules)\n"
+
+    @pytest.mark.parametrize("argv,ran", (
+        (["soundness", "--max-tests", "1", "--chips", "Titan",
+          "--iterations", "50"], "sim session: 1 cells executed"),
+        (["verify", "--scenario", "deque-mp", "--fenced", "on",
+          "--chips", "Titan"], "1/1 cells verified"),
+    ))
+    def test_runs_without_batch_cells_leave_numpy_unloaded(self, argv, ran):
+        proc = _cli_subprocess(argv, after=self._REPORT_NUMPY)
+        assert proc.returncode == 0, proc.stderr
+        assert ran in proc.stdout
+        assert proc.stdout.rstrip().endswith("numpy loaded: False")
+
+    def test_batch_engine_without_numpy_names_the_extra(self):
+        proc = _cli_subprocess(["run", "mp", "--chip", "Titan",
+                                "--engine", "batch"],
+                               before=self._BLOCK_NUMPY)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stdout + proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert "repro[batch]" in line
+
+    @pytest.mark.parametrize("argv", (
+        ["run", "mp", "--chip", "Titan"],
+        ["verify", "--scenario", "deque-mp", "--chips", "Titan"],
+    ))
+    def test_other_engines_run_without_numpy(self, argv):
+        proc = _cli_subprocess(argv, before=self._BLOCK_NUMPY)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr

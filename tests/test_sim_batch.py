@@ -169,6 +169,15 @@ class TestNumpyGuard:
     def test_batch_registered(self):
         assert "batch" in ENGINES
 
+    def test_sim_serves_the_batch_names_on_first_use(self):
+        import repro.sim
+        from repro.sim import BatchCell, compile_batch_cell, have_numpy
+        assert (BatchCell, compile_batch_cell, have_numpy) == (
+            batch_module.BatchCell, batch_module.compile_batch_cell,
+            batch_module.have_numpy)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.sim.no_such_name
+
     def test_missing_numpy_raises_configuration_error(self, monkeypatch):
         monkeypatch.setattr(batch_module, "np", None)
         assert not have_numpy()
