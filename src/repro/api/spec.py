@@ -17,24 +17,13 @@ from ..errors import ReproError
 from ..harness.incantations import Incantations, best_for
 from ..litmus.writer import write_litmus
 from ..model.models import resolve_model_engine
-from ..sim.chip import CHIPS, ChipProfile
+from ..sim.chip import ChipProfile, chip as resolve_chip
 from ..sim.engine import resolve_engine
 
 #: Sentinel accepted wherever an incantation combination is expected:
 #: resolve to the most effective combination for the chip's vendor and
 #: the test's idiom (the paper's reporting configuration, Sec. 3).
 BEST = "best"
-
-
-def resolve_chip(chip):
-    """Accept a :class:`ChipProfile` or a Table 1 short name."""
-    if isinstance(chip, ChipProfile):
-        return chip
-    try:
-        return CHIPS[chip]
-    except KeyError:
-        raise ReproError("unknown chip %r; known: %s"
-                         % (chip, ", ".join(sorted(CHIPS)))) from None
 
 
 _INCANTATION_FLAGS = {

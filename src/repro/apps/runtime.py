@@ -31,11 +31,10 @@ import random
 from dataclasses import dataclass
 
 from ..compiler.cuda import compile_kernel
-from ..errors import ConfigurationError
 from ..hierarchy import MemoryMap, ScopeTree
 from ..litmus.condition import trivial_condition
 from ..litmus.test import LitmusTest
-from ..sim.chip import CHIPS, ChipProfile
+from ..sim.chip import chip as resolve_chip
 from ..sim.compile import compile_cell
 from ..sim.engine import resolve_engine, run_batch
 from ..sim.machine import GpuMachine
@@ -49,18 +48,6 @@ class LaunchResult:
 
     def __getitem__(self, location):
         return self.memory[location]
-
-
-def _as_chip(chip):
-    """Accept a :class:`ChipProfile` or a Table 1 short name."""
-    if isinstance(chip, ChipProfile):
-        return chip
-    try:
-        return CHIPS[chip]
-    except KeyError:
-        raise ConfigurationError(
-            "unknown chip %r; valid chips: %s"
-            % (chip, ", ".join(sorted(CHIPS)))) from None
 
 
 def build_launch_test(kernels, init_mem, condition=None, placement="inter-cta",
@@ -99,7 +86,7 @@ class Grid:
     def __init__(self, kernels, chip, init_mem, placement="inter-cta",
                  shared=(), intensity=1.0, engine=None, condition=None,
                  name="kernel-launch"):
-        self.chip = _as_chip(chip)
+        self.chip = resolve_chip(chip)
         self.test = build_launch_test(kernels, init_mem, condition=condition,
                                       placement=placement, shared=shared,
                                       name=name)

@@ -40,9 +40,9 @@ from dataclasses import dataclass, replace
 from ..errors import ConfigurationError, ReproError
 from ..litmus.condition import And, Condition, FinalState, MemEq, Not, Or
 from ..litmus.writer import write_litmus
-from ..sim.chip import ChipProfile
+from ..sim.chip import ChipProfile, chip as resolve_chip
 from ..sim.engine import resolve_engine
-from .runtime import _as_chip, build_launch_test
+from .runtime import build_launch_test
 from .deque import (HEAD, TAIL, TAIL2, TASK, TASK2, owner_roundtrip_kernel,
                     pop_then_push_kernel, push_kernel, steal_kernel,
                     thief_roundtrip_kernel)
@@ -198,7 +198,7 @@ class ScenarioSpec:
         and ``chip`` a Table 1 short name."""
         if isinstance(scenario, str):
             scenario = get_scenario(scenario)
-        chip = _as_chip(chip)
+        chip = resolve_chip(chip)
         if runs is None:
             runs = DEFAULT_RUNS
         if runs < 1:

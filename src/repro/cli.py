@@ -297,40 +297,31 @@ def _cmd_witness(args):
     return 0
 
 
-def _run_verify(scenarios, chips, intensity, jobs, executor, cache_dir,
-                loop_bound=None, max_transitions=None, witnesses=True):
-    """Shared exhaustive-verification driver for ``verify`` and
-    ``app --mode exhaustive``.  Exit status mirrors ``app``: nonzero iff
-    a *fenced* scenario loses (an unfenced loss is the paper's point)."""
+def _cmd_verify(args):
+    """Exit status mirrors ``app``: nonzero iff a *fenced* scenario
+    loses (an unfenced loss is the paper's point)."""
     from .exhaustive import (DEFAULT_LOOP_BOUND, DEFAULT_MAX_TRANSITIONS,
                              verify_scenarios)
-    report = verify_scenarios(
-        scenarios, chips, intensity=intensity,
-        loop_bound=(DEFAULT_LOOP_BOUND if loop_bound is None
-                    else loop_bound),
-        max_transitions=(DEFAULT_MAX_TRANSITIONS if max_transitions is None
-                         else max_transitions),
-        jobs=jobs, executor=executor, cache_dir=cache_dir,
-        witnesses=witnesses)
+    try:
+        scenarios = select_scenarios(args.scenarios, fenced=args.fenced)
+        if not scenarios:
+            raise ReproError("the scenario selection is empty")
+        report = verify_scenarios(
+            scenarios, args.chips, intensity=args.intensity,
+            loop_bound=(DEFAULT_LOOP_BOUND if args.loop_bound is None
+                        else args.loop_bound),
+            max_transitions=(DEFAULT_MAX_TRANSITIONS
+                             if args.max_transitions is None
+                             else args.max_transitions),
+            jobs=args.jobs, executor=args.executor,
+            cache_dir=args.cache_dir, witnesses=not args.no_witness)
+    except ReproError as error:
+        raise SystemExit(str(error))
     print("exhaustive verification (intensity is structural: any positive "
           "value explores the same space):")
     for line in report.lines():
         print(line)
     return 0 if report.ok else 1
-
-
-def _cmd_verify(args):
-    try:
-        scenarios = select_scenarios(args.scenarios, fenced=args.fenced)
-        if not scenarios:
-            raise ReproError("the scenario selection is empty")
-        return _run_verify(scenarios, args.chips, args.intensity,
-                           args.jobs, args.executor, args.cache_dir,
-                           loop_bound=args.loop_bound,
-                           max_transitions=args.max_transitions,
-                           witnesses=not args.no_witness)
-    except ReproError as error:
-        raise SystemExit(str(error))
 
 
 def _cmd_app(args):
@@ -340,9 +331,6 @@ def _cmd_app(args):
         scenarios = select_scenarios(args.scenarios, fenced=args.fenced)
         if not scenarios:
             raise ReproError("the scenario selection is empty")
-        if args.mode == "exhaustive":
-            return _run_verify(scenarios, args.chips, args.intensity,
-                               args.jobs, args.executor, args.cache_dir)
         session = app_session(jobs=args.jobs, executor=args.executor,
                               cache_dir=args.cache_dir)
         if args.prescreen:
@@ -584,13 +572,6 @@ def build_parser():
                      help="statically analyse each scenario first; "
                           "provably-clean cells skip simulation and "
                           "report zero losses by proof")
-    app.add_argument("--mode", choices=("stress", "exhaustive"),
-                     default="stress",
-                     help="stress (default): sample --runs launches per "
-                          "cell; exhaustive: enumerate every execution "
-                          "with DPOR pruning and report verified/lost "
-                          "verdicts (ignores --runs/--seed/--engine; see "
-                          "`repro-litmus verify` for the full knob set)")
     _engine_argument(app)
     app.set_defaults(func=_cmd_app)
 

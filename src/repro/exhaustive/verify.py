@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from ..apps.scenario import ScenarioSpec, select_scenarios
 from ..errors import ReproError
-from ..sim.chip import CHIPS
+from ..sim.chip import chip as resolve_chip
 from .backend import exhaustive_session, exhaustive_verdict
 from .explore import DEFAULT_LOOP_BOUND, DEFAULT_MAX_TRANSITIONS
 
@@ -98,16 +98,6 @@ class VerifyReport:
         return out
 
 
-def _as_chip(chip):
-    if isinstance(chip, str):
-        try:
-            return CHIPS[chip]
-        except KeyError:
-            raise ReproError("unknown chip %r; valid chips: %s"
-                             % (chip, ", ".join(sorted(CHIPS)))) from None
-    return chip
-
-
 def verify_scenarios(scenarios, chips, intensity=1.0,
                      loop_bound=DEFAULT_LOOP_BOUND,
                      max_transitions=DEFAULT_MAX_TRANSITIONS,
@@ -125,7 +115,7 @@ def verify_scenarios(scenarios, chips, intensity=1.0,
     from ..apps.scenario import get_scenario
     scenarios = [get_scenario(s) if isinstance(s, str) else s
                  for s in scenarios]
-    chips = [_as_chip(chip) for chip in chips]
+    chips = [resolve_chip(chip) for chip in chips]
     if session is None:
         session = exhaustive_session(jobs=jobs, executor=executor,
                                      cache_dir=cache_dir,

@@ -1,4 +1,5 @@
-"""Diff two BENCH_*.json perf-trajectory reports (``bench_compare.py``).
+"""Diff two BENCH_*.json perf-trajectory reports
+(``benchmarks/bench_perf.py compare``).
 
 The trajectory files (``BENCH_engine.json``, ``BENCH_model.json``,
 ``BENCH_apps.json``) record absolute rates *and* engine-relative
@@ -13,9 +14,12 @@ counts, not timings, so any drop is a real pruning regression.
 :func:`compare_reports` pairs cells by identity key (test/scenario x
 chip), computes per-cell and geomean ratios ``new / old`` for every
 speedup metric the two reports share, and flags any ratio below
-``1 - threshold`` as a regression.  ``benchmarks/bench_compare.py``
-wraps this as the CLI the CI perf-smoke job runs (nonzero exit on
-regression), so the perf trajectory is machine-checkable instead of a
+``1 - threshold`` as a regression.  A baseline cell missing from the
+new report, or a column positive in the baseline but missing, null or
+non-positive in the new one, is *lost*: a report that stopped
+measuring something must not pass for one that measured it.  CI runs
+the comparison against the tracked baselines (nonzero exit on any
+failure), so the perf trajectory is machine-checkable instead of a
 number in prose.
 """
 
@@ -23,6 +27,7 @@ import json
 from dataclasses import dataclass
 
 from ..errors import ReproError
+from .harness import geomean
 
 #: Default tolerated fractional drop before a delta counts as a
 #: regression.  Speedup ratios still carry scheduler noise even though
@@ -56,11 +61,15 @@ def _cell_key(cell):
     return tuple(cell.get(field) for field in _KEY_FIELDS)
 
 
-def _speedup_metrics(cell_a, cell_b):
-    """The speedup/reduction columns both cells carry with usable
+def _label(key):
+    return "/".join(str(part) for part in key if part is not None)
+
+
+def _metrics(cell):
+    """The speedup/reduction columns of one cell holding positive
     numbers."""
-    metrics = []
-    for key in sorted(set(cell_a) & set(cell_b)):
+    metrics = set()
+    for key, value in cell.items():
         if "speedup" not in key and "reduction" not in key:
             continue
         if "wall" in key:
@@ -68,11 +77,13 @@ def _speedup_metrics(cell_a, cell_b):
             # worthless across machines (a single-core runner pins it
             # at ~1x) unlike the exact-count reduction/balance columns.
             continue
-        old, new = cell_a[key], cell_b[key]
-        if (isinstance(old, (int, float)) and isinstance(new, (int, float))
-                and old > 0 and new > 0):
-            metrics.append(key)
+        if isinstance(value, (int, float)) and value > 0:
+            metrics.add(key)
     return metrics
+
+
+def _regressed(old, new, threshold):
+    return old > 0 and new / old < 1.0 - threshold
 
 
 @dataclass(frozen=True)
@@ -89,36 +100,33 @@ class MetricDelta:
         return self.new / self.old
 
     def regressed(self, threshold):
-        return self.ratio < 1.0 - threshold
-
-
-def _geomean(values):
-    if not values:
-        return 0.0
-    product = 1.0
-    for value in values:
-        product *= value
-    return product ** (1.0 / len(values))
+        return _regressed(self.old, self.new, threshold)
 
 
 @dataclass(frozen=True)
 class CompareResult:
     """Everything :func:`compare_reports` measured."""
 
-    benchmark: str          #: report kind ("engine"/"model"/"apps")
+    benchmark: str          #: report kind ("engine"/"model"/"apps"/...)
     deltas: tuple           #: per-cell MetricDelta rows
     geomeans: tuple         #: (metric, old geomean, new geomean) rows
-    only_old: tuple         #: cell keys present only in the old report
+    lost: tuple             #: old cells/columns the new report lacks
     only_new: tuple         #: cell keys present only in the new report
 
-    def regressions(self, threshold=DEFAULT_THRESHOLD):
-        """Per-cell and geomean regressions beyond ``threshold``."""
-        cells = [delta for delta in self.deltas
-                 if delta.regressed(threshold)]
-        summaries = [(metric, old, new)
-                     for metric, old, new in self.geomeans
-                     if old > 0 and new / old < 1.0 - threshold]
-        return cells, summaries
+    def failures(self, threshold=DEFAULT_THRESHOLD):
+        """One message per regression beyond ``threshold`` (per cell and
+        per geomean) and per lost cell or column."""
+        messages = ["%s %s regressed %.2fx -> %.2fx (%.1f%% < -%.0f%%)"
+                    % (_label(delta.key), delta.metric, delta.old,
+                       delta.new, (delta.ratio - 1.0) * 100.0,
+                       threshold * 100)
+                    for delta in self.deltas if delta.regressed(threshold)]
+        messages += ["geomean %s regressed %.2fx -> %.2fx" % row
+                     for row in self.geomeans
+                     if _regressed(row[1], row[2], threshold)]
+        messages += ["%s is measured in the old report but not in the "
+                     "new one" % lost for lost in self.lost]
+        return messages
 
 
 def compare_reports(old, new):
@@ -138,22 +146,26 @@ def compare_reports(old, new):
     cells_new = {_cell_key(cell): cell for cell in new["cells"]}
     deltas = []
     per_metric = {}
+    lost = [_label(key) for key in sorted(set(cells_old) - set(cells_new))]
     for key in sorted(set(cells_old) & set(cells_new)):
         cell_old, cell_new = cells_old[key], cells_new[key]
-        for metric in _speedup_metrics(cell_old, cell_new):
+        metrics_old, metrics_new = _metrics(cell_old), _metrics(cell_new)
+        for metric in sorted(metrics_old & metrics_new):
             delta = MetricDelta(key=key, metric=metric,
                                 old=float(cell_old[metric]),
                                 new=float(cell_new[metric]))
             deltas.append(delta)
             per_metric.setdefault(metric, []).append(delta)
+        lost += ["%s %s" % (_label(key), metric)
+                 for metric in sorted(metrics_old - metrics_new)]
     geomeans = tuple(
         (metric,
-         _geomean([delta.old for delta in rows]),
-         _geomean([delta.new for delta in rows]))
+         geomean([delta.old for delta in rows]),
+         geomean([delta.new for delta in rows]))
         for metric, rows in sorted(per_metric.items()))
     return CompareResult(
         benchmark=kind_old, deltas=tuple(deltas), geomeans=geomeans,
-        only_old=tuple(sorted(set(cells_old) - set(cells_new))),
+        lost=tuple(lost),
         only_new=tuple(sorted(set(cells_new) - set(cells_old))))
 
 
@@ -163,8 +175,7 @@ def render_compare(result, threshold=DEFAULT_THRESHOLD):
 
     rows = []
     for delta in result.deltas:
-        label = "/".join(str(part) for part in delta.key if part is not None)
-        rows.append([label, delta.metric,
+        rows.append([_label(delta.key), delta.metric,
                      "%.2fx" % delta.old, "%.2fx" % delta.new,
                      "%+.1f%%" % ((delta.ratio - 1.0) * 100.0),
                      "REGRESSED" if delta.regressed(threshold) else "ok"])
@@ -172,17 +183,11 @@ def render_compare(result, threshold=DEFAULT_THRESHOLD):
         change = (new / old - 1.0) * 100.0 if old > 0 else 0.0
         rows.append(["geomean", metric, "%.2fx" % old, "%.2fx" % new,
                      "%+.1f%%" % change,
-                     ("REGRESSED" if old > 0 and new / old < 1.0 - threshold
+                     ("REGRESSED" if _regressed(old, new, threshold)
                       else "ok")])
     table = format_table(
         ["cell", "metric", "old", "new", "change", "verdict"], rows)
-    notes = []
-    if result.only_old:
-        notes.append("cells only in the old report: %s"
-                     % ", ".join("/".join(str(p) for p in key if p)
-                                 for key in result.only_old))
     if result.only_new:
-        notes.append("cells only in the new report: %s"
-                     % ", ".join("/".join(str(p) for p in key if p)
-                                 for key in result.only_new))
-    return "\n".join([table] + notes)
+        table += ("\ncells only in the new report: %s"
+                  % ", ".join(_label(key) for key in result.only_new))
+    return table

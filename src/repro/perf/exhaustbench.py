@@ -29,53 +29,52 @@ advisory — a single-core CI runner shows ~1x) and ``balance_speedup``,
 the deterministic load-balance bound of the branch partition at
 ``workers`` workers (LPT makespan over per-branch transition counts).
 ``balance_speedup`` is exact arithmetic over exact counts, so
-``bench_compare.py`` diffs it across machines like the reduction
+``bench_perf.py compare`` diffs it across machines like the reduction
 columns; wall numbers are excluded there like any other timing.
 
-``benchmarks/bench_perf_exhaust.py`` emits the report; CI runs the tiny
-corpus as part of perf-smoke and diffs it against the checked-in
-baseline via ``bench_compare.py``.
+``benchmarks/bench_perf.py exhaust`` writes the report; CI runs the
+tiny corpus in its verify-smoke job and diffs it against the checked-in
+baseline with ``bench_perf.py compare``.
 """
 
 import heapq
-import json
-import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from ..errors import ReproError
 from ..exhaustive.explore import (DEFAULT_LOOP_BOUND, Explorer, explore_test)
+from .harness import geomean, rounded
 
-#: The pinned exhaust corpus: ``(kind, name, chip)`` cells, where kind
-#: is ``scenario`` (registry name) or ``litmus`` (see
-#: :func:`exhaust_corpus_test`).
-EXHAUST_PINNED_CORPUS = (
-    ("scenario", "deque-mp", "Titan"),
-    ("scenario", "deque-mp+fenced", "Titan"),
-    ("scenario", "isolation", "Titan"),
-    ("scenario", "ticket", "Titan"),
-    ("scenario", "ticket+fenced", "Titan"),
-    ("litmus", "iriw", "GTX280"),
-    ("litmus", "iriw", "Titan"),
-    ("litmus", "mp-pad2", "Titan"),
-    ("litmus", "mp-pad4", "GTX280"),
-    ("litmus", "mp-pad6", "GTX280"),
-    ("litmus", "mp-pad4", "Titan"),
-    ("litmus", "mp-pad8-3t", "Titan"),
-    ("litmus", "mp-pad12-3t", "Titan"),
-)
-
-#: CI-sized subset for the perf-smoke job.  ``mp-pad4`` on Titan is the
-#: cell the ISSUE-10 rework exists for (it exceeded the 2M-transition
-#: budget before intra-thread independence): keeping it here makes
-#: every CI run a budget gate.
-EXHAUST_TINY_CORPUS = (
-    ("scenario", "deque-mp", "Titan"),
-    ("scenario", "ticket+fenced", "Titan"),
-    ("litmus", "iriw", "GTX280"),
-    ("litmus", "mp-pad4", "GTX280"),
-    ("litmus", "mp-pad4", "Titan"),
-)
+#: The exhaust corpora: ``(kind, name, chip)`` cells, where kind is
+#: ``scenario`` (registry name) or ``litmus`` (see
+#: :func:`exhaust_corpus_test`).  ``tiny`` is the CI-sized subset:
+#: ``mp-pad4`` on Titan exceeded the 2M-transition budget before
+#: intra-thread independence, so keeping it there makes every CI run a
+#: budget gate.
+EXHAUST_CORPORA = {
+    "pinned": (
+        ("scenario", "deque-mp", "Titan"),
+        ("scenario", "deque-mp+fenced", "Titan"),
+        ("scenario", "isolation", "Titan"),
+        ("scenario", "ticket", "Titan"),
+        ("scenario", "ticket+fenced", "Titan"),
+        ("litmus", "iriw", "GTX280"),
+        ("litmus", "iriw", "Titan"),
+        ("litmus", "mp-pad2", "Titan"),
+        ("litmus", "mp-pad4", "GTX280"),
+        ("litmus", "mp-pad6", "GTX280"),
+        ("litmus", "mp-pad4", "Titan"),
+        ("litmus", "mp-pad8-3t", "Titan"),
+        ("litmus", "mp-pad12-3t", "Titan"),
+    ),
+    "tiny": (
+        ("scenario", "deque-mp", "Titan"),
+        ("scenario", "ticket+fenced", "Titan"),
+        ("litmus", "iriw", "GTX280"),
+        ("litmus", "mp-pad4", "GTX280"),
+        ("litmus", "mp-pad4", "Titan"),
+    ),
+}
 
 #: Cells whose naive enumeration is intractable (wide weak-chip
 #: windows): the bench skips their naive leg and measures the parallel
@@ -90,18 +89,10 @@ EXHAUST_DPOR_ONLY = frozenset((
 #: Worker count for the parallel leg (and the balance bound).
 DEFAULT_WORKERS = 4
 
-_EXHAUST_CORPORA = {"pinned": EXHAUST_PINNED_CORPUS,
-                    "tiny": EXHAUST_TINY_CORPUS}
-
-
-def exhaust_corpus_by_name(name):
-    """Resolve an exhaust corpus name (``pinned``/``tiny``) to cells."""
-    try:
-        return _EXHAUST_CORPORA[name]
-    except KeyError:
-        raise ReproError("unknown exhaust perf corpus %r (expected %s)"
-                         % (name, "/".join(sorted(_EXHAUST_CORPORA)))
-                         ) from None
+#: Report schema version (bump on layout changes).  v2: dpor-only
+#: cells, branch counts, parallel-leg wall numbers and the
+#: deterministic ``balance_speedup`` bound.
+EXHAUST_SCHEMA_VERSION = 2
 
 
 def padded_mp(pads, threads=2):
@@ -297,8 +288,8 @@ def bench_exhaust_cell(kind, name, chip_short, loop_bound=DEFAULT_LOOP_BOUND,
         balance_speedup=balance_bound(branch_transitions, workers))
 
 
-def bench_exhaust(corpus=EXHAUST_PINNED_CORPUS,
-                  loop_bound=DEFAULT_LOOP_BOUND, workers=DEFAULT_WORKERS):
+def bench_exhaust(corpus, loop_bound=DEFAULT_LOOP_BOUND,
+                  workers=DEFAULT_WORKERS):
     """Measure every corpus cell; returns a list of cells."""
     return [bench_exhaust_cell(kind, name, chip, loop_bound=loop_bound,
                                workers=workers)
@@ -306,14 +297,14 @@ def bench_exhaust(corpus=EXHAUST_PINNED_CORPUS,
 
 
 def summarize_exhaust(cells):
-    """Aggregate stats: reduction factors over the differential cells,
-    the balance-bound floor over the dpor-only (widest) cells."""
+    """Aggregate stats, floats rounded as the report records them:
+    reduction factors over the differential cells, the balance-bound
+    floor over the dpor-only (widest) cells."""
     measured = [cell for cell in cells if not cell.dpor_only]
     wide = [cell for cell in cells if cell.dpor_only]
     total_dpor = sum(cell.dpor_transitions for cell in measured)
     total_naive = sum(cell.naive_transitions for cell in measured)
-    log_sum = sum(math.log(max(cell.reduction, 1e-9)) for cell in measured)
-    summary = {
+    return rounded({
         "cells": len(cells),
         "dpor_only_cells": len(wide),
         # The reduction ratio and its totals cover the differential
@@ -324,7 +315,8 @@ def summarize_exhaust(cells):
                                           for c in cells),
         "total_naive_transitions": total_naive,
         "reduction_total": total_naive / max(1, total_dpor),
-        "reduction_geomean": math.exp(log_sum / max(1, len(measured))),
+        "reduction_geomean": geomean([cell.reduction
+                                      for cell in measured]),
         "min_reduction": min((cell.reduction for cell in measured),
                              default=0.0),
         "max_reduction": max((cell.reduction for cell in measured),
@@ -332,38 +324,7 @@ def summarize_exhaust(cells):
         "all_identical": all(cell.identical for cell in cells),
         "min_balance_speedup": min(
             (cell.balance_speedup for cell in wide or cells), default=1.0),
-    }
-    return summary
-
-
-#: Report schema version (bump on layout changes).  v2: dpor-only
-#: cells, branch counts, parallel-leg wall numbers and the
-#: deterministic ``balance_speedup`` bound.
-EXHAUST_SCHEMA_VERSION = 2
-
-
-def write_exhaust_report(path, cells, corpus_name, loop_bound, extra=None):
-    """Write the ``BENCH_exhaust.json`` trajectory entry."""
-    payload = {
-        "version": EXHAUST_SCHEMA_VERSION,
-        "benchmark": "exhaust",
-        "corpus": corpus_name,
-        "loop_bound": loop_bound,
-        "cells": [
-            {key: (round(value, 4) if isinstance(value, float) else value)
-             for key, value in asdict(cell).items()}
-            for cell in cells
-        ],
-        "summary": {key: (round(value, 4) if isinstance(value, float)
-                          else value)
-                    for key, value in summarize_exhaust(cells).items()},
-    }
-    if extra:
-        payload.update(extra)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=False)
-        handle.write("\n")
-    return payload
+    }, 4)
 
 
 def render_exhaust_table(cells):

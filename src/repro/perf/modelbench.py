@@ -22,48 +22,46 @@ is exactly what branch pruning exists to tame.  The deep cells are
 rebuilt deterministically from a fixed edge pool, so the numbers are
 comparable across runs and machines.
 
-The output schema (:func:`write_model_report`) is the model side of the
-repo's perf trajectory: ``benchmarks/bench_perf_model.py`` emits it as
-``BENCH_model.json``, CI uploads it as an artifact and fails if the
+``benchmarks/bench_perf.py model`` writes the report as
+``BENCH_model.json``; CI uploads it as an artifact and fails if the
 fast engine loses to the reference engine, and the README's Performance
 section quotes it.
 """
 
-import json
-import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from ..errors import ReproError
 from ..litmus import library
 from ..model.models import load_model
+from .harness import geomean, timed
 
 #: Report schema version (bump on layout changes).
 MODEL_SCHEMA_VERSION = 1
 
-#: The pinned model-perf corpus: ``("library", name)`` builds a paper
-#: test, ``("deep", name)`` a diy cycle from :func:`deep_corpus_tests`.
-MODEL_PINNED_CORPUS = (
-    ("library", "mp"),
-    ("library", "sb"),
-    ("library", "coRR"),
-    ("library", "mp+membar.gls"),
-    ("library", "lb+membar.ctas"),
-    ("library", "cas-sl"),
-    ("library", "sl-future"),
-    ("deep", "Coe+PosWW+PosWW+PosWW+Rfe+Fre"),
-    ("deep", "Coe+PosWW+PosWW+Rfe+Fre+PosWW+PosWW"),
-)
-
-#: CI-sized subset for the perf-smoke job (cells with comfortable
-#: margins on noisy shared runners, plus one length-6 deep cycle).
-MODEL_TINY_CORPUS = (
-    ("library", "mp"),
-    ("library", "coRR"),
-    ("library", "mp+membar.gls"),
-    ("deep", "Coe+PosWW+PosWW+PosWW+Rfe+Fre"),
-)
-
-_MODEL_CORPORA = {"pinned": MODEL_PINNED_CORPUS, "tiny": MODEL_TINY_CORPUS}
+#: The model-perf corpora: ``("library", name)`` builds a paper test,
+#: ``("deep", name)`` a diy cycle from :func:`deep_corpus_tests`.
+#: ``tiny`` is the CI-sized subset for the perf-smoke job (cells with
+#: comfortable margins on noisy shared runners, plus one length-6 deep
+#: cycle).
+MODEL_CORPORA = {
+    "pinned": (
+        ("library", "mp"),
+        ("library", "sb"),
+        ("library", "coRR"),
+        ("library", "mp+membar.gls"),
+        ("library", "lb+membar.ctas"),
+        ("library", "cas-sl"),
+        ("library", "sl-future"),
+        ("deep", "Coe+PosWW+PosWW+PosWW+Rfe+Fre"),
+        ("deep", "Coe+PosWW+PosWW+Rfe+Fre+PosWW+PosWW"),
+    ),
+    "tiny": (
+        ("library", "mp"),
+        ("library", "coRR"),
+        ("library", "mp+membar.gls"),
+        ("deep", "Coe+PosWW+PosWW+PosWW+Rfe+Fre"),
+    ),
+}
 
 #: Deep-cycle edge pool: same-location program-order pairs plus the
 #: three communication edges — the smallest pool whose length-6/7
@@ -95,15 +93,6 @@ def deep_corpus_tests():
     return tests
 
 
-def model_corpus_by_name(name):
-    """Resolve a model-perf corpus name (``pinned``/``tiny``)."""
-    try:
-        return _MODEL_CORPORA[name]
-    except KeyError:
-        raise ReproError("unknown model perf corpus %r (expected %s)"
-                         % (name, "/".join(sorted(_MODEL_CORPORA)))) from None
-
-
 def _build_cell_test(kind, name, deep_tests):
     if kind == "library":
         return library.build(name)
@@ -130,36 +119,17 @@ class ModelBenchCell:
     identical: bool           #: the engines' allowed sets matched exactly
 
 
-def _timed(run, repeats):
-    """Best-of-``repeats`` wall-clock of ``run()``; returns (s, result)."""
-    best = None
-    result = None
-    for _ in range(max(repeats, 1)):
-        start = time.perf_counter()
-        result = run()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return max(best, 1e-9), result
-
-
-def bench_model_cell(kind, name, model="ptx", repeats=3, deep_tests=None,
-                     fuel=128):
-    """Measure one corpus cell; returns a :class:`ModelBenchCell`."""
-    if deep_tests is None:
-        deep_tests = deep_corpus_tests() if kind == "deep" else {}
-    test = _build_cell_test(kind, name, deep_tests)
-    axiomatic = load_model(model) if isinstance(model, str) else model
+def bench_model_cell(test, kind, axiomatic, repeats=3, fuel=128):
+    """Measure one corpus cell (``kind``: ``library``/``deep``) under a
+    loaded model; returns a :class:`ModelBenchCell`."""
     axiomatic.compiled()  # compile outside the timed region (steady state)
 
-    reference_s, reference_set = _timed(
-        lambda: axiomatic.allowed_outcomes(test, fuel=fuel,
-                                           on_fuel="discard",
-                                           engine="reference"), repeats)
-    fast_s, fast_set = _timed(
-        lambda: axiomatic.allowed_outcomes(test, fuel=fuel,
-                                           on_fuel="discard",
-                                           engine="fast"), repeats)
+    def allowed(engine):
+        return lambda: axiomatic.allowed_outcomes(
+            test, fuel=fuel, on_fuel="discard", engine=engine)
+
+    (reference_s, reference_set), (fast_s, fast_set) = timed(
+        [allowed("reference"), allowed("fast")], repeats)
     return ModelBenchCell(
         test=test.name, kind=kind, model=axiomatic.name,
         allowed_states=len(fast_set),
@@ -168,23 +138,14 @@ def bench_model_cell(kind, name, model="ptx", repeats=3, deep_tests=None,
         identical=(set(reference_set) == set(fast_set)))
 
 
-def bench_model_engines(corpus=MODEL_PINNED_CORPUS, model="ptx", repeats=3):
+def bench_model_engines(corpus, model="ptx", repeats=3):
     """Measure every corpus cell; returns a list of cells."""
     needs_deep = any(kind == "deep" for kind, _ in corpus)
     deep_tests = deep_corpus_tests() if needs_deep else {}
-    axiomatic = load_model(model) if isinstance(model, str) else model
-    return [bench_model_cell(kind, name, model=axiomatic, repeats=repeats,
-                             deep_tests=deep_tests)
+    axiomatic = load_model(model)
+    return [bench_model_cell(_build_cell_test(kind, name, deep_tests), kind,
+                             axiomatic, repeats=repeats)
             for kind, name in corpus]
-
-
-def _geomean(values):
-    if not values:
-        return 0.0
-    product = 1.0
-    for value in values:
-        product *= value
-    return product ** (1.0 / len(values))
 
 
 def summarize_model(cells):
@@ -192,33 +153,11 @@ def summarize_model(cells):
     speedups = [cell.speedup for cell in cells]
     return {
         "cells": len(cells),
-        "geomean_speedup": round(_geomean(speedups), 3),
+        "geomean_speedup": round(geomean(speedups), 3),
         "min_speedup": round(min(speedups), 3) if speedups else 0.0,
         "max_speedup": round(max(speedups), 3) if speedups else 0.0,
         "all_identical": all(cell.identical for cell in cells),
     }
-
-
-def write_model_report(path, cells, corpus_name, repeats, extra=None):
-    """Write the ``BENCH_model.json`` trajectory entry."""
-    payload = {
-        "version": MODEL_SCHEMA_VERSION,
-        "benchmark": "model",
-        "corpus": corpus_name,
-        "repeats": repeats,
-        "cells": [
-            {key: (round(value, 6) if isinstance(value, float) else value)
-             for key, value in asdict(cell).items()}
-            for cell in cells
-        ],
-        "summary": summarize_model(cells),
-    }
-    if extra:
-        payload.update(extra)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=False)
-        handle.write("\n")
-    return payload
 
 
 def render_model_table(cells):

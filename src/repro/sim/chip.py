@@ -34,6 +34,7 @@ The switches are inferred from the paper's data:
 
 from dataclasses import dataclass, field
 
+from ..errors import ConfigurationError
 from ..ptx.types import Scope
 
 
@@ -203,10 +204,14 @@ NVIDIA_RESULT_CHIPS = ["GTX5", "TesC", "GTX6", "Titan", "GTX7"]
 AMD_RESULT_CHIPS = ["HD6570", "HD7970"]
 
 
-def chip(short):
-    """Look up a chip profile by its Table 1 short name."""
+def chip(name):
+    """Resolve a :class:`ChipProfile` (returned as is) or a Table 1 short
+    name; an unknown name raises :class:`ConfigurationError` listing the
+    valid ones."""
+    if isinstance(name, ChipProfile):
+        return name
     try:
-        return CHIPS[short]
+        return CHIPS[name]
     except KeyError:
-        raise KeyError("unknown chip %r; known: %s"
-                       % (short, ", ".join(sorted(CHIPS))))
+        raise ConfigurationError("unknown chip %r; valid chips: %s"
+                                 % (name, ", ".join(sorted(CHIPS)))) from None

@@ -203,12 +203,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "LOST" in out and "losing execution" in out
 
-    def test_app_exhaustive_mode(self, capsys):
-        assert main(["app", "-s", "deque-mp", "--chips", "Titan",
-                     "--mode", "exhaustive"]) == 0
-        out = capsys.readouterr().out
-        assert "exhaustive verification" in out and "LOST" in out
-
     def test_unknown_backend_mentions_exhaustive(self):
         from repro.api import make_backend
         from repro.errors import ReproError

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import FuelExhausted
+from repro.errors import ConfigurationError, FuelExhausted
 from repro.litmus import library, parse_litmus
 from repro.model.enumerate import allowed_final_states, enumerate_executions
 from repro.model.models import ptx_model
@@ -169,8 +169,13 @@ class TestChipRegistry:
         assert min(years) == 2008 and max(years) == 2014
 
     def test_unknown_chip(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigurationError) as excinfo:
             chip("RTX4090")
+        message = str(excinfo.value)
+        assert "RTX4090" in message and "Titan" in message
+
+    def test_profile_passes_through(self):
+        assert chip(CHIPS["Titan"]) is CHIPS["Titan"]
 
     def test_vendors(self):
         assert chip("Titan").vendor == "Nvidia"
