@@ -389,7 +389,7 @@ def make_backend(backend):
     (the paper's PTX model), ``"model:<name>"`` for any registered
     axiomatic model, ``"app"`` (application scenario campaigns),
     ``"analysis"`` (static race/ordering verdicts), or ``"exhaustive"``
-    (DPOR stateless model checking of the compiled cell)."""
+    (DPOR model checking of the compiled cell)."""
     if isinstance(backend, Backend):
         return backend
     if backend == "sim":

@@ -175,7 +175,7 @@ def _session_arguments(parser):
     parser.add_argument("--backend", default="sim",
                         help="execution backend: sim (default), model, "
                              "model:NAME, analysis (static verdicts), or "
-                             "exhaustive (DPOR stateless model checking)")
+                             "exhaustive (DPOR model checking)")
     _engine_argument(parser)
     _model_engine_argument(parser)
 

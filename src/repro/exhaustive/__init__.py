@@ -1,12 +1,13 @@
-"""Stateless model checking of compiled cells (the GPUMC direction).
+"""Exhaustive model checking of compiled cells (the GPUMC direction).
 
 The verifier tier of the stack: where campaigns *sample* executions and
 the axiomatic model enumerates *candidate graphs*, this package walks
 every schedule of the operational semantics —
 :mod:`repro.sim.compile`'s compiled cells driven transition by
-transition — with persistent-set/sleep-set DPOR pruning, bounded spin
-retries, and fence-choice enumeration, so a fenced scenario can be
-*verified* (zero losses over all executions) rather than stress-tested.
+transition — with persistent-set/sleep-set DPOR pruning, a per-branch
+cache of explored states, bounded spin retries, and fence-choice
+enumeration, so a fenced scenario can be *verified* (zero losses over
+all executions) rather than stress-tested.
 
 Layers:
 

@@ -50,8 +50,9 @@ from .explore import (DEFAULT_LOOP_BOUND, DEFAULT_MAX_TRANSITIONS, Explorer,
 
 #: Bump to invalidate cached explorations when the explorer changes.
 #: v2: branch-sharded explorations, intra-thread independence and
-#: state-hash loop closure.
-EXHAUSTIVE_VERSION = 2
+#: state-hash loop closure.  v3: the per-branch state cache (stateful
+#: DPOR), which changes execution, transition and loss counts.
+EXHAUSTIVE_VERSION = 3
 
 
 def _typed(value, kind):
@@ -180,7 +181,7 @@ def exhaustive_verdict(result, condition):
 
 
 class ExhaustiveBackend(PerThreadMemo, Backend):
-    """Stateless model checking as a campaign backend.
+    """Exhaustive (stateful DPOR) model checking as a campaign backend.
 
     ``shards`` splits the spec's exploration into its root branches (one
     shard each, ``iterations=0`` — the session's simulated-iteration

@@ -1,4 +1,4 @@
-"""Stateless DPOR exploration of compiled cells: the verification core.
+"""Stateful DPOR exploration of compiled cells: the verification core.
 
 The campaign stack answers "did the scenario lose?" statistically: it
 samples scheduler interleavings and relaxation draws.  This module
@@ -30,9 +30,9 @@ scheduler merely makes unlikely).
   (:meth:`_Compiler._compile_membar`), scripted through
   :class:`_ChoiceRng` and binary-enumerated per transition;
 * spin retries: backward branches are wrapped with a per-thread loop
-  bound — exceeding it abandons the branch and flags the result
-  ``bounded`` (the explicit verdict qualifier; GPUMC bounds loops the
-  same way).
+  bound — a state reached past it that the search has not explored
+  yet is abandoned and flags the result ``bounded`` (the explicit
+  verdict qualifier; GPUMC bounds loops the same way).
 
 **Intra-thread independence.**  Same-thread transitions are not blanket
 dependent: a static commutation analysis (piggybacking on
@@ -45,27 +45,43 @@ all.  Persistent-set seeds then shrink from whole threads to
 dependence-clusters, which is what makes wide per-thread windows
 (``mp-padN``) tractable on reordering chips.
 
-**State-hash loop closure.**  At every taken backward branch the
-explorer hashes the machine state (memory, registers, queue occupancy —
-not loop counters).  A spin iteration that reproduces a state already
-seen in the current same-thread run is a pure cycle: its continuation
-duplicates the previous visit's, so the branch closes instead of
-re-unrolling (the frames of the cycle are conservatively fully expanded
-first, so no race reversal is lost with the truncated future).  Closure
-is enabled only when the cell has no genuine fence choice points — a
-pending fence script is invisible to the state hash.  Cells that close
-every spin no longer flag ``bounded`` and tolerate ``--loop-bound 4+``.
+**The state cache.**  Each root branch of the ``dpor`` strategy keeps a
+map from every state it has explored to what it explored there (Yang et
+al., "Efficient Stateful Dynamic Partial Order Reduction", SPIN 2008).
+The key is the state with path history removed: thread pcs, registers,
+pending destinations, queue entries by static slot, global memory and
+the placed shared banks — no sequence numbers, no loop counts (the
+labels of two visits are matched by queue position).  Every state is
+looked up right after the transition that reaches it, and the search
+stops at a hit whose stored sleep set is a subset of the current one
+(Godefroid's rule; otherwise the state is explored again and the stored
+set shrinks to the intersection).  Persistent sets stay sound:
+
+* every state keeps a *summary* of the transitions executed below it,
+  and a pruned revisit runs race reversal for each of them against the
+  current path, as if the pruned future had been re-executed;
+* a revisit of a state still on the stack is a cycle (a spin): every
+  frame from that state up is fully expanded, since the cycle hides its
+  future from race reversal, and the frames above it are not cached,
+  since their summaries lack the part of the future the cycle skipped;
+* the loop bound is checked after the lookup, so a spin back into a
+  known state never counts as truncated.
+
+``executions`` therefore counts the complete executions the search
+walked to their end, after the cache merged converging ones, not every
+execution of the cell.  The naive strategy stays stateless.
 
 **Parallel exploration.**  The root state's enabled transitions define a
 static branch partition: :meth:`Explorer.root_plan` enumerates
 ``(fence-script, branch)`` entries and :meth:`Explorer.run_branch`
 explores one entry in isolation (root backtrack pinned to that branch's
-label, earlier siblings asleep).  Serial :meth:`Explorer.run` iterates
-the identical entries in order, so a parallel run that merges per-branch
-results in plan order is *bit-identical* to the serial one — reachable
-sets, transition counts, loss counts and the bounded flag all agree
-regardless of ``--jobs`` or executor.  The transition budget applies
-per branch for the same reason.
+label, earlier siblings asleep, a fresh state cache).  Serial
+:meth:`Explorer.run` iterates the identical entries in order, so a
+parallel run that merges per-branch results in plan order is
+*bit-identical* to the serial one — reachable sets, transition counts,
+loss counts and the bounded flag all agree regardless of ``--jobs`` or
+executor.  The transition budget applies per branch for the same
+reason.
 
 **Probing.**  :meth:`Explorer.probe` walks the same plan but stops as
 soon as the answer to "does every execution reach one projected final
@@ -79,12 +95,14 @@ modelled chip has ``p_stale = 0``, so L1 content is unobservable and the
 draws are semantically inert (enforced at construction).  For the same
 reason a state snapshot leaves L1 lines out, and it copies only the
 shared banks of the SMs the threads are placed on — no other bank is
-ever written.  The explorer remembers which snapshot the live machine
-equals, so restoring the state it has just snapshotted (the next frame
-on the stack, nearly every step of a deep path) costs nothing.
+ever written.  Snapshots and keys are incremental: the explorer
+remembers which snapshot part (each thread's front, the memory image)
+the live machine equals, so a transition rebuilds only the thread it
+moved and, for a write, the memory image, and a restore copies back
+only the parts that differ.
 
 The happens-before bookkeeping uses the same integer-bitmask row idiom
-as PR 4's :class:`~repro.model.relation.IndexedRelation`;
+as :class:`~repro.model.relation.IndexedRelation`;
 :func:`execution_graph` hands a witness trace back to that machinery for
 rendering and tests.
 """
@@ -94,15 +112,14 @@ from dataclasses import dataclass
 from ..analysis.accesses import decode_read_registers, resolve_address
 from ..errors import ConfigurationError, ExplorationLimit, SimulationError
 from ..ptx.instructions import Bra
-from ..ptx.types import Scope
 from ..sim.compile import (_PASS_PAIR, K_ADD, K_CAS, K_EXCH, K_FENCE, K_LOAD,
                            K_STORE, SLOT_BYPASS_BASE, SLOT_MIXED_HAZARD,
                            SLOT_RR_HAZARD, _Thread, compile_cell)
 
 #: Per-thread backward-branch budget per execution: enough to resolve a
 #: two-thread spin-lock handoff with a retry to spare, small enough to
-#: keep lock scenarios tractable.  Cells whose spins close via the state
-#: hash tolerate much larger bounds (the closure fires first).
+#: keep lock scenarios tractable.  Cells whose spins return to states the
+#: cache holds tolerate much larger bounds (the lookup comes first).
 DEFAULT_LOOP_BOUND = 3
 
 #: Per-branch transition budget (see
@@ -128,14 +145,11 @@ KIND_NAMES = {K_LOAD: "load", K_STORE: "store", K_FENCE: "fence",
               K_CAS: "cas", K_EXCH: "exch", K_ADD: "add"}
 
 _ATOMIC_KINDS = (K_CAS, K_EXCH, K_ADD)
+_WRITING_KINDS = (K_STORE,) + _ATOMIC_KINDS
 
 
 class _LoopBoundExceeded(Exception):
-    """Internal: a wrapped backward branch exceeded the loop bound."""
-
-
-class _LoopClosed(Exception):
-    """Internal: a backward branch reproduced an already-seen state."""
+    """Internal: a thread spun past the loop bound twice in one decode."""
 
 
 class _ProbeStop(Exception):
@@ -230,7 +244,8 @@ class ExhaustiveResult:
     """The verdict of one exhaustive exploration."""
 
     reachable: frozenset  #: every reachable final state
-    executions: int       #: complete executions examined
+    executions: int       #: complete executions walked (dpor: the
+                          #: state cache merges converging ones)
     transitions: int      #: transitions executed (the pruning metric)
     losses: int           #: executions satisfying the condition
     bounded: bool         #: True if any branch hit the loop bound
@@ -252,20 +267,20 @@ class ExhaustiveResult:
 class _Event:
     """One executed transition on the current DPOR path."""
 
-    __slots__ = ("label", "hb", "detail", "marks")
+    __slots__ = ("label", "hb", "detail")
 
-    def __init__(self, label, hb, detail, marks):
+    def __init__(self, label, hb, detail):
         self.label = label
         self.hb = hb          # bitmask over earlier path positions
         self.detail = detail  # (tid, kind, address, value, is_store)
-        self.marks = marks    # back-edge state hashes seen during it
 
 
 class _Frame:
     """One state on the explicit DPOR stack."""
 
     __slots__ = ("snapshot", "enabled", "backtrack", "done", "sleep",
-                 "label", "variants")
+                 "label", "variants", "key", "seen", "entry_sleep",
+                 "summary", "open")
 
     def __init__(self, snapshot, enabled, sleep):
         self.snapshot = snapshot
@@ -275,6 +290,44 @@ class _Frame:
         self.sleep = sleep
         self.label = None         # label currently being explored
         self.variants = []        # pending fence-choice scripts for label
+        self.key = None           # state-cache key (dpor only)
+        self.seen = None          # the entry a revisit found, if any
+        self.entry_sleep = None   # the sleep set it was entered with
+        self.summary = 0          # labels executed at or below it, as
+                                  # a bitmask (Explorer._mask)
+        self.open = False         # on a cycle closed further down
+
+
+#: The cache entry of a terminal state: nothing asleep, nothing below.
+_TERMINAL = (None, (), 0)
+
+
+def _thread_numbering(thread):
+    """A thread's next sequence number, then its queued ops' ones."""
+    return (thread.seq,) + tuple([op.seq for op in thread.queue])
+
+
+def _renumber(labels, old, new):
+    """``labels`` (``(tid, seq, ...)`` tuples) as numbered at one visit
+    of a state, renumbered as at another visit of it.
+
+    ``old`` and ``new`` are the two visits' numberings: per thread, the
+    next sequence number followed by the queued ops' ones (the last
+    field of a snapshot's thread front).  Equal keys mean equal queues
+    slot by slot, so a queued op maps to the op at its queue position
+    and a later one keeps its distance from the next number.
+    """
+    maps = []
+    for (old_next, *old_queue), (new_next, *new_queue) in zip(old, new):
+        maps.append((old_next, new_next - old_next,
+                     dict(zip(old_queue, new_queue))))
+    out = set()
+    for label in labels:
+        old_next, offset, queued = maps[label[0]]
+        seq = label[1]
+        seq = queued[seq] if seq < old_next else seq + offset
+        out.add((label[0], seq) + label[2:])
+    return out
 
 
 class Explorer:
@@ -330,10 +383,25 @@ class Explorer:
         #: Ops the threads' programs enqueue, counting each static op
         #: once: a lower bound on the transitions of one launch.
         self.static_ops = sum(len(statics) for statics in cell._op_statics)
+        # Every register a thread can hold, in a fixed order, and the
+        # pending-set bit of each: what the state key reads them by.
+        self._reg_order = []
+        self._reg_bits = []
+        for program, thread in zip(test.threads, self.threads):
+            names = set(thread.init_regs)
+            for instruction in program.instructions:
+                names.update(instruction.defs())
+            order = tuple(sorted(names))
+            self._reg_order.append(order)
+            self._reg_bits.append({name: 1 << index
+                                   for index, name in enumerate(order)})
         self._sleep_only = (strategy == "dpor"
                             and self.static_ops <= SLEEP_ONLY_MAX_OPS)
-        self._closure = not self._fence_choice_points()
+        #: Race reversal needs the summaries of cached states; sleep-only
+        #: cells backtrack on every awake label and need none.
+        self._summaries = strategy == "dpor" and not self._sleep_only
         self._loop_counts = [0] * len(self.threads)
+        self._over_bound = False
         self._wrap_backward_branches()
         self._loc_names = {address: name
                            for name, address in cell.address_map.items()}
@@ -342,12 +410,19 @@ class Explorer:
             thread.reset(self._choice_rng)
         placed = sorted({thread.sm for thread in self.threads})
         self._banks = [self.memory.shared_mem[sm] for sm in placed]
+        # The snapshot part each thread front and the memory image
+        # equal, or None once mutated (see _snapshot and _restore), and
+        # the state-key ids and enabled labels of the same parts.
+        self._live_threads = [None] * len(self.threads)
+        self._live_memory = None
+        self._live_ids = [None] * (len(self.threads) + 1)
+        self._live_enabled = [None] * len(self.threads)
+        self._interned = {}
+        self._label_bits = {}
+        self._label_list = []
         self._base = self._snapshot()
         self._live = self._base
         self._plan = None
-        self._active_seen = set()
-        self._marks = set()
-        self._mark_tid = None
         self._branch_base = 0
         self._project = None
         self._projected = set()
@@ -413,37 +488,16 @@ class Explorer:
                 table[id(st)] = st.dst
         return table
 
-    def _fence_choice_points(self):
-        """Does any execution hit a genuine fence-damping draw?
-
-        Only under-scoped fences draw, and only a damping strictly
-        between 0 and 1 makes the draw a binary choice point (the
-        :class:`_ChoiceRng` short-circuits both extremes).  When no
-        choice point exists the machine state determines the future
-        completely and state-hash loop closure is sound.
-        """
-        damping = self.chip.underscoped_fence_damping
-        if damping <= 0.0 or damping >= 1.0:
-            return False
-        placement = self.test.scope_tree.classify()
-        required = Scope.GL if placement == "inter-cta" else Scope.CTA
-        for program in self.test.threads:
-            for instruction in program.instructions:
-                if (instruction.is_fence
-                        and not instruction.scope.covers(required)):
-                    return True
-        return False
-
-    # -- loop bounding and closure ------------------------------------------
+    # -- loop bounding ------------------------------------------------------
 
     def _wrap_backward_branches(self):
         """Wrap every backward ``bra`` with the per-thread back-edge hook.
 
         Only *taken backward* jumps count (a guarded branch that falls
-        through advances the pc instead); the hook closes the branch on
-        a repeated state (:class:`_LoopClosed`) or abandons it past the
-        loop bound (:class:`_LoopBoundExceeded`, flagging the result
-        ``bounded``).
+        through advances the pc instead).  Past the loop bound the search
+        abandons the state the transition reaches, flagging the result
+        ``bounded``, unless the state cache holds it (:meth:`_back_edge`,
+        :meth:`_dpor`).
         """
         for tid, program in enumerate(self.test.threads):
             thread = self.threads[tid]
@@ -464,52 +518,78 @@ class Explorer:
                 thread.code[pc] = step
 
     def _back_edge(self, tid):
+        """Count one taken back edge of thread ``tid``.
+
+        Past the bound the transition still decodes to its next state,
+        which the cache may hold; a second back edge past the bound in
+        the same decode spins without ever reaching a state to look up,
+        so it abandons the transition at once.
+        """
         counts = self._loop_counts
         counts[tid] += 1
-        if self._closure and tid == self._mark_tid:
-            key = self._canonical_state()
-            if key in self._active_seen or key in self._marks:
-                raise _LoopClosed()
-            self._marks.add(key)
         if counts[tid] > self.loop_bound:
-            raise _LoopBoundExceeded()
+            if self._over_bound:
+                raise _LoopBoundExceeded()
+            self._over_bound = True
 
-    def _canonical_state(self):
-        """A hashable image of everything that determines the future.
+    # -- state keys and save/restore ---------------------------------------
 
-        Thread fronts (pc, registers, pending destinations, queue
-        entries keyed by static slot instead of dynamic seq) plus
-        global/shared memory.  Loop counters and absolute sequence
-        numbers are deliberately excluded — they advance monotonically
-        and would defeat closure — as is L1 content, unobservable with
-        staleness off.
+    def _state_key(self):
+        """The state-cache key of the live machine.
+
+        A tuple of interned ids, one per thread front and one for the
+        memory image, so a lookup hashes a few ints.  A front is its pc,
+        registers (in the thread's fixed register order: every name an
+        initial binding or an instruction writes), pending destinations
+        (a bitmask in the same order) and queue entries by static slot —
+        loop counters and sequence numbers are left out, as is L1
+        content, unobservable with staleness off (:func:`_renumber` maps
+        the labels of two visits onto each other).  Only the parts
+        mutated since the last key or restore are rebuilt.
         """
-        threads = []
+        ids = self._live_ids
+        interned = self._interned
         for tid, thread in enumerate(self.threads):
-            slots = self._slot_index[tid]
-            queue = tuple((slots[id(op.st)], op.address, op.value, op.compare)
-                          for op in thread.queue)
-            threads.append((thread.pc,
-                            tuple(sorted(thread.regs.items())),
-                            tuple(sorted(thread.pending)), queue))
-        memory = self.memory
-        return (tuple(threads),
-                tuple(sorted(memory.global_mem.items())),
-                tuple(tuple(sorted(bank.items()))
-                      for bank in memory.shared_mem))
-
-    # -- state save/restore -------------------------------------------------
+            if ids[tid] is None:
+                pending = 0
+                if thread.pending:
+                    bits = self._reg_bits[tid]
+                    for name in thread.pending:
+                        pending |= bits[name]
+                # One flat tuple of atomic values: the garbage collector
+                # stops tracking it, and only it outlives the lookup.
+                front = [thread.pc, pending]
+                front += map(thread.regs.get, self._reg_order[tid])
+                slots = self._slot_index[tid]
+                for op in thread.queue:
+                    front += (slots[id(op.st)], op.address, op.value,
+                              op.compare)
+                front = tuple(front)
+                ids[tid] = interned.setdefault(front, len(interned))
+        if ids[-1] is None:
+            memory = (tuple(self.memory.global_mem.items()),
+                      tuple(tuple(bank.items()) for bank in self._banks))
+            ids[-1] = interned.setdefault(memory, len(interned))
+        return tuple(ids)
 
     def _snapshot(self):
         """Everything a verdict can depend on: thread fronts, global
         memory, the placed SMs' shared banks and the loop counts.  L1
         lines are left out — unobservable with staleness off, the same
-        argument as :class:`_StubRng` and :meth:`_canonical_state`."""
-        return (tuple((t.pc, t.seq, dict(t.regs), set(t.pending),
-                       list(t.queue)) for t in self.threads),
-                dict(self.memory.global_mem),
-                [dict(bank) for bank in self._banks],
-                list(self._loop_counts))
+        argument as :class:`_StubRng`.  Parts the live machine still
+        shares with an earlier snapshot are reused, not copied: nothing
+        mutates a snapshot once taken."""
+        fronts = self._live_threads
+        for tid, t in enumerate(self.threads):
+            if fronts[tid] is None:
+                fronts[tid] = (t.pc, t.seq, dict(t.regs), set(t.pending),
+                               list(t.queue), _thread_numbering(t))
+        if self._live_memory is None:
+            self._live_memory = (dict(self.memory.global_mem),
+                                 [dict(bank) for bank in self._banks])
+        global_mem, banks = self._live_memory
+        return (tuple(fronts), global_mem, banks, list(self._loop_counts),
+                tuple(self._live_ids), tuple(self._live_enabled))
 
     def _restore(self, snapshot):
         """Make the live machine equal ``snapshot``.
@@ -518,14 +598,20 @@ class Explorer:
         set when a snapshot is taken of the live state or a restore
         completes, cleared by everything that mutates the machine
         (:meth:`_execute`, :meth:`_initial_decode`, a restore in
-        progress), so a restore to ``_live`` has nothing to do.
+        progress), so a restore to ``_live`` has nothing to do.  Below
+        that, a thread front or memory image the live machine still
+        shares with ``snapshot`` is not copied back.
         """
         if snapshot is self._live:
             return
         self._live = None
-        thread_states, global_mem, banks, loop_counts = snapshot
-        for thread, (pc, seq, regs, pending, queue) in zip(self.threads,
-                                                           thread_states):
+        thread_states, global_mem, banks, loop_counts, ids, enabled = snapshot
+        fronts = self._live_threads
+        for tid, (thread, state) in enumerate(zip(self.threads,
+                                                  thread_states)):
+            if fronts[tid] is state:
+                continue
+            pc, seq, regs, pending, queue, _ = state
             thread.pc = pc
             thread.seq = seq
             thread.regs.clear()
@@ -533,12 +619,18 @@ class Explorer:
             thread.pending.clear()
             thread.pending.update(pending)
             thread.queue[:] = queue
-        memory = self.memory
-        memory.global_mem.clear()
-        memory.global_mem.update(global_mem)
-        for bank, saved in zip(self._banks, banks):
-            bank.clear()
-            bank.update(saved)
+            fronts[tid] = state
+            self._live_ids[tid] = ids[tid]
+            self._live_enabled[tid] = enabled[tid]
+        if self._live_memory is None or self._live_memory[0] is not global_mem:
+            memory = self.memory
+            memory.global_mem.clear()
+            memory.global_mem.update(global_mem)
+            for bank, saved in zip(self._banks, banks):
+                bank.clear()
+                bank.update(saved)
+            self._live_memory = (global_mem, banks)
+            self._live_ids[-1] = ids[-1]
         self._loop_counts[:] = loop_counts
         self._live = snapshot
 
@@ -549,18 +641,24 @@ class Explorer:
 
         A label is path-stable (the pending op keeps its identity until
         issued) and deterministically ordered by its unique
-        ``(tid, seq)`` prefix.
+        ``(tid, seq)`` prefix.  A thread's labels depend on its own
+        front only, so they are rebuilt only for the threads mutated
+        since the last call or restore.
         """
-        enabled = {}
+        parts = self._live_enabled
         iv = self.iv
-        flags = self._flags
+        enabled = {}
         for tid, thread in enumerate(self.threads):
-            if thread.pc < thread.ncode or thread.queue:
-                table = flags[tid]
-                for op in thread.eligible_ops(iv):
-                    st = op.st
-                    enabled[(tid, op.seq, st.kind, op.address, st.is_store,
-                             st.is_load, table.get(id(st)))] = op
+            part = parts[tid]
+            if part is None:
+                part = parts[tid] = {}
+                if thread.pc < thread.ncode or thread.queue:
+                    table = self._flags[tid]
+                    for op in thread.eligible_ops(iv):
+                        st = op.st
+                        part[(tid, op.seq, st.kind, op.address, st.is_store,
+                              st.is_load, table.get(id(st)))] = op
+            enabled.update(part)
         return enabled
 
     def _dependent(self, a, b):
@@ -619,7 +717,7 @@ class Explorer:
             return False        # same address: order enforced
         return iv[_PASS_PAIR[b[4]][a[4]]]
 
-    def _execute(self, label, op, events):
+    def _execute(self, label, op):
         """Issue ``op`` and re-decode its thread to fixpoint."""
         self._live = None
         self.transitions += 1
@@ -632,18 +730,14 @@ class Explorer:
                 "space" % (self.test.name, self.chip.short, explored,
                            self.max_transitions))
         tid = label[0]
-        if self._closure:
-            active = set()
-            for event in reversed(events):
-                if event.label[0] != tid:
-                    break
-                active.update(event.marks)
-            self._active_seen = active
-            self._marks = set()
-            self._mark_tid = tid
+        st = op.st
+        self._live_threads[tid] = self._live_ids[tid] = None
+        self._live_enabled[tid] = None
+        if st.kind in _WRITING_KINDS:
+            self._live_memory = self._live_ids[-1] = None
+        self._over_bound = False
         thread = self.threads[tid]
         thread.issue(op)
-        st = op.st
         if st.kind == K_STORE:
             value = op.value
         elif st.kind == K_FENCE:
@@ -796,19 +890,115 @@ class Explorer:
             frame.backtrack.update(candidates or frame.enabled)
         return hb
 
-    def _expand_cycle(self, stack):
-        """Compensate a closed cycle: its truncated future can no longer
-        seed race reversals, so every frame of the same-thread cycle run
-        is conservatively fully expanded (all non-sleeping enabled
-        labels join the backtrack set) before the branch closes."""
-        if self.strategy == "naive":
+    def _enter(self, frame, key, seen, cache, depth):
+        """Put ``frame``, about to go on the stack at ``depth``, in the
+        state cache; ``seen`` is the entry of a state explored again.
+
+        An entry is the stack depth while its state is on the stack,
+        then ``(numbering, sleep, summary)``: the numbering of the visit
+        (see :func:`_renumber`), the sleep set it was entered with (a
+        tuple) and the summary bitmask of the labels executed at or
+        below it — values the garbage collector stops tracking.
+        """
+        frame.key = key
+        frame.seen = seen
+        frame.entry_sleep = tuple(frame.sleep)
+        cache[key] = depth
+
+    def _mask(self, labels):
+        """The summary bitmask of ``labels``: one bit per label, numbered
+        in the order the branch first summarises them."""
+        bits = self._label_bits
+        mask = 0
+        for label in labels:
+            bit = bits.get(label)
+            if bit is None:
+                bit = bits[label] = 1 << len(self._label_list)
+                self._label_list.append(label)
+            mask |= bit
+        return mask
+
+    def _summarised(self, mask):
+        """The labels of summary bitmask ``mask``."""
+        labels = self._label_list
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(labels[low.bit_length() - 1])
+            mask ^= low
+        return out
+
+    def _leave(self, frame, stack, cache):
+        """Record what the search explored at ``frame``, just popped off
+        ``stack``: its summary joins its parent's and its cache entry
+        is completed — or restored, if a cycle left it open."""
+        summary = frame.summary
+        if stack:
+            stack[-1].summary |= summary
+        seen = frame.seen
+        if frame.open:
+            if seen is None:
+                del cache[frame.key]
+            else:
+                cache[frame.key] = seen
             return
-        tid = stack[-1].label[0]
-        for frame in reversed(stack):
-            if frame.label is None or frame.label[0] != tid:
-                break
+        numbering = tuple([state[5] for state in frame.snapshot[0]])
+        sleep = frame.entry_sleep
+        if seen is not None:
+            # Explored again under a sleep set the entry did not cover:
+            # the state is now covered except where both sleep sets
+            # agree.
+            old_numbering, old_sleep, old_summary = seen
+            if old_numbering != numbering:
+                old_sleep = _renumber(old_sleep, old_numbering, numbering)
+                old_summary = self._mask(_renumber(
+                    self._summarised(old_summary), old_numbering,
+                    numbering))
+            sleep = tuple(set(old_sleep).intersection(sleep))
+            summary |= old_summary
+        cache[frame.key] = (numbering, sleep, summary)
+
+    def _revisit(self, seen, stack, events, sleep):
+        """The transition just taken reached a state the cache holds:
+        may the search stop there?
+
+        On the stack, it is a cycle: :meth:`_expand_cycle`, and stop.
+        Otherwise stop only if the stored sleep set is a subset of
+        ``sleep`` (Godefroid's rule), after reversing every race between
+        the current path and a summarised transition, as the pruned
+        future would have.
+        """
+        if type(seen) is int:
+            self._expand_cycle(stack, seen)
+            return True
+        numbering, stored, summary = seen
+        if stored or summary:
+            current = tuple([_thread_numbering(thread)
+                             for thread in self.threads])
+            if current != numbering:
+                stored = _renumber(stored, numbering, current)
+                summary = self._mask(_renumber(self._summarised(summary),
+                                               numbering, current))
+        if not sleep.issuperset(stored):
+            return False
+        if summary:
+            for label in self._summarised(summary):
+                self._update_races(stack, events, label)
+            stack[-1].summary |= summary
+        return True
+
+    @staticmethod
+    def _expand_cycle(stack, depth):
+        """Compensate a cycle back to ``stack[depth]``: its future can
+        seed no race reversal, so every frame from that state up is
+        fully expanded (all non-sleeping enabled labels join the
+        backtrack set), and the frames above it are left out of the
+        cache, their summaries missing what the cycle skipped."""
+        for frame in stack[depth:]:
             frame.backtrack.update(label for label in frame.enabled
                                    if label not in frame.sleep)
+        for frame in stack[depth + 1:]:
+            frame.open = True
 
     def _dpor(self, branch):
         """Explore one root branch from the current (decoded) state.
@@ -818,11 +1008,21 @@ class Explorer:
         state serial sleep-set exploration reaches after finishing those
         siblings) — so exploring the branches in order equals one
         classic run, and exploring them in parallel merges to the same.
+        The ``dpor`` strategy gives the branch a fresh state cache; the
+        state each transition reaches is looked up before anything else
+        (:meth:`_revisit`), then checked against the loop bound.
         """
         enabled = self._enabled()
         if not enabled:
             return
         labels = sorted(enabled)
+        cache = {} if self.strategy == "dpor" else None
+        if cache is not None:
+            self._interned = {}
+            self._live_ids[:] = [None] * len(self._live_ids)
+            self._label_bits = {}
+            self._label_list = []
+            key = self._state_key()
         root = _Frame(self._snapshot(), enabled, set())
         self._live = root.snapshot
         label = labels[branch]
@@ -830,9 +1030,13 @@ class Explorer:
         root.done = set(labels) - {label}
         if self.strategy != "naive":
             root.sleep = set(labels[:branch])
+        if cache is not None:
+            self._enter(root, key, None, cache, 0)
         stack = [root]
         events = []
         rng = self._choice_rng
+        summaries = self._summaries
+        label_bits = self._label_bits
         while stack:
             depth = len(stack) - 1
             frame = stack[depth]
@@ -843,47 +1047,70 @@ class Explorer:
                 label = self._pick(frame)
                 if label is None:
                     stack.pop()
+                    if cache is not None:
+                        self._leave(frame, stack, cache)
                     continue
                 frame.label = label
                 frame.done.add(label)
                 script = ()
+            label = frame.label
             self._restore(frame.snapshot)
-            hb = self._update_races(stack, events, frame.label)
+            hb = self._update_races(stack, events, label)
             rng.begin(script)
-            op = frame.enabled[frame.label]
             try:
-                detail = self._execute(frame.label, op, events)
+                detail = self._execute(label, frame.enabled[label])
             except _LoopBoundExceeded:
                 self._hit_bound()
                 self._queue_variants(frame.variants, script,
                                      tuple(rng.taken))
                 continue
-            except _LoopClosed:
-                self._queue_variants(frame.variants, script,
-                                     tuple(rng.taken))
-                self._expand_cycle(stack)
-                continue
             self._queue_variants(frame.variants, script, tuple(rng.taken))
-            events.append(_Event(frame.label, hb, detail,
-                                 frozenset(self._marks)))
+            events.append(_Event(label, hb, detail))
             if self.strategy == "naive":
                 child_sleep = set()
             else:
                 child_sleep = {other for other in frame.sleep
-                               if not self._dependent(other, frame.label)}
+                               if not self._dependent(other, label)}
+            seen = None
+            if cache is not None:
+                if summaries:
+                    frame.summary |= (label_bits.get(label)
+                                      or self._mask((label,)))
+                key = self._state_key()
+                seen = cache.get(key)
+                if seen is not None and self._revisit(seen, stack, events,
+                                                      child_sleep):
+                    continue
+            if self._over_bound:
+                self._hit_bound()
+                continue
             child = self._make_frame(child_sleep, events)
-            if child is not None:
-                stack.append(child)
+            if child is None:
+                if cache is not None:
+                    cache[key] = _TERMINAL
+                continue
+            if cache is not None:
+                self._enter(child, key, seen, cache, len(stack))
+            stack.append(child)
 
     # -- driver -------------------------------------------------------------
 
     def _initial_decode(self):
-        """Decode every thread to fixpoint before the first issue."""
+        """Decode every thread to fixpoint before the first issue; False
+        when a thread spun past the loop bound on the way (no state the
+        fresh cache holds can excuse it)."""
         self._live = None
-        self._mark_tid = None   # back-edges here only count, never close
-        for thread in self.threads:
-            while thread.decode():
-                pass
+        for tid in range(len(self.threads)):
+            self._live_threads[tid] = self._live_ids[tid] = None
+            self._live_enabled[tid] = None
+        self._over_bound = False
+        try:
+            for thread in self.threads:
+                while thread.decode():
+                    pass
+        except _LoopBoundExceeded:
+            return False
+        return not self._over_bound
 
     def root_plan(self):
         """The static branch partition: ``(fence-script, branch)`` pairs.
@@ -906,13 +1133,11 @@ class Explorer:
             script = scripts.pop()
             self._restore(self._base)
             rng.begin(script)
-            try:
-                self._initial_decode()
-            except _LoopBoundExceeded:
-                self._queue_variants(scripts, script, tuple(rng.taken))
+            within_bound = self._initial_decode()
+            self._queue_variants(scripts, script, tuple(rng.taken))
+            if not within_bound:
                 plan.append((script, -1))
                 continue
-            self._queue_variants(scripts, script, tuple(rng.taken))
             branches = len(self._enabled())
             if branches == 0:
                 plan.append((script, -1))
@@ -951,9 +1176,7 @@ class Explorer:
         self._restore(self._base)
         self._branch_base = self.transitions
         rng.begin(script)
-        try:
-            self._initial_decode()
-        except _LoopBoundExceeded:
+        if not self._initial_decode():
             self._hit_bound()
             return
         if branch < 0:

@@ -39,6 +39,12 @@ DEFAULT_THRESHOLD = 0.15
 #: the two reports.
 _KEY_FIELDS = ("test", "scenario", "name", "chip")
 
+#: Report-level settings that change what a cell measures (the model a
+#: model report checks, the loop bound an exhaust report explores
+#: under): two reports that differ in one measure different things
+#: under the same metric names.
+_SETTING_FIELDS = ("model", "loop_bound")
+
 
 def load_report(path):
     """Read one BENCH_*.json file; raises :class:`ReproError` on junk."""
@@ -133,8 +139,10 @@ def compare_reports(old, new):
     """Pair the cells of two loaded reports and diff their speedups.
 
     Both arguments are parsed report payloads (:func:`load_report`).
-    Comparing reports of different benchmarks (engine vs apps) is
-    refused — same-named metrics would mean different corpora.
+    Comparing reports of different benchmarks (engine vs apps), or of
+    one benchmark run under different settings (two models, two loop
+    bounds), is refused — same-named metrics would measure different
+    things.
     """
     kind_old = old.get("benchmark", "?")
     kind_new = new.get("benchmark", "?")
@@ -142,6 +150,11 @@ def compare_reports(old, new):
         raise ReproError(
             "cannot compare a %r report against a %r report"
             % (kind_old, kind_new))
+    for field in _SETTING_FIELDS:
+        if old.get(field) != new.get(field):
+            raise ReproError(
+                "cannot compare %s reports run with %s %r and %s %r"
+                % (kind_old, field, old.get(field), field, new.get(field)))
     cells_old = {_cell_key(cell): cell for cell in old["cells"]}
     cells_new = {_cell_key(cell): cell for cell in new["cells"]}
     deltas = []

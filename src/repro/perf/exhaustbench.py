@@ -214,7 +214,7 @@ def bench_exhaust_cell(kind, name, chip_short, loop_bound=DEFAULT_LOOP_BOUND,
     pair that ran: DPOR vs naive reachable sets on differential cells,
     and serial vs process-pool merged verdicts (counts and first
     witness) everywhere.  ``bounded`` is DPOR's own flag: naive
-    enumeration has no loop closure and hits the bound on spin cells
+    enumeration keeps no state cache and hits the bound on spin cells
     that DPOR explores completely.
     """
     from ..sim.chip import CHIPS

@@ -62,12 +62,10 @@ class TestPruningSoundness:
         assert dpor.reachable == naive.reachable
         assert dpor.transitions <= naive.transitions
         assert (dpor.losses == 0) == (naive.losses == 0)
-        # State-hash loop closure can complete a spin loop DPOR-side
-        # that naive (whose interleavings break the same-thread spin
-        # suffix the closure keys on) still truncates at the bound —
-        # but never the other way around: naive replays every path
-        # DPOR explores, so a bounded DPOR run implies a bounded naive
-        # run.
+        # DPOR's state cache can complete a spin loop that stateless
+        # naive enumeration still truncates at the bound — but never
+        # the other way around: naive replays every path DPOR explores,
+        # so a bounded DPOR run implies a bounded naive run.
         assert naive.bounded or not dpor.bounded
 
     def test_unknown_strategy_rejected(self):
@@ -163,11 +161,11 @@ class TestBackendEncoding:
 
 
 class TestBoundsAndWitnesses:
-    def test_loop_closure_completes_spin_loops(self):
-        # Before state-hash loop closure the fenced ticket lock's spin
-        # always hit the retry bound ("bounded" verdict); now revisited
-        # spin states close the branch and the DPOR exploration is
-        # complete — and stays complete at deeper bounds.
+    def test_state_cache_completes_spin_loops(self):
+        # Unrolled, the fenced ticket lock's spin always hits the retry
+        # bound ("bounded" verdict); a spin back into a state the cache
+        # holds ends the branch before the bound is checked, so the DPOR
+        # exploration is complete — and stays complete at deeper bounds.
         test = get_scenario("ticket+fenced").test()
         result = explore_test(test, CHIPS["Titan"])
         assert result.complete and not result.bounded
@@ -177,9 +175,8 @@ class TestBoundsAndWitnesses:
         assert deeper.reachable == result.reachable
 
     def test_loop_bound_flags_bounded_verdicts(self):
-        # Naive enumeration interleaves the spinner with the lock
-        # holder, breaking the consecutive same-thread suffix the
-        # closure keys on — its truncations still flag the verdict.
+        # Naive enumeration keeps no state cache, so the spin unrolls
+        # to the bound — and its truncations flag the verdict.
         test = get_scenario("ticket+fenced").test()
         result = explore_test(test, CHIPS["Titan"], strategy="naive")
         assert result.bounded and not result.complete

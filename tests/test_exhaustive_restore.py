@@ -147,7 +147,9 @@ def test_reused_explorer_matches_fresh_explorers(name, chip, strategy):
 
 def test_explorer_reused_after_an_aborted_branch_matches_fresh():
     test, chip = get_scenario("deque-mp").test(), CHIPS["Titan"]
-    budget = 40
+    # The branches explore 16, 40 and 1 transitions: at 30 the second
+    # aborts while the others complete.
+    budget = 30
     outcomes = []
     for index in range(len(Explorer(test, chip).root_plan())):
         try:

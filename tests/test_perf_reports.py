@@ -19,6 +19,7 @@ import os
 import pytest
 
 from repro import perf
+from repro.errors import ReproError
 from repro.sim import have_numpy
 
 _ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -159,6 +160,33 @@ def test_compare_fails_a_report_that_lost_columns(tmp_path):
     status, stderr = _run(["compare", _BASELINE, new])
     assert status == 1
     assert stderr.count("FAIL: ") == 6
+
+
+def _edited_copy(tmp_path, name, field, value):
+    report = _load(os.path.join(_ROOT, "benchmarks", "baselines", name))
+    report[field] = value
+    path = tmp_path / name
+    path.write_text(json.dumps(report))
+    return os.path.join(_ROOT, "benchmarks", "baselines", name), str(path)
+
+
+def _refused(old, new, message):
+    with pytest.raises(ReproError, match=message):
+        perf.compare_reports(_load(old), _load(new))
+    # The command exits 1 with that one line, as for two benchmarks.
+    with pytest.raises(SystemExit, match=message):
+        _run(["compare", old, new])
+
+
+def test_compare_refuses_reports_of_two_models(tmp_path):
+    old, new = _edited_copy(tmp_path, "BENCH_model.tiny.json", "model", "sc")
+    _refused(old, new, "model 'ptx' and model 'sc'")
+
+
+def test_compare_refuses_reports_of_two_loop_bounds(tmp_path):
+    old, new = _edited_copy(tmp_path, "BENCH_exhaust.tiny.json",
+                            "loop_bound", 5)
+    _refused(old, new, "loop_bound 3 and loop_bound 5")
 
 
 def test_compare_ignores_exhaust_columns_without_a_baseline_value():
