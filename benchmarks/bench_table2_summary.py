@@ -6,7 +6,7 @@ simulator observations, model verdicts, app clients, or compiler checks.
 
 from repro._util import format_table
 from repro.api import Session
-from repro.apps import lb_scenario, mp_scenario
+from repro.apps import run_app_campaign
 from repro.compiler import (FENCE_REMOVED, LOAD_CAS_REORDERED,
                             compile_opencl_thread, effective_litmus)
 from repro.errors import OptcheckViolation
@@ -48,12 +48,11 @@ def test_table2_summary(benchmark):
         rows.append(("PTX ISA", "mp-volatile",
                      _observed("mp-volatile", "GTX5", iters)))
         # GPU Computing Gems: fenceless deque loses tasks.
-        lost_mp, _ = mp_scenario("Titan", fenced=False, runs=800, seed=1,
-                                 intensity=60.0)
-        lost_lb, _ = lb_scenario("Titan", fenced=False, runs=800, seed=1,
-                                 intensity=60.0)
+        deque = run_app_campaign(["deque-mp", "deque-lb"], ["Titan"],
+                                 runs=800, seed=1, intensity=60.0)
         rows.append(("GPU Computing Gems", "dlb-lb, dlb-mp",
-                     lost_mp > 0 and lost_lb > 0))
+                     deque.get("deque-mp", "Titan").observations > 0
+                     and deque.get("deque-lb", "Titan").observations > 0))
         # CUDA by Example: fenceless lock reads stale values.
         rows.append(("CUDA by Example", "cas-sl",
                      _observed("cas-sl", "Titan", max(iters, 20000))))

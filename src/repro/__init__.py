@@ -25,11 +25,10 @@ The package provides:
 
 __version__ = "1.1.0"
 
-from .api import (CampaignResult, RunSpec, Session,  # noqa: F401
-                  SpecResult, run_campaign)
+from .api import CampaignResult, RunSpec, Session, SpecResult  # noqa: F401
 from .litmus import LitmusTest, parse_litmus, write_litmus  # noqa: F401
 
 __all__ = [
-    "CampaignResult", "RunSpec", "Session", "SpecResult", "run_campaign",
+    "CampaignResult", "RunSpec", "Session", "SpecResult",
     "LitmusTest", "parse_litmus", "write_litmus", "__version__",
 ]

@@ -42,8 +42,7 @@ from .cache import ResultCache, cache_key
 from .conformance import (CellConformance, ConformanceReport, Violation,
                           run_soundness, uniquify_tests)
 from .result import CampaignResult, ShardResult, SpecResult
-from .session import (DEFAULT_CHUNK_SIZE, Session, SessionStats,
-                      run_campaign)
+from .session import DEFAULT_CHUNK_SIZE, Session, SessionStats
 from .spec import (BEST, RunSpec, matrix, parse_incantations,
                    resolve_chip, resolve_incantations)
 
@@ -54,7 +53,7 @@ __all__ = [
     "CellConformance", "ConformanceReport", "Violation", "run_soundness",
     "uniquify_tests",
     "CampaignResult", "ShardResult", "SpecResult",
-    "DEFAULT_CHUNK_SIZE", "Session", "SessionStats", "run_campaign",
+    "DEFAULT_CHUNK_SIZE", "Session", "SessionStats",
     "BEST", "RunSpec", "matrix", "parse_incantations", "resolve_chip",
     "resolve_incantations",
 ]

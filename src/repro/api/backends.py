@@ -38,9 +38,8 @@ from ..harness.histogram import Histogram
 from ..harness.incantations import efficacy
 from ..litmus.writer import write_litmus
 from ..model.models import MODELS, load_model
-from ..sim.compile import compile_cell
 from ..sim.engine import run_batch
-from ..sim.machine import GpuMachine
+from ..sim.machine import build_machine
 from .result import ShardResult
 
 #: Default iterations per shard.  Small campaign cells (every tier-1
@@ -207,6 +206,9 @@ class SimBackend(PerThreadMemo, Backend):
     ``batch`` is distribution-equivalent under a documented seeded
     stream-break (see :mod:`repro.sim.batch`).  The cache signature
     keeps all three apart (see :meth:`cache_signature`).
+    :func:`repro.sim.machine.build_machine` builds every machine; a
+    subclass changes what it samples only through :meth:`_lowering` and
+    :meth:`_project`.
     """
 
     name = "sim"
@@ -256,56 +258,64 @@ class SimBackend(PerThreadMemo, Backend):
         share an entry."""
         return "shard%d" % min(shard_size, spec.iterations)
 
-    def _machine(self, spec):
+    def _lowering(self, spec):
+        """``(intensity, shuffle_placement, key)`` of ``spec``'s machine:
+        the incantations' efficacy and thread randomisation, and their
+        column, which keys the memo and the plan store."""
         intensity = efficacy(spec.chip.vendor, spec.test.idiom or "mp",
                              spec.incantations)
-        if spec.engine in ("fast", "batch"):
-            cells = getattr(self._local, "cells", None)
-            if cells is None:
-                cells = self._local.cells = {}
-            # Key on what the compiled cell actually depends on — the
-            # engine, test text, chip profile, incantation column — not
-            # the full fingerprint, so iteration/seed variants of one
-            # cell share a single compilation (and the two compiling
-            # engines never share one).
-            key = (spec.engine, spec.test.name, write_litmus(spec.test),
-                   repr(spec.chip), spec.incantations.column)
-            machine = cells.get(key)
-            if machine is None:
-                if len(cells) >= self.MAX_COMPILED:
-                    cells.clear()
-                if spec.engine == "batch":
-                    machine = self._lower_batch(spec, intensity)
-                else:
-                    machine = compile_cell(
-                        spec.test, spec.chip, intensity=intensity,
-                        shuffle_placement=spec.incantations.thread_rand)
-                cells[key] = machine
-            return machine
-        return GpuMachine(spec.test, spec.chip, intensity=intensity,
-                          shuffle_placement=spec.incantations.thread_rand)
+        return (intensity, spec.incantations.thread_rand,
+                spec.incantations.column)
 
-    def _lower_batch(self, spec, intensity):
-        """Lower a batch cell, sharing analysis plans across workers.
+    def _project(self, spec, histogram):
+        """The shard histogram as this backend reports it."""
+        return histogram
 
-        With a plan cache attached, the picklable analysis product of
-        the lowering is looked up by content signature before paying
+    def _machine(self, spec):
+        intensity, shuffle, key = self._lowering(spec)
+        if spec.engine == "reference":
+            return build_machine("reference", spec.test, spec.chip,
+                                 intensity=intensity,
+                                 shuffle_placement=shuffle)
+        cells = getattr(self._local, "cells", None)
+        if cells is None:
+            cells = self._local.cells = {}
+        # Key on what the compiled cell actually depends on — the
+        # engine, test text, chip profile and lowering key — not the
+        # full fingerprint, so iteration/seed variants of one cell
+        # share a single compilation (and the two compiling engines
+        # never share one).
+        memo_key = (spec.engine, spec.test.name, write_litmus(spec.test),
+                    repr(spec.chip), key)
+        machine = cells.get(memo_key)
+        if machine is None:
+            if len(cells) >= self.MAX_COMPILED:
+                cells.clear()
+            machine = cells[memo_key] = self._compile(spec, intensity,
+                                                      shuffle, key)
+        return machine
+
+    def _compile(self, spec, intensity, shuffle, key):
+        """Lower a fast or batch cell, sharing batch analysis plans
+        across workers.
+
+        With a plan cache attached, the picklable analysis product of a
+        batch lowering is looked up by content signature before paying
         the analysis pass, and published after a miss — so a process
         pool analyses each cell once per campaign, not once per worker.
         """
-        from ..sim.batch import PLAN_VERSION, compile_batch_cell
-
         plan = store = signature = None
-        if self.plan_dir:
+        if spec.engine == "batch" and self.plan_dir:
+            from ..sim.batch import PLAN_VERSION
             from ..sim.plancache import plan_signature, plan_store
             store = plan_store(self.plan_dir)
             signature = plan_signature(
-                "sim-batch", PLAN_VERSION, write_litmus(spec.test),
-                repr(spec.chip), spec.incantations.column)
+                "%s-batch" % self.name, PLAN_VERSION,
+                write_litmus(spec.test), repr(spec.chip), key)
             plan = store.get(signature)
-        machine = compile_batch_cell(
-            spec.test, spec.chip, intensity=intensity,
-            shuffle_placement=spec.incantations.thread_rand, plan=plan)
+        machine = build_machine(spec.engine, spec.test, spec.chip,
+                                intensity=intensity,
+                                shuffle_placement=shuffle, plan=plan)
         if store is not None and plan is None:
             store.put(signature, machine.plan())
         return machine
@@ -322,7 +332,8 @@ class SimBackend(PerThreadMemo, Backend):
     def run_shard(self, spec, shard):
         histogram = run_batch(self._machine(spec), shard.iterations,
                               random.Random(shard.seed), Histogram())
-        return ShardResult(histogram, stats=self.consume_stats())
+        return ShardResult(self._project(spec, histogram),
+                           stats=self.consume_stats())
 
 
 class ModelBackend(Backend):

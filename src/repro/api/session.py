@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass
 
 from ..errors import ReproError
 from ..harness.histogram import Histogram
-from .backends import DEFAULT_SHARD_SIZE, make_backend
+from .backends import make_backend
 from .cache import ResultCache, cache_key
 from .result import PROVED, CampaignResult, ShardResult, SpecResult
 from .spec import BEST, RunSpec, matrix
@@ -98,13 +98,14 @@ class Session:
     cache_dir:
         Adds the on-disk JSON tier (implies caching).
     shard_size:
-        Iterations per shard (default
-        :data:`~repro.api.backends.DEFAULT_SHARD_SIZE`).  The
-        decomposition determines the per-shard seeds, so it is part of
-        a result's identity: runs (and cache entries) with different
-        *effective* decompositions are distinct, while any two shard
-        sizes that yield the same decomposition (e.g. both at least the
-        iteration count) share results.  Worker count never matters.
+        Iterations per shard; ``None`` (default) takes the backend's
+        own, which its serial ``Backend.run`` uses (25,000 for sim,
+        10,000 launches for app).  The decomposition determines the
+        per-shard seeds, so it is part of a result's identity: runs
+        (and cache entries) with different *effective* decompositions
+        are distinct, while any two shard sizes that yield the same
+        decomposition (e.g. both at least the iteration count) share
+        results.  Worker count never matters.
     executor:
         ``"thread"`` (default) or ``"process"``.  Threads are cheap and
         deterministic; processes sidestep the GIL for large campaigns
@@ -137,12 +138,14 @@ class Session:
     """
 
     def __init__(self, backend="sim", jobs=1, cache=True, cache_dir=None,
-                 shard_size=DEFAULT_SHARD_SIZE, executor="thread", pool=None,
+                 shard_size=None, executor="thread", pool=None,
                  engine=None, model_engine=None):
         self.backend = make_backend(backend)
         if jobs < 1:
             raise ReproError("jobs must be >= 1, got %r" % jobs)
         self.jobs = int(jobs)
+        if shard_size is None:
+            shard_size = self.backend.shard_size
         if shard_size < 1:
             raise ReproError("shard_size must be >= 1, got %r" % shard_size)
         self.shard_size = int(shard_size)
@@ -389,13 +392,3 @@ class Session:
             return None
         return self.cache.get(key, spec, self.backend.name,
                               self.backend.meta_type)
-
-
-def run_campaign(tests, chips, incantations=BEST, iterations=None, seed=0,
-                 backend="sim", jobs=1, cache_dir=None, engine=None,
-                 model_engine=None):
-    """One-shot convenience: build a Session, run the campaign."""
-    session = Session(backend=backend, jobs=jobs, cache_dir=cache_dir,
-                      engine=engine, model_engine=model_engine)
-    return session.campaign(tests, chips, incantations=incantations,
-                            iterations=iterations, seed=seed)

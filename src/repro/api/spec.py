@@ -170,9 +170,6 @@ class RunSpec:
         """The campaign grid key: ``(test name, chip short)``."""
         return (self.test.name, self.chip.short)
 
-    def with_iterations(self, iterations):
-        return replace(self, iterations=int(iterations))
-
     def with_engine(self, engine):
         return replace(self, engine=resolve_engine(engine))
 

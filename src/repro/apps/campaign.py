@@ -39,7 +39,7 @@ def app_session(jobs=1, executor="thread", cache=True, cache_dir=None,
     """
     return Session(backend=AppBackend(shard_size=shard_size), jobs=jobs,
                    executor=executor, cache=cache, cache_dir=cache_dir,
-                   shard_size=shard_size, pool=pool)
+                   pool=pool)
 
 
 def app_matrix(scenarios, chips, runs=None, seed=0, intensity=STRESS,
@@ -55,24 +55,17 @@ def app_matrix(scenarios, chips, runs=None, seed=0, intensity=STRESS,
     return specs
 
 
-def run_scenario(scenario, chip, runs=None, seed=0, intensity=STRESS,
-                 engine=None, jobs=1, session=None):
-    """Execute one scenario cell; returns its
-    :class:`~repro.api.result.SpecResult` (``result.observations`` is
-    the loss count over ``runs`` launches)."""
-    if session is None:
-        session = app_session(jobs=jobs)
-    spec = ScenarioSpec.make(scenario, chip, runs=runs, seed=seed,
-                             intensity=intensity, engine=engine)
-    return session.run_specs([spec])[0]
-
-
 def run_app_campaign(scenarios, chips, runs=None, seed=0, intensity=STRESS,
                      engine=None, jobs=1, executor="thread",
                      cache_dir=None, session=None):
     """Plan and execute a scenarios x chips campaign; returns a
     :class:`~repro.api.result.CampaignResult` keyed by
-    ``(scenario name, chip short)``."""
+    ``(scenario name, chip short)``.
+
+    ``scenarios`` may mix registry names and
+    :class:`~repro.apps.scenario.Scenario` values built outside the
+    registry (another lock or other partial sums).
+    """
     if session is None:
         session = app_session(jobs=jobs, executor=executor,
                               cache_dir=cache_dir)

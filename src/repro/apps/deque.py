@@ -14,11 +14,10 @@ deque slot — the distilled scenarios touch a single index) in published
 and fixed (fenced) variants, plus a two-slot *round trip* (owner pushes,
 thief steals and hands a processed task back through the second slot).
 
-The scenario drivers (:func:`mp_scenario`, :func:`lb_scenario`) are thin
-wrappers over the declarative registry of :mod:`repro.apps.scenario`,
-executed through the sharded, memoising campaign pipeline of
-:mod:`repro.apps.campaign` — losses are counted by each scenario's loss
-predicate over the outcome histogram.
+:mod:`repro.apps.scenario` builds the ``deque-mp``, ``deque-lb`` and
+``deque-rt`` scenarios from these kernels, and
+:func:`repro.apps.campaign.run_app_campaign` runs them; losses are
+counted by each scenario's loss predicate over the outcome histogram.
 """
 
 from ..compiler.cuda import (AddTo, AtomicCas, AtomicExchange, Cond, If,
@@ -150,52 +149,3 @@ def thief_roundtrip_kernel(result_value, fenced):
     ])
     statements.append(If(Cond("t", "ne", 0), body=tuple(body)))
     return Kernel(statements)
-
-
-def _variant(fenced):
-    return "+fenced" if fenced else ""
-
-
-def mp_scenario(chip, fenced, runs=300, seed=0, intensity=1.0, engine=None,
-                jobs=1, session=None):
-    """Fig. 7's scenario: T0 pushes task 1, T1 steals.
-
-    A *lost task* is a steal that saw the new ``tail`` (tail=1) but read
-    the stale task slot (stolen=0).  Returns ``(lost, runs)``.
-    """
-    from .campaign import run_scenario
-    result = run_scenario("deque-mp" + _variant(fenced), chip, runs=runs,
-                          seed=seed, intensity=intensity, engine=engine,
-                          jobs=jobs, session=session)
-    return result.observations, runs
-
-
-def lb_scenario(chip, fenced, runs=300, seed=0, intensity=1.0, engine=None,
-                jobs=1, session=None):
-    """Fig. 8's scenario: T0 pops (CAS) then pushes task 1; T1 steals.
-
-    The lost-task signature: T0's CAS read the steal's claim (``r0=1``,
-    so the pop returned FAILED) *and* the steal read the later push
-    (``stolen=1``) — the deque lost a task.  Returns ``(lost, runs)``.
-    """
-    from .campaign import run_scenario
-    result = run_scenario("deque-lb" + _variant(fenced), chip, runs=runs,
-                          seed=seed, intensity=intensity, engine=engine,
-                          jobs=jobs, session=session)
-    return result.observations, runs
-
-
-def roundtrip_scenario(chip, fenced, runs=300, seed=0, intensity=1.0,
-                       engine=None, jobs=1, session=None):
-    """The two-slot round trip: owner pushes, thief steals and hands the
-    processed task back through slot 1.
-
-    A loss is either leg going stale: the thief saw the new ``tail`` but
-    stole the empty slot, or the owner saw the new ``tail2`` but read
-    slot 1 before the thief's write landed.  Returns ``(lost, runs)``.
-    """
-    from .campaign import run_scenario
-    result = run_scenario("deque-rt" + _variant(fenced), chip, runs=runs,
-                          seed=seed, intensity=intensity, engine=engine,
-                          jobs=jobs, session=session)
-    return result.observations, runs

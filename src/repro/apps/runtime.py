@@ -7,9 +7,9 @@ and executes them as a grid on a simulated chip, returning the final
 memory image — the GPU-side of ``cudaMemcpy`` back to the host.
 
 A :class:`Grid` compiles its kernels into a litmus-shaped
-:class:`~repro.litmus.test.LitmusTest` once and binds it to a machine on
-either simulation engine (``fast``: a
-:class:`~repro.sim.compile.CompiledCell` built once and reused across
+:class:`~repro.litmus.test.LitmusTest` once and binds it to the machine
+:func:`repro.sim.machine.build_machine` builds for its engine (``fast``:
+a :class:`~repro.sim.compile.CompiledCell` built once and reused across
 launches — the spin-loop kernels of the application studies are exactly
 the shapes the compiler specialises best; ``reference``: the generic
 :class:`~repro.sim.machine.GpuMachine` interpreter).  Both those
@@ -35,9 +35,8 @@ from ..hierarchy import MemoryMap, ScopeTree
 from ..litmus.condition import trivial_condition
 from ..litmus.test import LitmusTest
 from ..sim.chip import chip as resolve_chip
-from ..sim.compile import compile_cell
 from ..sim.engine import resolve_engine, run_batch
-from ..sim.machine import GpuMachine
+from ..sim.machine import build_machine
 
 
 @dataclass
@@ -91,16 +90,8 @@ class Grid:
                                       placement=placement, shared=shared,
                                       name=name)
         self.engine = resolve_engine(engine)
-        if self.engine == "fast":
-            self.machine = compile_cell(self.test, self.chip,
-                                        intensity=intensity)
-        elif self.engine == "batch":
-            from ..sim.batch import compile_batch_cell
-            self.machine = compile_batch_cell(self.test, self.chip,
-                                              intensity=intensity)
-        else:
-            self.machine = GpuMachine(self.test, self.chip,
-                                      intensity=intensity)
+        self.machine = build_machine(self.engine, self.test, self.chip,
+                                     intensity=intensity)
 
     def launch(self, seed=0):
         """Run the grid once; returns a :class:`LaunchResult`."""

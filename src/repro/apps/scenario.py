@@ -231,9 +231,6 @@ class ScenarioSpec:
     def with_engine(self, engine):
         return replace(self, engine=resolve_engine(engine))
 
-    def with_runs(self, runs):
-        return replace(self, iterations=int(runs))
-
     def fingerprint(self):
         """Stable content hash (hex digest), memoised.
 

@@ -29,8 +29,7 @@ from .backend import (EXHAUSTIVE_VERSION, ExhaustiveBackend, ExhaustiveMeta,
 from .explore import (DEFAULT_LOOP_BOUND, DEFAULT_MAX_TRANSITIONS,
                       STRATEGIES, ExhaustiveResult, Explorer, Witness,
                       WitnessEvent, execution_graph, explore_test)
-from .verify import (VERIFIED_TEXT, VerifyReport, VerifyRow,
-                     verify_scenarios, verify_selection)
+from .verify import VERIFIED_TEXT, VerifyReport, VerifyRow, verify_scenarios
 
 __all__ = [
     "DEFAULT_LOOP_BOUND", "DEFAULT_MAX_TRANSITIONS", "EXHAUSTIVE_VERSION",
@@ -39,5 +38,4 @@ __all__ = [
     "VERIFIED_TEXT", "VerifyReport", "VerifyRow", "Witness", "WitnessEvent",
     "encode_exhaustive_histogram", "execution_graph", "exhaustive_session",
     "exhaustive_verdict", "explore_test", "verify_scenarios",
-    "verify_selection",
 ]

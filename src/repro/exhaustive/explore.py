@@ -359,6 +359,10 @@ class Explorer:
         if loop_bound < 1:
             raise ConfigurationError(
                 "loop_bound must be >= 1, got %r" % (loop_bound,))
+        # Checked here only: probe() lowers the budget after construction.
+        if max_transitions < 1:
+            raise ConfigurationError(
+                "max_transitions must be >= 1, got %r" % (max_transitions,))
         self.test = test
         self.chip = chip
         self.strategy = strategy

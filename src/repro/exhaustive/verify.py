@@ -20,8 +20,7 @@ recorded it, and the merge keeps the serial exploration's first one.
 
 from dataclasses import dataclass
 
-from ..apps.scenario import ScenarioSpec, select_scenarios
-from ..errors import ReproError
+from ..apps.scenario import ScenarioSpec
 from ..sim.chip import chip as resolve_chip
 from .backend import exhaustive_session, exhaustive_verdict
 from .explore import DEFAULT_LOOP_BOUND, DEFAULT_MAX_TRANSITIONS
@@ -135,12 +134,3 @@ def verify_scenarios(scenarios, chips, intensity=1.0,
             bounded=verdict["bounded"],
             witness=verdict["witness"] if witnesses else None))
     return VerifyReport(rows=tuple(rows), loop_bound=loop_bound)
-
-
-def verify_selection(names=("all",), fenced="both", chips=None, **kwargs):
-    """Name-based front end: resolve the registry selection, then
-    :func:`verify_scenarios`."""
-    scenarios = select_scenarios(names, fenced=fenced)
-    if not scenarios:
-        raise ReproError("the scenario selection is empty")
-    return verify_scenarios(scenarios, chips or ["Titan"], **kwargs)

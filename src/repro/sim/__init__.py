@@ -20,7 +20,8 @@ Three engines execute litmus iterations:
 Pick one per run via :func:`run_iterations`'s ``engine`` argument, the
 ``engine`` field of :class:`repro.api.RunSpec`, or the CLI's
 ``--engine``; :func:`~repro.sim.engine.resolve_engine` applies the
-``REPRO_ENGINE`` environment default.
+``REPRO_ENGINE`` environment default.  :func:`build_machine` turns the
+choice into a machine for every caller that samples.
 """
 
 from .chip import (AMD_RESULT_CHIPS, CHIPS, ChipProfile,
@@ -28,7 +29,7 @@ from .chip import (AMD_RESULT_CHIPS, CHIPS, ChipProfile,
 from .compile import CompiledCell, compile_cell
 from .engine import (DEFAULT_ENGINE, ENGINES, PendingOp, ThreadEngine,
                      resolve_engine, run_batch)
-from .machine import GpuMachine, run_iterations
+from .machine import GpuMachine, build_machine, run_iterations
 from .memory import MemorySystem
 
 __all__ = [
@@ -38,7 +39,7 @@ __all__ = [
     "CompiledCell", "compile_cell",
     "DEFAULT_ENGINE", "ENGINES", "PendingOp", "ThreadEngine",
     "resolve_engine", "run_batch",
-    "GpuMachine", "run_iterations",
+    "GpuMachine", "build_machine", "run_iterations",
     "MemorySystem",
 ]
 

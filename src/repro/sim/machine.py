@@ -12,7 +12,7 @@ import random
 from ..errors import FuelExhausted, SimulationError
 from ..litmus.condition import FinalState
 from ..ptx.types import Scope
-from .engine import ThreadEngine
+from .engine import ThreadEngine, resolve_engine, run_batch
 from .memory import MemorySystem
 
 #: Scheduler-tick budget per thread instruction (spin-loop headroom).
@@ -140,6 +140,34 @@ class GpuMachine:
         return FinalState.make(regs, mem)
 
 
+def build_machine(engine, test, chip, intensity=1.0, stale_intensity=None,
+                  shuffle_placement=False, plan=None):
+    """The machine ``engine`` (resolved by
+    :func:`~repro.sim.engine.resolve_engine`) runs ``test`` on ``chip``
+    with: a :class:`GpuMachine` for ``"reference"``, a
+    :class:`~repro.sim.compile.CompiledCell` for ``"fast"``
+    (bit-identical), a :class:`~repro.sim.batch.BatchCell` for
+    ``"batch"`` (distribution-equivalent; lowered from ``plan`` when
+    given).  The compilers are imported at the call, so numpy loads only
+    with a batch cell and a wrapper on either compiler sees every call.
+    """
+    resolved = resolve_engine(engine)
+    if resolved == "batch":
+        from .batch import compile_batch_cell
+        return compile_batch_cell(test, chip, intensity=intensity,
+                                  stale_intensity=stale_intensity,
+                                  shuffle_placement=shuffle_placement,
+                                  plan=plan)
+    if resolved == "fast":
+        from .compile import compile_cell
+        return compile_cell(test, chip, intensity=intensity,
+                            stale_intensity=stale_intensity,
+                            shuffle_placement=shuffle_placement)
+    return GpuMachine(test, chip, intensity=intensity,
+                      stale_intensity=stale_intensity,
+                      shuffle_placement=shuffle_placement)
+
+
 def run_iterations(test, chip, iterations, seed=0, intensity=1.0,
                    stale_intensity=None, shuffle_placement=False,
                    engine=None):
@@ -147,38 +175,10 @@ def run_iterations(test, chip, iterations, seed=0, intensity=1.0,
     ``FinalState -> count``.  (The full-featured runner with incantations
     is :meth:`repro.api.Session.run`.)
 
-    ``engine`` picks the execution engine: ``"reference"`` interprets
-    through :class:`GpuMachine`, ``"fast"`` runs the compiled cell of
-    :mod:`repro.sim.compile` (bit-identical histograms), ``"batch"``
-    runs the whole request as one numpy lockstep batch
-    (:mod:`repro.sim.batch` — distribution-equivalent, needs the
-    ``repro[batch]`` extra); ``None`` defers to
-    :func:`~repro.sim.engine.resolve_engine`.
+    ``engine`` picks the machine as :func:`build_machine` does;
+    :func:`~repro.sim.engine.run_batch` runs it.
     """
-    from .engine import resolve_engine
-
-    resolved = resolve_engine(engine)
-    if resolved == "batch":
-        from .batch import compile_batch_cell
-
-        cell = compile_batch_cell(test, chip, intensity=intensity,
-                                  stale_intensity=stale_intensity,
-                                  shuffle_placement=shuffle_placement)
-        counts = cell.run_many(iterations, random.Random(seed)).counts
-        return dict(counts)
-    if resolved == "fast":
-        from .compile import compile_cell
-
-        machine = compile_cell(test, chip, intensity=intensity,
-                               stale_intensity=stale_intensity,
-                               shuffle_placement=shuffle_placement)
-    else:
-        machine = GpuMachine(test, chip, intensity=intensity,
-                             stale_intensity=stale_intensity,
-                             shuffle_placement=shuffle_placement)
-    rng = random.Random(seed)
-    histogram = {}
-    for _ in range(iterations):
-        state = machine.run_once(rng)
-        histogram[state] = histogram.get(state, 0) + 1
-    return histogram
+    machine = build_machine(engine, test, chip, intensity=intensity,
+                            stale_intensity=stale_intensity,
+                            shuffle_placement=shuffle_placement)
+    return run_batch(machine, iterations, random.Random(seed)).counts

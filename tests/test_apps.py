@@ -2,14 +2,20 @@
 
 import pytest
 
-from repro.apps import (Grid, cuda_by_example_lock, dot_product, he_yu_lock,
-                        isolation_test, launch, lb_scenario, mp_scenario,
-                        stuart_owens_lock)
+from repro.apps import Grid, he_yu_lock, launch, run_app_campaign
 from repro.compiler.cuda import Kernel, Load, Store
 
 #: High intensity stands in for the paper's stressful workloads: the app
 #: bugs occur at 4-750 per 100k on hardware, far below unit-test budgets.
 STRESS = 100.0
+
+
+def losses(scenario, chip, runs, seed, intensity):
+    """The loss count of one registry scenario cell: wrong sums, lost
+    tasks or isolation violations over ``runs`` launches."""
+    campaign = run_app_campaign([scenario], [chip], runs=runs, seed=seed,
+                                intensity=intensity)
+    return campaign.get(scenario, chip).observations
 
 
 class TestRuntime:
@@ -31,48 +37,48 @@ class TestRuntime:
 
 class TestCudaByExampleLock:
     def test_buggy_lock_loses_updates_on_weak_chips(self):
-        wrong, runs = dot_product("Titan", cuda_by_example_lock, fenced=False,
-                                  runs=200, seed=1, intensity=STRESS)
+        wrong = losses("dot-cbe", "Titan", runs=200, seed=1,
+                       intensity=STRESS)
         assert wrong > 0
 
     def test_fenced_lock_always_correct(self):
-        wrong, _ = dot_product("Titan", cuda_by_example_lock, fenced=True,
-                               runs=200, seed=1, intensity=STRESS)
+        wrong = losses("dot-cbe+fenced", "Titan", runs=200, seed=1,
+                       intensity=STRESS)
         assert wrong == 0
 
     def test_maxwell_unaffected(self):
         # GTX 750 orders atomics: the published lock happens to work.
-        wrong, _ = dot_product("GTX7", cuda_by_example_lock, fenced=False,
-                               runs=200, seed=1, intensity=STRESS)
+        wrong = losses("dot-cbe", "GTX7", runs=200, seed=1,
+                       intensity=STRESS)
         assert wrong == 0
 
     def test_amd_also_affected(self):
-        wrong, _ = dot_product("HD7970", cuda_by_example_lock, fenced=False,
-                               runs=200, seed=1, intensity=STRESS)
+        wrong = losses("dot-cbe", "HD7970", runs=200, seed=1,
+                       intensity=STRESS)
         assert wrong > 0
 
 
 class TestStuartOwensLock:
     def test_exchange_is_no_substitute_for_a_fence(self):
-        wrong, _ = dot_product("Titan", stuart_owens_lock, fenced=False,
-                               runs=200, seed=2, intensity=STRESS)
+        wrong = losses("dot-so", "Titan", runs=200, seed=2,
+                       intensity=STRESS)
         assert wrong > 0
 
     def test_fenced_version_correct(self):
-        wrong, _ = dot_product("Titan", stuart_owens_lock, fenced=True,
-                               runs=200, seed=2, intensity=STRESS)
+        wrong = losses("dot-so+fenced", "Titan", runs=200, seed=2,
+                       intensity=STRESS)
         assert wrong == 0
 
 
 class TestHeYuLock:
     def test_isolation_violated_by_published_lock(self):
-        violations, _ = isolation_test("Titan", fixed=False, runs=200, seed=1,
-                                       intensity=STRESS)
+        violations = losses("isolation", "Titan", runs=200, seed=1,
+                            intensity=STRESS)
         assert violations > 0
 
     def test_fixed_lock_preserves_isolation(self):
-        violations, _ = isolation_test("Titan", fixed=True, runs=200, seed=1,
-                                       intensity=STRESS)
+        violations = losses("isolation+fenced", "Titan", runs=200, seed=1,
+                            intensity=STRESS)
         assert violations == 0
 
     def test_lock_shapes(self):
@@ -84,34 +90,34 @@ class TestHeYuLock:
 
 class TestWorkStealingDeque:
     def test_mp_bug_loses_pushed_task(self):
-        lost, _ = mp_scenario("Titan", fenced=False, runs=300, seed=1,
-                              intensity=STRESS)
+        lost = losses("deque-mp", "Titan", runs=300, seed=1,
+                      intensity=STRESS)
         assert lost > 0
 
     def test_mp_bug_fixed_by_fences(self):
-        lost, _ = mp_scenario("Titan", fenced=True, runs=300, seed=1,
-                              intensity=STRESS)
+        lost = losses("deque-mp+fenced", "Titan", runs=300, seed=1,
+                      intensity=STRESS)
         assert lost == 0
 
     def test_lb_bug_steals_future_push(self):
-        lost, _ = lb_scenario("Titan", fenced=False, runs=300, seed=1,
-                              intensity=STRESS)
+        lost = losses("deque-lb", "Titan", runs=300, seed=1,
+                      intensity=STRESS)
         assert lost > 0
 
     def test_lb_bug_fixed_by_fences(self):
-        lost, _ = lb_scenario("Titan", fenced=True, runs=300, seed=1,
-                              intensity=STRESS)
+        lost = losses("deque-lb+fenced", "Titan", runs=300, seed=1,
+                      intensity=STRESS)
         assert lost == 0
 
     def test_deque_safe_on_strong_chip(self):
-        lost, _ = mp_scenario("GTX280", fenced=False, runs=200, seed=1,
-                              intensity=STRESS)
+        lost = losses("deque-mp", "GTX280", runs=200, seed=1,
+                      intensity=STRESS)
         assert lost == 0
-        lost, _ = lb_scenario("GTX280", fenced=False, runs=200, seed=1,
-                              intensity=STRESS)
+        lost = losses("deque-lb", "GTX280", runs=200, seed=1,
+                      intensity=STRESS)
         assert lost == 0
 
     def test_lb_bug_on_gcn(self):
         # Fig. 8: HD7970 shows dlb-lb at 13591/100k — the strongest case.
-        lost, _ = lb_scenario("HD7970", fenced=False, runs=300, seed=1)
+        lost = losses("deque-lb", "HD7970", runs=300, seed=1, intensity=1.0)
         assert lost > 0

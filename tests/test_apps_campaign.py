@@ -25,13 +25,14 @@ import os
 import pytest
 
 from repro import cli
-from repro.api import CampaignResult, make_backend
+from repro.api import CampaignResult, Session, make_backend
 from repro.api.cache import ResultCache
 from repro.api.result import PROVED
 from repro.apps import (AppBackend, Grid, LaunchResult, SCENARIOS,
                         ScenarioSpec, app_session, dot_product_scenario,
                         get_scenario, launch, run_app_campaign,
-                        run_scenario, select_scenarios)
+                        select_scenarios)
+from repro.apps.scenario import ticket_counter_scenario
 from repro.compiler.cuda import Kernel, Load, Store
 from repro.errors import ConfigurationError, ReproError
 from repro.litmus.condition import Always, trivial_condition
@@ -193,6 +194,18 @@ class TestShardingParity:
         b = process.run_specs([spec])[0]
         assert a.histogram.counts == b.histogram.counts
 
+    def test_session_shards_at_the_backend_size(self):
+        """A session given no shard size takes the app backend's 10,000
+        launches, so it reproduces the serial ``AppBackend.run``."""
+        spec = ScenarioSpec.make("deque-mp", "Titan", runs=12000, seed=3,
+                                 intensity=STRESS)
+        session = Session(backend="app", cache=False)
+        result = session.run_specs([spec])[0]
+        serial = AppBackend().run(spec)
+        assert result.histogram.counts == serial.histogram.counts
+        assert session.stats.shards_executed == 2
+        assert session._cache_key(spec).startswith("app-shard10000-")
+
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_single_shard_reproduces_grid_stream(self, name):
         """Legacy driver parity: one campaign shard == Grid.launch_many."""
@@ -256,9 +269,9 @@ class TestAppBackendCache:
 class TestPaperBehaviours:
     @pytest.mark.parametrize("name", UNFENCED)
     def test_published_code_loses_on_weak_chips(self, name, session):
-        result = run_scenario(name, "Titan", runs=150, seed=1,
-                              intensity=STRESS, session=session)
-        assert result.observations > 0, \
+        campaign = run_app_campaign([name], ["Titan"], runs=150, seed=1,
+                                    intensity=STRESS, session=session)
+        assert campaign.get(name, "Titan").observations > 0, \
             "%s showed no losses on the Titan under stress" % name
 
     @pytest.mark.parametrize("name", FENCED)
@@ -320,22 +333,21 @@ class TestRuntimeSatellites:
                 == ref.launch_batch(50, seed=6).counts)
 
     def test_custom_locals_build_adhoc_scenario(self):
-        from repro.apps import dot_product, cuda_by_example_lock
-        wrong, runs = dot_product("GTX280", cuda_by_example_lock,
-                                  fenced=False, locals_=(1, 2, 3), runs=20,
-                                  seed=1)
-        assert (wrong, runs) == (0, 20)
+        scenario = dot_product_scenario("cbe", fenced=False, locals_=(1, 2, 3))
+        result = run_app_campaign([scenario], ["GTX280"], runs=20, seed=1,
+                                  intensity=1.0).get("dot-cbe", "GTX280")
+        assert (result.observations, result.iterations) == (0, 20)
 
     def test_ticket_counter_honours_locals(self):
-        from repro.apps import ticket_counter
         # A single ticket has no handoff race: always correct, unlike
         # the default two-ticket client under stress.
-        alone, _ = ticket_counter("Titan", fenced=False, locals_=(1,),
-                                  runs=50, seed=1, intensity=STRESS)
-        racing, _ = ticket_counter("Titan", fenced=False, runs=50, seed=1,
-                                   intensity=STRESS)
-        assert alone == 0
-        assert racing > 0
+        alone = run_app_campaign([ticket_counter_scenario(False,
+                                                          locals_=(1,))],
+                                 ["Titan"], runs=50, seed=1, intensity=STRESS)
+        racing = run_app_campaign(["ticket"], ["Titan"], runs=50, seed=1,
+                                  intensity=STRESS)
+        assert alone.get("ticket", "Titan").observations == 0
+        assert racing.get("ticket", "Titan").observations > 0
 
     def test_dot_product_scenario_unknown_lock(self):
         with pytest.raises(ConfigurationError):

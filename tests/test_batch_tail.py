@@ -24,7 +24,8 @@ import random
 
 import pytest
 
-from repro.apps import app_session, get_scenario, run_scenario
+from repro.api import Session
+from repro.apps import app_session, get_scenario
 from repro.apps.scenario import ScenarioSpec
 from repro.harness.histogram import Histogram
 from repro.litmus import library
@@ -88,8 +89,9 @@ class TestStreamGoldens:
 
     @pytest.mark.parametrize("name,chip", SPIN_CELLS)
     def test_app_backend_goldens(self, name, chip):
-        result = run_scenario(name, chip, runs=2000, seed=17, engine="batch",
-                              session=app_session(cache=False))
+        spec = ScenarioSpec.make(name, chip, runs=2000, seed=17,
+                                 intensity=100.0, engine="batch")
+        result = app_session(cache=False).run_specs([spec])[0]
         assert _signature(result.histogram) == APP_GOLDENS[name, chip]
 
     @pytest.mark.parametrize("name,chip", (("mp", "Titan"), ("sb", "GTX5")))
@@ -135,12 +137,13 @@ class TestTailDeterminism:
         assert histogram.counts == first
 
     def test_jobs_and_executor_invariant(self):
-        kwargs = dict(runs=600, seed=3, engine="batch")
+        spec = ScenarioSpec.make("ticket", "TesC", runs=600, seed=3,
+                                 intensity=100.0, engine="batch")
         serial = app_session(cache=False, shard_size=150)
         threaded = app_session(cache=False, shard_size=150, jobs=3)
         process = app_session(cache=False, shard_size=150, jobs=2,
                               executor="process")
-        results = [run_scenario("ticket", "TesC", session=session, **kwargs)
+        results = [session.run_specs([spec])[0]
                    for session in (serial, threaded, process)]
         assert (results[0].histogram.counts == results[1].histogram.counts
                 == results[2].histogram.counts)
@@ -204,15 +207,34 @@ class TestPlanCache:
         cached = first.run_specs([spec_a])[0]
         assert cached.cached and cached.stats is None
 
+    def test_litmus_batch_cells_share_the_store(self, tmp_path):
+        """The sim backend lowers through the same plan store as the app
+        backend: a second session on the directory hits the first one's
+        plan, and the replayed cell samples as a fresh lowering does."""
+        test = library.build("mp")
+        first = Session(engine="batch", cache_dir=str(tmp_path))
+        first.run(test, "Titan", iterations=2000, seed=1)
+        assert (first.stats.plan_cache_hits,
+                first.stats.plan_cache_misses) == (0, 1)
+        second = Session(engine="batch", cache_dir=str(tmp_path))
+        replayed = second.run(test, "Titan", iterations=2000, seed=2)
+        assert (second.stats.plan_cache_hits,
+                second.stats.plan_cache_misses) == (1, 0)
+        fresh = Session(engine="batch", cache=False).run(
+            test, "Titan", iterations=2000, seed=2)
+        assert replayed.histogram.counts == fresh.histogram.counts
+
     def test_process_pool_workers_hit_shared_store(self, tmp_path):
         cache_dir = str(tmp_path)
         warmup = app_session(cache_dir=cache_dir)
-        run_scenario("dot-cbe", "Titan", runs=200, seed=1, engine="batch",
-                     session=warmup)
+        warmup.run_specs([ScenarioSpec.make("dot-cbe", "Titan", runs=200,
+                                            seed=1, intensity=100.0,
+                                            engine="batch")])
         assert warmup.stats.plan_cache_misses >= 1
         pooled = app_session(cache_dir=cache_dir, jobs=2,
                              executor="process", shard_size=100)
-        run_scenario("dot-cbe", "Titan", runs=200, seed=2, engine="batch",
-                     session=pooled)
+        pooled.run_specs([ScenarioSpec.make("dot-cbe", "Titan", runs=200,
+                                            seed=2, intensity=100.0,
+                                            engine="batch")])
         assert pooled.stats.plan_cache_hits >= 1
         assert pooled.stats.plan_cache_misses == 0

@@ -186,6 +186,14 @@ class TestBoundsAndWitnesses:
         with pytest.raises(ConfigurationError):
             explore_test(library.build("mp"), CHIPS["Titan"], loop_bound=0)
 
+    @pytest.mark.parametrize("budget", (0, -5))
+    def test_invalid_transition_budget_rejected(self, budget):
+        with pytest.raises(ConfigurationError) as excinfo:
+            explore_test(library.build("mp"), CHIPS["Titan"],
+                         max_transitions=budget)
+        assert "max_transitions" in str(excinfo.value)
+        assert str(budget) in str(excinfo.value)
+
     def test_transition_budget_fails_loudly(self):
         with pytest.raises(ExplorationLimit) as excinfo:
             explore_test(library.build("mp"), CHIPS["Titan"],

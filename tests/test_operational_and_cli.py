@@ -259,6 +259,18 @@ class TestCli:
         (line,) = proc.stderr.splitlines()
         assert flag in line
 
+    @pytest.mark.parametrize("budget", ("0", "-5"))
+    def test_bad_transition_budget_exits_without_traceback(self, budget):
+        """Both used to abort every cell "after 1 transitions" and ask
+        for a larger budget."""
+        proc = _cli_subprocess(["verify", "--scenario", "deque-mp",
+                                "--chips", "Titan", "--max-transitions",
+                                budget])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stdout + proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert "max_transitions" in line and budget in line
+
     def test_short_corpus_of_long_cycles_stops_early(self):
         """Two tests come from the shortest cycles; enumerating every
         cycle up to length 40 first never finished."""
