@@ -155,9 +155,11 @@ def enumerate_cycles(pool, length):
     pool in order reaches first -- and classes come in the order that
     walk reaches them.  The walk is the Fredricksen-Kessler-Maiorana
     necklace generator restricted to direction-compatible sequences: it
-    extends only prefixes that can still begin a least rotation, closes
-    the last edge onto the first edge's direction, and builds a
-    candidate cycle only for a sequence no rotation of which is smaller.
+    extends only prefixes that can still begin a least rotation and
+    still reach two external edges, closes the last edge onto the first
+    edge's direction, and builds a candidate cycle only for a sequence
+    no rotation of which is smaller and that does not have exactly one
+    location-changing edge (:class:`Cycle` rejects both shapes).
     """
     if length < 2:
         return
@@ -167,30 +169,40 @@ def enumerate_cycles(pool, length):
     edges = list(unique.values())
     successors = [[j for j, nxt in enumerate(edges) if nxt.src == edge.dst]
                   for edge in edges]
+    external = [0 if edge.same_thread else 1 for edge in edges]
+    changes = [0 if edge.same_loc else 1 for edge in edges]
 
-    def walk(sequence, period):
+    def walk(sequence, period, n_external, n_changes):
         # ``sequence`` is a least-rotation prefix: its longest Lyndon
         # prefix, of length ``period``, repeated and then cut short.  The
         # next edge may not sort before the one a period back.
+        # ``n_external``/``n_changes`` count its external and
+        # location-changing edges, the two counts Cycle rejects on.
         position = len(sequence)
         if position == length:
             # A least-rotation prefix is a least rotation exactly when
             # its period divides its length.
-            if length % period == 0:
+            if length % period == 0 and n_changes != 1:
                 cycle = try_cycle([edges[i] for i in sequence])
                 if cycle is not None:
                     yield cycle
             return
         bound = sequence[position - period]
         closing = edges[sequence[0]].src if position == length - 1 else None
+        # Skip an edge after which even all-external remaining edges
+        # could not give the cycle its two external edges.
+        needed = 2 - n_external - (length - position - 1)
         for j in successors[sequence[-1]]:
             if j < bound or (closing is not None and edges[j].dst != closing):
                 continue
+            if external[j] < needed:
+                continue
             yield from walk(sequence + (j,),
-                            period if j == bound else position + 1)
+                            period if j == bound else position + 1,
+                            n_external + external[j], n_changes + changes[j])
 
     for first in range(len(edges)):
-        yield from walk((first,), 1)
+        yield from walk((first,), 1, external[first], changes[first])
 
 
 def cycles_up_to(pool, max_length):

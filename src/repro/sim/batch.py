@@ -769,9 +769,7 @@ class BatchCell:
         for row in range(st.n):
             snap = self._snapshot_row(st, row)
             seed = int(st.rng.integers(0, 1 << 63))
-            state = fast.resume(snap, _random.Random(seed))
-            out[row, :] = ([value for _, value in state.regs]
-                           + [value for _, value in state.mem])
+            out[row, :] = fast.resume(snap, _random.Random(seed))
         blocks.append(out)
 
     def _fast_twin(self):

@@ -22,16 +22,33 @@ benchmark and the Sec. 5.4 soundness campaign.
   from an intent *vector* instead of formatting dictionary keys;
 * machine and memory state is **reused across iterations** — dicts are
   cleared and refilled rather than reallocated, and the compiled cell is
-  reused across all shards that a backend runs in-process.
+  reused across all shards that a backend runs in-process;
+* a whole shard runs in one loop, :meth:`CompiledCell.tally`, which
+  binds the draw plan, memory, threads and outcome reader once, counts
+  each iteration's outcome as a plain tuple of register and memory
+  values and builds one :class:`FinalState` per *distinct* outcome, in
+  first-seen order, instead of building, hashing and comparing one per
+  iteration.  :meth:`CompiledCell.run_once` is its one-iteration case
+  and :meth:`CompiledCell.resume` shares its scheduler loop.  The loop
+  is not called ``run_many``: :func:`~repro.sim.engine.run_batch` and
+  profilers (perfbench's tracer) read that name as a batch cell, whose
+  launches are counted apart from engine iterations;
+* a thread's ``tick`` skips decode once its front end is past the
+  program, returns on an empty queue, and issues a lone queued op
+  directly: the oldest op is always eligible, and a single candidate
+  takes no draw.
 
 Correctness contract (property-tested in ``tests/test_sim_compile.py``):
 for the same seed, a compiled cell consumes the underlying ``Random``
-stream in *exactly* the same sequence as the reference engine, and
-therefore produces **bit-identical histograms** for every test × chip ×
-incantation combination and any shard decomposition.  Anything less
-would silently change every figure benchmark; any intentional change to
-the reference semantics must be mirrored here (the equivalence suite
-fails loudly otherwise).
+stream in *exactly* the same sequence as the reference engine — through
+the same public ``random``/``choice``/``randrange`` calls — and
+therefore produces **bit-identical histograms**, counts and first-seen
+order alike, for every test × chip × incantation combination and any
+shard decomposition; the ``Random`` is left at the same position.  The
+shortcuts above skip only work that draws nothing and changes nothing.
+Anything less would silently change every figure benchmark; any
+intentional change to the reference semantics must be mirrored here
+(the equivalence suite fails loudly otherwise).
 """
 
 from ..errors import FuelExhausted, SimulationError
@@ -322,22 +339,25 @@ class _Thread:
         The inlined twin of the reference engine's
         ``eligible_ops``/``may_pass``/``_may_bypass_fence`` trio; the
         queue is seq-ascending by construction, so the first entry is
-        always the oldest eligible op.
+        always the oldest eligible op, and a queue of at most one entry
+        is returned as it stands.
         """
         queue = self.queue
+        if len(queue) < 2:
+            return queue[:]
         atomic_ordered = self.atomic_ordered
         volatile_ordered = self.volatile_ordered
-        out = []
-        for index, younger in enumerate(queue):
+        out = [queue[0]]
+        for index in range(1, len(queue)):
+            younger = queue[index]
             yst = younger.st
             ykind = yst.kind
+            if ykind == K_FENCE:
+                continue        # a fence never passes an older op
             ok = True
             for j in range(index):
                 older = queue[j]
                 ost = older.st
-                if ykind == K_FENCE:
-                    ok = False
-                    break
                 if ost.kind == K_FENCE:
                     # A .ca load may slip past a fence (Figs. 3 and 4);
                     # nothing else may.
@@ -407,9 +427,18 @@ class _Thread:
         self.pending.discard(st.dst)
 
     def tick(self, iv, any_intent):
-        progressed = self.decode()
-        eligible = self.eligible_ops(iv)
-        if eligible:
+        """One scheduler slot, as the reference engine's ``tick``: decode
+        (skipped once the front end is past the program), then issue one
+        op.  The oldest queued op is always eligible, so a non-empty
+        queue always issues, and a lone op issues without a draw."""
+        progressed = self.pc < self.ncode and self.decode()
+        queue = self.queue
+        if not queue:
+            return progressed
+        if len(queue) == 1:
+            op = queue[0]
+        else:
+            eligible = self.eligible_ops(iv)
             # Under an active relaxation intent the engine *seeks*
             # reorderings, exactly like the reference: pick a random
             # non-oldest eligible op when one exists.
@@ -417,9 +446,8 @@ class _Thread:
                 op = self.rng.choice(eligible[1:])
             else:
                 op = eligible[0]
-            self.issue(op)
-            return True
-        return progressed
+        self.issue(op)
+        return True
 
 
 class _Compiler:
@@ -742,7 +770,8 @@ class CompiledCell:
     :class:`~repro.sim.machine.GpuMachine` — and, by construction, the
     same ``Random``-stream consumption — so the two are drop-in
     interchangeable anywhere a machine is iterated
-    (:func:`~repro.sim.engine.run_batch`, the backends, the apps).
+    (:func:`~repro.sim.engine.run_batch`, the backends, the apps);
+    ``run_batch`` runs a whole shard through :meth:`tally` instead.
 
     Build via :func:`compile_cell`; instances hold closures and are not
     picklable — process-pool backends compile in each worker instead.
@@ -794,7 +823,9 @@ class CompiledCell:
                 init_global[address] = value
         self.memory = _Memory(chip, init_global, init_shared,
                               frozenset(shared_addrs))
-        self._final_addresses = sorted(address_map.items())
+        final = sorted(address_map.items())
+        self._final_names = tuple(name for name, _ in final)
+        self._final_addresses = [address for _, address in final]
 
         # -- thread programs --------------------------------------------
         self.n_sms = max(chip.n_sms, 1)
@@ -823,48 +854,95 @@ class CompiledCell:
             for thread, cta in zip(self.threads, self.thread_ctas):
                 thread.sm = cta % self.n_sms
         self._observed = tuple(test.observed_registers())
-        self._final_state_cls = FinalState
         self._stall_limit = (4 * len(self.threads)
                              * (len(test.threads) + 4))
 
     def run_once(self, rng):
         """Run one iteration; returns the observed FinalState.
 
-        The draw sequence — intents, staleness, L1 warm lines, CTA
-        placement, scheduler picks, cache-effect draws — is identical to
+        The one-iteration case of the shard loop (:meth:`tally`), so the
+        draw sequence is the same: identical to
         :meth:`GpuMachine.run_once` for the same ``rng`` state.
         """
-        random = rng.random
-        iv = [random() < p for p in self.draw_probs]
-        if self.scope_blind:
-            for index in range(SLOT_BYPASS_BASE, len(iv)):
-                iv[index] = False
-        any_intent = True in iv
-        stale = random() < self.p_stale
-        self.memory.reset(rng, stale and self.l1_stale_reads)
-        threads = self.threads
-        if self.shuffle_placement:
-            n_sms = self.n_sms
-            cta_sm = [rng.randrange(n_sms) for _ in range(self.n_ctas)]
-            for thread, cta in zip(threads, self.thread_ctas):
-                thread.sm = cta_sm[cta]
-        for thread in threads:
-            thread.reset(rng)
+        (outcome,) = self._outcomes(1, rng)
+        return self._state(outcome)
 
-        return self._run_loop(rng, iv, any_intent, self.fuel)
+    def tally(self, iterations, rng, histogram):
+        """Run ``iterations`` iterations on ``rng`` and add their
+        outcomes to ``histogram``; returns it.
+
+        The shard loop :func:`~repro.sim.engine.run_batch` calls: one
+        :class:`FinalState` per distinct outcome, added in first-seen
+        order with its count, so the histogram equals (order included)
+        one built by ``run_once`` per iteration.
+        """
+        add = histogram.add
+        state = self._state
+        for outcome, count in self._outcomes(iterations, rng).items():
+            add(state(outcome), count)
+        return histogram
+
+    def _outcomes(self, iterations, rng):
+        """The iteration body: ``{outcome: count}`` over ``iterations``
+        iterations, in first-seen order, where an outcome is the plain
+        value tuple of :meth:`_outcome_reader`.
+
+        The draw sequence of each iteration — intents, staleness, L1
+        warm lines, CTA placement, scheduler picks, cache-effect draws —
+        is :meth:`GpuMachine.run_once`'s.  The draw plan, memory,
+        threads and outcome reader are bound once per call, not once
+        per iteration.
+        """
+        random = rng.random
+        randrange = rng.randrange
+        probs = self.draw_probs
+        blind = [False] * (len(probs) - SLOT_BYPASS_BASE)
+        scope_blind = self.scope_blind
+        p_stale = self.p_stale
+        l1_stale_reads = self.l1_stale_reads
+        reset_memory = self.memory.reset
+        threads = self.threads
+        resets = [thread.reset for thread in threads]
+        placed = (list(zip(threads, self.thread_ctas))
+                  if self.shuffle_placement else ())
+        n_sms = self.n_sms
+        ctas = range(self.n_ctas)
+        run_loop = self._run_loop
+        fuel = self.fuel
+        outcome = self._outcome_reader()
+        counts = {}
+        seen = counts.get
+        for _ in range(iterations):
+            iv = [random() < p for p in probs]
+            if scope_blind:
+                iv[SLOT_BYPASS_BASE:] = blind
+            stale = random() < p_stale
+            reset_memory(rng, stale and l1_stale_reads)
+            if placed:
+                cta_sm = [randrange(n_sms) for _ in ctas]
+                for thread, cta in placed:
+                    thread.sm = cta_sm[cta]
+            for reset in resets:
+                reset(rng)
+            run_loop(rng, iv, True in iv, fuel)
+            key = outcome()
+            counts[key] = seen(key, 0) + 1
+        return counts
 
     def _run_loop(self, rng, iv, any_intent, fuel):
-        """The scheduler loop shared by :meth:`run_once` and
-        :meth:`resume`: tick random runnable threads until quiescence."""
-        threads = self.threads
+        """The scheduler loop shared by :meth:`_outcomes` and
+        :meth:`resume`: tick random runnable threads until quiescence.
+
+        A thread that has retired never becomes runnable again, so the
+        runnable list is filtered once and a thread leaves it after the
+        tick that retires it — the same list, in the same order, that
+        the reference engine rebuilds every tick.
+        """
+        runnable = [t for t in self.threads if t.pc < t.ncode or t.queue]
         stall_limit = self._stall_limit
         stalled_rounds = 0
         choice = rng.choice
-        while True:
-            runnable = [t for t in threads
-                        if t.pc < t.ncode or t.queue]
-            if not runnable:
-                break
+        while runnable:
             if fuel <= 0:
                 raise FuelExhausted(
                     "test %s did not terminate (likely livelock)"
@@ -872,6 +950,8 @@ class CompiledCell:
             thread = choice(runnable)
             if thread.tick(iv, any_intent):
                 stalled_rounds = 0
+                if thread.pc >= thread.ncode and not thread.queue:
+                    runnable.remove(thread)
             else:
                 stalled_rounds += 1
                 if stalled_rounds > stall_limit:
@@ -879,8 +959,6 @@ class CompiledCell:
                         "all threads stalled in %s — dependency deadlock?"
                         % self.test.name)
             fuel -= 1
-
-        return self._final_state()
 
     def resume(self, snap, rng):
         """Finish one suspended iteration from a mid-flight snapshot.
@@ -893,7 +971,9 @@ class CompiledCell:
         table — the batch compiler assigns slot ``k`` to the ``k``-th
         memory instruction of each thread, the same order
         ``_Compiler.op_statics`` records — and the scheduler loop then
-        runs the iteration to quiescence on ``rng``.
+        runs the iteration to quiescence on ``rng``.  Returns the
+        outcome as a plain value tuple (:meth:`_outcome_reader`), the
+        order of the batch cell's observation and final-memory columns.
 
         Fresh draws (scheduler picks, cache effects) come from ``rng``,
         not from the suspended batch stream: suspension happens at a
@@ -935,23 +1015,37 @@ class CompiledCell:
                     queue.append(_Op(seq, None, None, None, st))
                 else:
                     queue.append(_Op(seq, address, value, compare, st))
-        return self._run_loop(rng, iv, any_intent, snap["fuel"])
+        self._run_loop(rng, iv, any_intent, snap["fuel"])
+        return self._outcome_reader()()
+
+    def _outcome_reader(self):
+        """A function returning the current outcome as a plain tuple: the
+        observed register values, then the final memory values, in the
+        order of :class:`FinalState`'s (pre-sorted) ``regs`` and ``mem``.
+        It reads the threads' register dicts and the memory image, which
+        every reset refills in place."""
+        regs = [(self.threads[tid].regs.get, name)
+                for tid, name in self._observed]
+        memory = self.memory
+        read = (memory.final_value if memory.shared_addrs
+                else memory.global_mem.__getitem__)
+        addresses = self._final_addresses
+
+        def outcome():
+            return tuple([get(name, 0) for get, name in regs]
+                         + [read(address) for address in addresses])
+
+        return outcome
+
+    def _state(self, outcome):
+        """The :class:`FinalState` of an outcome tuple."""
+        split = len(self._observed)
+        return FinalState(tuple(zip(self._observed, outcome[:split])),
+                          tuple(zip(self._final_names, outcome[split:])))
 
     def _final_state(self):
-        # _observed and _final_addresses are pre-sorted, so the tuples
-        # can be built directly — same value FinalState.make would
-        # produce, without the intermediate dicts and re-sorts.
-        threads = self.threads
-        memory = self.memory
-        global_mem = memory.global_mem
-        shared_addrs = memory.shared_addrs
-        regs = tuple((key, threads[key[0]].regs.get(key[1], 0))
-                     for key in self._observed)
-        mem = tuple((name,
-                     global_mem[address] if address not in shared_addrs
-                     else memory.final_value(address))
-                    for name, address in self._final_addresses)
-        return self._final_state_cls(regs, mem)
+        """The current machine state's :class:`FinalState`."""
+        return self._state(self._outcome_reader()())
 
 
 def compile_cell(test, chip, intensity=1.0, stale_intensity=None,

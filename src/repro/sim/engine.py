@@ -55,24 +55,33 @@ def resolve_engine(engine):
 def run_batch(machine, iterations, rng, histogram=None):
     """Run ``iterations`` iterations of ``machine`` into a histogram.
 
-    The batched iteration loop shared by all engines: ``machine`` is
-    anything answering ``run_once(rng)`` — a
-    :class:`~repro.sim.machine.GpuMachine` or a
-    :class:`~repro.sim.compile.CompiledCell` — and is *reused* across
-    iterations (state resets internally; nothing is reallocated per
-    run).  A machine answering ``run_many`` (a
-    :class:`~repro.sim.batch.BatchCell`) executes the whole request as
-    one lockstep batch instead of looping.  Pass ``histogram`` to
-    accumulate into an existing
+    The batched iteration loop shared by all engines.  ``machine`` is
+    *reused* across iterations (state resets internally; nothing is
+    reallocated per run), and how it runs the request depends on what
+    it answers:
+
+    * ``run_many`` — a :class:`~repro.sim.batch.BatchCell` executes
+      the whole request as one lockstep batch;
+    * ``tally`` — a :class:`~repro.sim.compile.CompiledCell` runs its
+      shard loop, which builds one ``FinalState`` per distinct outcome
+      instead of one per iteration (same counts, same first-seen
+      order);
+    * otherwise ``run_once(rng)`` — a
+      :class:`~repro.sim.machine.GpuMachine` is looped here.
+
+    The fast engine's loop is not called ``run_many``: that name marks
+    a batch cell, whose launches profilers count apart from engine
+    iterations.  Pass ``histogram`` to accumulate into an existing
     :class:`~repro.harness.histogram.Histogram`; otherwise a fresh one
     is returned.
     """
     if histogram is None:
         from ..harness.histogram import Histogram  # avoid an import cycle
         histogram = Histogram()
-    run_many = getattr(machine, "run_many", None)
-    if run_many is not None:
-        return run_many(iterations, rng, histogram)
+    run = (getattr(machine, "run_many", None)
+           or getattr(machine, "tally", None))
+    if run is not None:
+        return run(iterations, rng, histogram)
     add = histogram.add
     run_once = machine.run_once
     for _ in range(iterations):

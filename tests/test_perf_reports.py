@@ -20,6 +20,7 @@ import pytest
 
 from repro import perf
 from repro.errors import ReproError
+from repro.perf import harness
 from repro.sim import have_numpy
 
 _ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -66,10 +67,26 @@ def _layout(report):
     return (list(report), list(report["cells"][0]), list(report["summary"]))
 
 
+class _SteppedClock:
+    """Stands in for the ``time`` module :func:`repro.perf.harness.timed`
+    reads: each ``perf_counter`` reading advances one fixed step, so
+    every timed call lasts one step and the warm-vs-cold check of a
+    ~10 ms micro cell cannot trip on a busy host."""
+
+    STEP = 0.01
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        self.now += self.STEP
+        return self.now
+
+
 @pytest.fixture(scope="module", params=sorted(_MICRO))
 def measured(request, tmp_path_factory):
-    """One benchmark's micro cell measured with every gate forced:
-    (kind, exit status, stderr, report path)."""
+    """One benchmark's micro cell measured with every gate forced, on a
+    stepped clock: (kind, exit status, stderr, report path)."""
     kind = request.param
     corpora, cell, flags, gates = _MICRO[kind]
     if kind in ("engine", "apps") and not have_numpy():
@@ -80,6 +97,7 @@ def measured(request, tmp_path_factory):
         argv += [gate, "1000"]
     with pytest.MonkeyPatch.context() as patch:
         patch.setitem(corpora, "tiny", (cell,))
+        patch.setattr(harness, "time", _SteppedClock())
         status, stderr = _run(argv)
     return kind, status, stderr, path
 

@@ -105,6 +105,25 @@ class TestBitIdentity:
         for _ in range(200):
             assert reference.run_once(r1) == fast.run_once(r2)
             assert r1.random() == r2.random()
+        # The fast engine's shard loop (run_batch -> CompiledCell.tally)
+        # on a shuffled-placement cell, a scope-blind cell and a
+        # shared-memory cell: same counts, same first-seen order, and
+        # both streams left at the same position.
+        cells = [("mp-L1", "mp", "TesC", {"shuffle_placement": True}),
+                 ("mp-L1+membar.ctas", "mp", "TesC", {"scope_blind": True}),
+                 ("SB-fig12", "sb", "Titan", {"shuffle_placement": True})]
+        for name, idiom, chip_name, options in cells:
+            test = library.build(name)
+            chip = CHIPS[chip_name]
+            intensity = efficacy(chip.vendor, idiom, Incantations.all())
+            reference = GpuMachine(test, chip, intensity=intensity,
+                                   **options)
+            fast = compile_cell(test, chip, intensity=intensity, **options)
+            r1, r2 = random.Random(7), random.Random(7)
+            expected = run_batch(reference, 300, r1)
+            got = run_batch(fast, 300, r2)
+            assert list(got.counts.items()) == list(expected.counts.items())
+            assert r1.getstate() == r2.getstate()
 
     def test_scope_blind_bit_identical(self):
         """The Sec. 6 scope-blind mode compiles to the same outcomes."""
@@ -269,3 +288,24 @@ class TestCompiledCellErrors:
         cell = compile_cell(test, CHIPS["Titan"])
         with pytest.raises(SimulationError):
             cell.run_once(random.Random(0))
+
+    def test_livelock_raises_fuel_exhausted(self):
+        """The fast engine's shard loop runs out of fuel on a spin loop
+        that never exits, as the reference engine does, and names the
+        test."""
+        from repro.errors import FuelExhausted
+        from repro.litmus import parse_litmus
+
+        test = parse_litmus("""
+        GPU_PTX forever
+        { 0:.reg .s32 r0; 0:.reg .pred p; }
+         T0 ;
+         LOOP: ;
+         ld.cg.s32 r0, [x] ;
+         setp.eq.s32 p, r0, 0 ;
+         @p bra LOOP ;
+        exists (0:r0=1)
+        """)
+        cell = compile_cell(test, CHIPS["Titan"])
+        with pytest.raises(FuelExhausted, match="test forever did not"):
+            run_batch(cell, 5, random.Random(0))
