@@ -41,6 +41,7 @@ from ..model.models import MODELS, load_model
 from ..sim.engine import run_batch
 from ..sim.machine import build_machine
 from .result import ShardResult
+from .spec import _chip_signature
 
 #: Default iterations per shard.  Small campaign cells (every tier-1
 #: test and the CI-sized benchmarks) fit in one shard and therefore
@@ -286,7 +287,7 @@ class SimBackend(PerThreadMemo, Backend):
         # share a single compilation (and the two compiling engines
         # never share one).
         memo_key = (spec.engine, spec.test.name, write_litmus(spec.test),
-                    repr(spec.chip), key)
+                    _chip_signature(spec.chip), key)
         machine = cells.get(memo_key)
         if machine is None:
             if len(cells) >= self.MAX_COMPILED:
@@ -311,7 +312,7 @@ class SimBackend(PerThreadMemo, Backend):
             store = plan_store(self.plan_dir)
             signature = plan_signature(
                 "%s-batch" % self.name, PLAN_VERSION,
-                write_litmus(spec.test), repr(spec.chip), key)
+                write_litmus(spec.test), _chip_signature(spec.chip), key)
             plan = store.get(signature)
         machine = build_machine(spec.engine, spec.test, spec.chip,
                                 intensity=intensity,

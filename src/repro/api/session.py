@@ -233,15 +233,15 @@ class Session:
             if exact is not None:
                 results[index] = self._store(key, self._proved(spec, exact))
             else:
-                pending.append((index, key, spec,
-                                self.backend.shards(spec, self.shard_size)))
+                pending.append((index, key, spec))
         if pending:
             # Each spec is stored as soon as its shards are in, so a
             # failing spec loses only itself and the specs after it.
             execute = self._run_parallel if self.jobs > 1 else self._run_serial
-            with contextlib.closing(execute(pending)) as executed:
-                for (index, key, spec, shards), parts in zip(pending,
-                                                             executed):
+            with contextlib.closing(execute([spec for _, _, spec
+                                             in pending])) as executed:
+                for (index, key, spec), (shards, parts) in zip(pending,
+                                                               executed):
                     results[index] = self._store(
                         key, self._result(spec, shards, parts))
         for index, original in duplicates.items():
@@ -313,24 +313,34 @@ class Session:
 
     # -- execution strategies ---------------------------------------------
 
-    def _run_serial(self, pending):
-        """Each pending spec's shard results, run in this thread."""
-        for _, _, spec, shards in pending:
-            yield [self.backend.run_shard(spec, shard) for shard in shards]
+    def _run_serial(self, specs):
+        """Each spec's ``(shards, shard results)``, run in this thread.
 
-    def _run_parallel(self, pending):
-        """Each pending spec's shard results in shard-index order,
-        yielded in plan order as each spec completes; every shard of the
-        plan is submitted to the pool up front.  If a shard raises (or
-        the caller stops early), the plan's not-yet-started shards are
-        cancelled."""
+        A spec is planned just before its shards run, so a backend that
+        keeps the cell it touched last (the exhaustive backend's
+        explorer) builds it once for the plan and every shard, and a
+        spec that fails to plan leaves the specs before it stored.
+        """
+        for spec in specs:
+            shards = self.backend.shards(spec, self.shard_size)
+            yield shards, [self.backend.run_shard(spec, shard)
+                           for shard in shards]
+
+    def _run_parallel(self, specs):
+        """Each spec's ``(shards, shard results)`` in shard-index
+        order, yielded in plan order as each spec completes.  Every spec
+        is planned, then every shard of the plan is submitted to the
+        pool up front.  If a shard raises (or the caller stops early),
+        the plan's not-yet-started shards are cancelled."""
+        planned = [(spec, self.backend.shards(spec, self.shard_size))
+                   for spec in specs]
         with self._pool() as pool:
             submitted = [[pool.submit(self.backend.run_shard, spec, shard)
                           for shard in shards]
-                         for _, _, spec, shards in pending]
+                         for spec, shards in planned]
             try:
-                for futures in submitted:
-                    yield [future.result() for future in futures]
+                for (_, shards), futures in zip(planned, submitted):
+                    yield shards, [future.result() for future in futures]
             finally:
                 for futures in submitted:
                     for future in futures:

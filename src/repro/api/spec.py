@@ -91,9 +91,15 @@ def _chip_signature(chip):
 
     The dataclass ``repr`` covers every probability knob and structural
     switch; field order is fixed by the class definition, so the text is
-    stable across runs and processes.
+    stable across runs and processes.  A :class:`ChipProfile` is frozen,
+    so the text is computed once and kept on the profile; a profile made
+    with ``dataclasses.replace`` is a new object with its own.
     """
-    return repr(chip)
+    signature = chip.__dict__.get("_signature")
+    if signature is None:
+        signature = repr(chip)
+        object.__setattr__(chip, "_signature", signature)
+    return signature
 
 
 @dataclass(frozen=True)

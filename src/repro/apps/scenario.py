@@ -37,6 +37,7 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 
+from ..api.spec import _chip_signature
 from ..errors import ConfigurationError, ReproError
 from ..litmus.condition import And, Condition, FinalState, MemEq, Not, Or
 from ..litmus.writer import write_litmus
@@ -247,7 +248,7 @@ class ScenarioSpec:
         payload = "\x1e".join([
             write_litmus(self.test),
             "projection=%s" % ",".join(self.scenario.projection),
-            repr(self.chip),
+            _chip_signature(self.chip),
             "intensity=%r" % self.intensity,
             "runs=%d" % self.iterations,
             "seed=%d" % self.seed,

@@ -301,26 +301,31 @@ def _cmd_verify(args):
     """Exit status mirrors ``app``: nonzero iff a *fenced* scenario
     loses (an unfenced loss is the paper's point)."""
     from .exhaustive import (DEFAULT_LOOP_BOUND, DEFAULT_MAX_TRANSITIONS,
-                             verify_scenarios)
+                             exhaustive_session, verify_scenarios)
     try:
         scenarios = select_scenarios(args.scenarios, fenced=args.fenced)
         if not scenarios:
             raise ReproError("the scenario selection is empty")
-        report = verify_scenarios(
-            scenarios, args.chips, intensity=args.intensity,
+        session = exhaustive_session(
+            jobs=args.jobs, executor=args.executor, cache_dir=args.cache_dir,
             loop_bound=(DEFAULT_LOOP_BOUND if args.loop_bound is None
                         else args.loop_bound),
             max_transitions=(DEFAULT_MAX_TRANSITIONS
                              if args.max_transitions is None
-                             else args.max_transitions),
-            jobs=args.jobs, executor=args.executor,
-            cache_dir=args.cache_dir, witnesses=not args.no_witness)
+                             else args.max_transitions))
+        report = verify_scenarios(scenarios, args.chips,
+                                  intensity=args.intensity, session=session,
+                                  witnesses=not args.no_witness)
     except ReproError as error:
         raise SystemExit(str(error))
     print("exhaustive verification (intensity is structural: any positive "
           "value explores the same space):")
     for line in report.lines():
         print(line)
+    stats = session.stats
+    print("session: %d cells executed, %d cache hits, %d deduplicated, "
+          "%d shards" % (stats.executed, stats.cache_hits,
+                         stats.deduplicated, stats.shards_executed))
     return 0 if report.ok else 1
 
 

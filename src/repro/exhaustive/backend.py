@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from ..api.backends import Backend, PerThreadMemo, Shard
 from ..api.cache import decode_state, encode_state
 from ..api.result import ShardResult
+from ..api.spec import _chip_signature
 from ..errors import ReproError
 from ..harness.histogram import Histogram
 from ..litmus.writer import write_litmus
@@ -196,9 +197,10 @@ class ExhaustiveBackend(PerThreadMemo, Backend):
     of the cell it last touched and reuses it across ``shards`` and
     ``run_shard`` calls: every ``run_branch`` starts from the root
     state, so a reused explorer explores a branch exactly as a fresh one
-    does, and a cell compiles at most twice (planning, then its first
-    branch) instead of once per branch plus once to plan — on the
-    registry that is 308 compilations instead of 474.  The memo is
+    does.  A serial session (``jobs=1``) plans each spec just before it
+    runs the spec's branches, so there a cell compiles once, for the
+    plan and every branch — on the registry that is 154 compilations
+    instead of one per branch plus one to plan (474).  The memo is
     per thread because an explorer mutates its machine state while it
     explores, holds only the current cell, and is dropped when a process
     pool pickles the backend (compiled cells hold closures).
@@ -239,7 +241,8 @@ class ExhaustiveBackend(PerThreadMemo, Backend):
 
     def cache_signature(self, spec):
         payload = "exhaustive-v%d\x1e%s\x1e%s\x1eintent=%d\x1ebound=%d\x1e%s" \
-            % (EXHAUSTIVE_VERSION, write_litmus(spec.test), repr(spec.chip),
+            % (EXHAUSTIVE_VERSION, write_litmus(spec.test),
+               _chip_signature(spec.chip),
                self._structural_intent(spec), self.loop_bound, self.strategy)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

@@ -109,7 +109,12 @@ def verify_scenarios(scenarios, chips, intensity=1.0,
     ``intensity`` is structural — any positive value explores the same
     space — and defaults to 1.0, the "small intensity" of the bench
     corpus.  ``witnesses=False`` leaves the losing execution traces out
-    of the rows.  Returns a :class:`VerifyReport`.
+    of the rows.  Returns a :class:`VerifyReport`, whose loop bound is
+    the one the session's backend explored with.
+
+    ``loop_bound``, ``max_transitions``, ``jobs``, ``executor`` and
+    ``cache_dir`` configure only the session this function builds when
+    ``session`` is ``None``; a given session keeps its own.
     """
     from ..apps.scenario import get_scenario
     scenarios = [get_scenario(s) if isinstance(s, str) else s
@@ -133,4 +138,5 @@ def verify_scenarios(scenarios, chips, intensity=1.0,
             transitions=verdict["transitions"], losses=verdict["losses"],
             bounded=verdict["bounded"],
             witness=verdict["witness"] if witnesses else None))
-    return VerifyReport(rows=tuple(rows), loop_bound=loop_bound)
+    return VerifyReport(rows=tuple(rows),
+                        loop_bound=session.backend.loop_bound)

@@ -31,7 +31,23 @@ def _memory_initialisers(test):
 
 def write_litmus(test):
     """Render ``test`` in the litmus text format parsed by
-    :func:`repro.litmus.parser.parse_litmus`."""
+    :func:`repro.litmus.parser.parse_litmus`.
+
+    A :class:`~repro.litmus.test.LitmusTest` is never mutated after it
+    is built, so its text is rendered once and kept on the test: every
+    later call returns the same string.  The text is the content anchor
+    of every cache key, shard seed and compiled-cell memo, which ask for
+    it again on each lookup.  A test made with ``dataclasses.replace``
+    is a new object and renders its own text.
+    """
+    text = test.__dict__.get("_litmus_text")
+    if text is None:
+        text = _render(test)
+        object.__setattr__(test, "_litmus_text", text)
+    return text
+
+
+def _render(test):
     lines = ["%s %s" % (test.arch, test.name)]
     if test.description:
         lines.append('"%s"' % test.description)

@@ -182,9 +182,22 @@ class _FailingSim(SimBackend):
         return super().run_shard(spec, shard)
 
 
+class _UnplannableSim(SimBackend):
+    """The sim backend, except that planning test ``fail`` raises."""
+
+    def __init__(self, fail):
+        super().__init__()
+        self.fail = fail
+
+    def shards(self, spec, shard_size):
+        if spec.test.name == self.fail:
+            raise _ShardFailure("planning %s failed" % self.fail)
+        return super().shards(spec, shard_size)
+
+
 class TestCrashSafePlans:
-    """A failing spec of a pooled plan loses only itself and the specs
-    after it: the finished specs before it are already cached."""
+    """A failing spec loses only itself and the specs after it: the
+    finished specs before it are already cached."""
 
     NAMES = ("mp", "sb", "lb", "coRR", "mp-L1")
 
@@ -208,6 +221,22 @@ class TestCrashSafePlans:
         fresh = Session(shard_size=25, cache=False).run_specs(specs)
         assert [result.histogram.counts for result in results] \
             == [result.histogram.counts for result in fresh]
+
+    def test_serial_plan_keeps_the_specs_before_one_that_fails_to_plan(
+            self, tmp_path):
+        # A serial session plans each spec just before running it.
+        specs = [spec_for(name=name, iterations=60, seed=2)
+                 for name in self.NAMES]
+        failing = Session(backend=_UnplannableSim(fail="lb"), shard_size=25,
+                          cache_dir=str(tmp_path))
+        with pytest.raises(_ShardFailure):
+            failing.run_specs(specs)
+        assert failing.stats.executed == 2
+        rerun = Session(shard_size=25, cache_dir=str(tmp_path))
+        results = rerun.run_specs(specs)
+        assert [result.cached for result in results] \
+            == [True, True, False, False, False]
+        assert (rerun.stats.cache_hits, rerun.stats.executed) == (2, 3)
 
 
 class TestCaching:

@@ -245,6 +245,13 @@ class TestVerifyReport:
         assert report.ok, "unfenced losses are expected, not failures"
         assert any("losing execution" in line for line in report.lines())
 
+    def test_report_states_the_loop_bound_of_the_given_session(self):
+        session = exhaustive_session(loop_bound=1)
+        report = verify_scenarios(["ticket+fenced"], ["Titan"],
+                                  session=session)
+        assert report.loop_bound == 1 != DEFAULT_LOOP_BOUND
+        assert report.lines()[-1] == "1/1 cells verified (loop bound 1)"
+
     def test_fenced_loss_would_fail_the_report(self):
         from repro.exhaustive.verify import VerifyReport, VerifyRow
         row = VerifyRow(scenario="x+fenced", chip="Titan", fenced=True,

@@ -169,7 +169,7 @@ def test_explorer_reused_after_an_aborted_branch_matches_fresh():
                 assert reused.run_branch(index) == outcomes[index]
 
 
-def test_backend_compiles_each_cell_at_most_twice(monkeypatch):
+def test_serial_session_compiles_each_cell_once(monkeypatch):
     built = []
 
     class Counting(Explorer):
@@ -185,7 +185,7 @@ def test_backend_compiles_each_cell_at_most_twice(monkeypatch):
     session = exhaustive_session(jobs=1, cache=False)
     session.run_specs(specs)
     assert session.stats.shards_executed > 2 * len(specs)
-    assert len(built) == 2 * len(specs)
+    assert len(built) == len(specs)
 
 
 def test_backend_memo_holds_one_cell_and_is_dropped_on_pickling():

@@ -203,6 +203,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "LOST" in out and "losing execution" in out
 
+    def test_verify_warm_rerun_executes_nothing(self, capsys, tmp_path):
+        argv = ["verify", "-s", "deque-mp", "--chips", "Titan", "HD7970",
+                "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out.splitlines()
+        assert main(argv) == 0
+        warm = capsys.readouterr().out.splitlines()
+        assert cold[-1].startswith("session: 4 cells executed, 0 cache hits")
+        assert warm[-1] == "session: 0 cells executed, 4 cache hits, " \
+            "0 deduplicated, 0 shards"
+        assert warm[:-1] == cold[:-1]
+
     def test_unknown_backend_mentions_exhaustive(self):
         from repro.api import make_backend
         from repro.errors import ReproError
