@@ -2,32 +2,55 @@
 
 The cache has two tiers: an in-memory dict (always on when a cache is
 attached to a :class:`~repro.api.session.Session`) and an optional
-on-disk JSON tier, one file per entry, so campaign results survive the
+on-disk tier of append-only *segments*, so campaign results survive the
 process and can be shared between sessions.  Keys combine the backend
 name with the :meth:`RunSpec.fingerprint` — the same cell simulated and
 model-checked are distinct entries.
 
-Disk entries store the histogram as a list of ``{regs, mem, count}``
-records (a :class:`~repro.litmus.condition.FinalState` is a pair of
-sorted tuples, which maps cleanly onto JSON lists), the backend's typed
-meta as its ``to_json`` payload (``null`` for histogram-only backends)
-and the result's provenance (the engine or backend that executed it, or
+Layout: each cache that writes anything owns one
+``segment-<unique>.json`` at the top of the directory (beside the batch
+engine's ``plans/`` store), and appends one compact JSON line per entry
+to it: ``{"key": <cache key>, "version": 4, ...}``.  An entry stores the
+histogram as a list of ``{regs, mem, count}`` records (a
+:class:`~repro.litmus.condition.FinalState` is a pair of sorted tuples,
+which maps cleanly onto JSON lists), the backend's typed meta as its
+``to_json`` payload (``null`` for histogram-only backends) and the
+result's provenance (the engine or backend that executed it, or
 ``"exhaustive"`` for a proved result), plus enough metadata to audit
-the cache directory by hand (entries are compact JSON;
-``python -m json.tool`` pretty-prints one).  Reads decode
-the meta through the backend's ``meta_type.from_json``; an entry whose
-meta does not decode is a miss, like any other corrupt entry.
+the directory by hand (``python -m json.tool --json-lines`` pretty-prints
+a segment).  Any other file in the directory is ignored, the
+one-file-per-entry ``<key>.json`` files of format 3 included, so such a
+directory is cold once and its old entries can be deleted by hand.
 
-Writers never collide: each entry is written through its own temporary
-file in the cache directory and moved into place with an atomic
-rename, so sessions sharing a directory (threads, processes, parallel
-CI legs) only ever see whole entries.
+Writes: a cache reserves its segment with :func:`tempfile.mkstemp` at
+its first write and appends each entry with one write in append mode;
+no descriptor outlives a call.  Writers never share a segment, so they
+never collide.  An entry is handed to the OS before ``put`` returns,
+with no fsync.  A result that does not serialise raises before anything
+is written; a write that fails leaves at most one torn line, and the
+cache moves its later entries to a fresh segment.
+
+Reads: at its first lookup that misses the memory tier, a cache lists
+the directory once, reads every segment and indexes each complete line
+by the key on its fixed ``{"key":"`` prefix, without decoding the rest;
+later lookups touch no file.  A lookup decodes its key's lines until
+one is a valid version-4 entry, whose meta decodes through the
+backend's ``meta_type.from_json``.  A torn tail, a line that does not
+parse, a stale version or a malformed meta is skipped, and a key with
+no valid line is a miss: the re-executed result is appended, which
+heals the entry.
+
+Visibility: a cache sees what was on disk at its first lookup, plus its
+own writes.  An entry another session appends later is re-executed by
+this one and appended to its own segment; both copies are valid, and
+nothing is lost.
 """
 
 import json
 import os
 import tempfile
 
+from ..errors import ConfigurationError
 from ..harness.histogram import Histogram
 from ..litmus.condition import FinalState
 from .result import SpecResult
@@ -36,7 +59,15 @@ from .result import SpecResult
 #: treated as misses so stale caches degrade to re-simulation, not errors.
 #: v2: typed backend meta stored beside the histogram, compact JSON.
 #: v3: the result's provenance.
-DISK_FORMAT_VERSION = 3
+#: v4: entries are lines of per-cache segments, keyed in the line.
+DISK_FORMAT_VERSION = 4
+
+#: Name prefix of a segment file; its suffix is ``.json``.
+SEGMENT_PREFIX = "segment-"
+
+#: How every entry line begins; its key runs to the next quote, since a
+#: :func:`cache_key` holds no character JSON escapes.
+_KEY_PREFIX = b'{"key":"'
 
 
 def cache_key(backend_name, signature, variant=""):
@@ -80,6 +111,75 @@ def decode_histogram(records):
     return histogram
 
 
+def encode_entry(key, result):
+    """``result`` under ``key`` as one segment line, newline included."""
+    spec = result.spec
+    payload = {
+        "key": key,
+        "version": DISK_FORMAT_VERSION,
+        "backend": result.backend,
+        "test": spec.test.name,
+        "chip": spec.chip.short,
+        "incantations": str(spec.incantations),
+        "iterations": spec.iterations,
+        "seed": spec.seed,
+        "fingerprint": spec.fingerprint(),
+        "histogram": encode_histogram(result.histogram),
+        "meta": None if result.meta is None else result.meta.to_json(),
+        "provenance": result.provenance,
+    }
+    # Compact separators keep json on its C encoder and fix the key
+    # prefix the reader indexes by; ensure_ascii keeps the line ASCII.
+    return (json.dumps(payload, separators=(",", ":")) + "\n").encode("ascii")
+
+
+def decode_entry(line, key, meta_type):
+    """The ``(counts, meta, provenance)`` entry of one segment line, or
+    ``None`` if the line is not a valid current entry for ``key``."""
+    try:
+        payload = json.loads(line)
+        if (payload["key"] != key
+                or payload["version"] != DISK_FORMAT_VERSION):
+            return None
+        provenance = payload["provenance"]
+        if provenance is not None and not isinstance(provenance, str):
+            return None
+        histogram = decode_histogram(payload["histogram"])
+        meta = (None if meta_type is None
+                else meta_type.from_json(payload["meta"]))
+        return histogram.counts, meta, provenance
+    except (ValueError, KeyError, TypeError, AttributeError):
+        # A corrupt entry must never poison a campaign: it is a miss.
+        return None
+
+
+def read_segments(directory):
+    """``{key: [line, ...]}`` over every complete line of every segment
+    in ``directory``, in file-name then file order; keys and lines are
+    bytes, and no line is decoded."""
+    index = {}
+    try:
+        names = sorted(os.listdir(directory))
+    except OSError:
+        return index
+    start = len(_KEY_PREFIX)
+    for name in names:
+        if not (name.startswith(SEGMENT_PREFIX) and name.endswith(".json")):
+            continue
+        try:
+            with open(os.path.join(directory, name), "rb") as handle:
+                data = handle.read()
+        except OSError:
+            continue
+        # What follows the last newline is empty or a torn tail.
+        for line in data.split(b"\n")[:-1]:
+            if line.startswith(_KEY_PREFIX):
+                end = line.find(b'"', start)
+                if end > 0:
+                    index.setdefault(line[start:end], []).append(line)
+    return index
+
+
 class ResultCache:
     """Two-tier (memory + optional disk) memo of completed specs.
 
@@ -92,16 +192,22 @@ class ResultCache:
     def __init__(self, cache_dir=None):
         self.cache_dir = cache_dir
         self._memory = {}
+        #: Undecoded segment lines by key, read at the first disk lookup.
+        self._segments = None
+        #: This cache's own segment, reserved at its first disk write.
+        self._segment = None
         self.hits = 0
         self.misses = 0
         if cache_dir:
-            os.makedirs(cache_dir, exist_ok=True)
+            try:
+                os.makedirs(cache_dir, exist_ok=True)
+            except OSError as error:
+                raise ConfigurationError(
+                    "cannot create cache directory %r: %s"
+                    % (cache_dir, error.strerror)) from None
 
     def __len__(self):
         return len(self._memory)
-
-    def _path(self, key):
-        return os.path.join(self.cache_dir, key + ".json")
 
     def get(self, key, spec, backend_name, meta_type=None):
         """The cached :class:`SpecResult` under ``key`` (a
@@ -115,9 +221,7 @@ class ResultCache:
         """
         entry = self._memory.get(key)
         if entry is None and self.cache_dir:
-            entry = self._read_disk(key, meta_type)
-            if entry is not None:
-                self._memory[key] = entry
+            entry = self._from_segments(key, meta_type)
         if entry is None:
             self.misses += 1
             return None
@@ -133,52 +237,28 @@ class ResultCache:
         self._memory[key] = (dict(result.histogram.counts), result.meta,
                              result.provenance)
         if self.cache_dir:
-            self._write_disk(key, result)
+            self._append(encode_entry(key, result))
 
-    def _read_disk(self, key, meta_type):
-        try:
-            with open(self._path(key)) as handle:
-                payload = json.load(handle)
-            if payload.get("version") != DISK_FORMAT_VERSION:
-                return None
-            histogram = decode_histogram(payload["histogram"])
-            meta = (None if meta_type is None
-                    else meta_type.from_json(payload["meta"]))
-            provenance = payload["provenance"]
-            if provenance is not None and not isinstance(provenance, str):
-                raise TypeError("provenance %r" % (provenance,))
-            return histogram.counts, meta, provenance
-        except (ValueError, KeyError, TypeError, AttributeError, OSError):
-            # A missing or corrupt entry must never poison a campaign:
-            # treat it as a miss.
-            return None
+    def _from_segments(self, key, meta_type):
+        if self._segments is None:
+            self._segments = read_segments(self.cache_dir)
+        for line in self._segments.pop(key.encode(), ()):
+            entry = decode_entry(line, key, meta_type)
+            if entry is not None:
+                self._memory[key] = entry
+                return entry
+        return None
 
-    def _write_disk(self, key, result):
-        payload = {
-            "version": DISK_FORMAT_VERSION,
-            "backend": result.backend,
-            "test": result.spec.test.name,
-            "chip": result.spec.chip.short,
-            "incantations": str(result.spec.incantations),
-            "iterations": result.spec.iterations,
-            "seed": result.spec.seed,
-            "fingerprint": result.spec.fingerprint(),
-            "histogram": encode_histogram(result.histogram),
-            "meta": None if result.meta is None else result.meta.to_json(),
-            "provenance": result.provenance,
-        }
-        # A private temporary per write: concurrent writers of one key
-        # each rename a whole file into place, and the last one wins.
-        descriptor, temporary = tempfile.mkstemp(
-            dir=self.cache_dir, prefix=key + ".", suffix=".tmp")
+    def _append(self, line):
+        if self._segment is None:
+            descriptor, self._segment = tempfile.mkstemp(
+                dir=self.cache_dir, prefix=SEGMENT_PREFIX, suffix=".json")
+            os.close(descriptor)
         try:
-            with os.fdopen(descriptor, "w") as handle:
-                # Compact separators keep json on its C encoder.
-                handle.write(json.dumps(payload, separators=(",", ":")))
-            os.replace(temporary, self._path(key))
+            with open(self._segment, "ab") as handle:
+                handle.write(line)
         except BaseException:
-            try:
-                os.unlink(temporary)
-            except OSError:
-                pass
+            # The segment may now end in a torn line; appending after it
+            # would glue the next entry onto it.
+            self._segment = None
             raise

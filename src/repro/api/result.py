@@ -201,12 +201,14 @@ class CampaignResult:
         chip (the bottom-of-figure tables of Figs. 1-11).  ``paper``
         optionally maps ``(test name, chip short)`` to published counts,
         rendered alongside."""
-        headers = ["obs/100k"] + self.chips
+        chips = self.chips
+        grid = {}
+        for (name, short), result in self.results.items():
+            grid.setdefault(name, {})[short] = result
         rows = []
-        for name in self.tests:
-            per_chip = self.by_test(name)
+        for name, per_chip in grid.items():
             row = [name]
-            for short in self.chips:
+            for short in chips:
                 result = per_chip.get(short)
                 if result is None:
                     row.append("n/a")
@@ -216,7 +218,7 @@ class CampaignResult:
                     cell += " (paper %s)" % paper[(name, short)]
                 row.append(cell)
             rows.append(row)
-        return format_table(headers, rows)
+        return format_table(["obs/100k"] + chips, rows)
 
     def summary(self):
         weak = self.weak_cells()

@@ -5,12 +5,13 @@ import random
 
 import pytest
 
-from repro.api import (BEST, ModelBackend, ResultCache, RunSpec, Session,
-                       SimBackend, make_backend, matrix, parse_incantations,
-                       plan_shards, shard_seed)
+from repro.api import (BEST, CampaignResult, ModelBackend, ResultCache,
+                       RunSpec, Session, SimBackend, SpecResult, make_backend,
+                       matrix, parse_incantations, plan_shards, shard_seed)
 from repro.errors import ReproError
 from repro.harness import Histogram, Incantations, efficacy
 from repro.litmus import library
+from repro.litmus.condition import FinalState
 from repro.model.models import load_model
 from repro.sim import CHIPS, compile_cell, run_batch
 
@@ -457,6 +458,34 @@ class TestCampaignResult:
         table = self._campaign().summary_table(
             paper={("mp", "Titan"): 2921})
         assert "paper" in table
+
+    def test_summary_table_grid_with_gaps(self):
+        """Rows and columns in first-seen order, a missing cell reads
+        n/a even where a paper count exists, and a paper count of 0
+        still shows."""
+        weak_states = {"mp": {(1, "r1"): 1, (1, "r2"): 0},
+                       "lb": {(0, "r1"): 1, (1, "r2"): 1},
+                       "sb": {(0, "r2"): 0, (1, "r2"): 0}}
+        campaign = CampaignResult()
+        for name, chip, weak in (("mp", "Titan", 3), ("lb", "HD7970", 0),
+                                 ("mp", "HD7970", 40), ("sb", "GTX280", 1),
+                                 ("lb", "Titan", 7)):
+            histogram = Histogram()
+            histogram.add(FinalState.make({}, {}), 1000 - weak)
+            if weak:
+                histogram.add(FinalState.make(weak_states[name], {}), weak)
+            campaign.add(SpecResult(
+                spec=RunSpec.make(library.build(name), chip,
+                                  iterations=1000),
+                backend="sim", histogram=histogram))
+        table = campaign.summary_table(paper={
+            ("mp", "Titan"): 2921, ("sb", "Titan"): 5, ("lb", "HD7970"): 0})
+        assert table.splitlines() == [
+            "obs/100k  Titan             HD7970       GTX280",
+            "--------  ----------------  -----------  ------",
+            "mp        300 (paper 2921)  4000         n/a",
+            "lb        700               0 (paper 0)  n/a",
+            "sb        n/a               n/a          100"]
 
     def test_weak_cells_and_totals(self):
         campaign = self._campaign()

@@ -283,6 +283,20 @@ class TestCli:
         (line,) = proc.stderr.splitlines()
         assert "max_transitions" in line and budget in line
 
+    @pytest.mark.parametrize("argv", (
+        ["run", "mp", "--chip", "Titan", "--iterations", "10"],
+        ["verify", "--scenario", "deque-mp", "--chips", "Titan"],
+    ))
+    def test_cache_dir_naming_a_file_exits_without_traceback(
+            self, tmp_path, argv):
+        path = tmp_path / "not-a-directory"
+        path.write_text("")
+        proc = _cli_subprocess(argv + ["--cache-dir", str(path)])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stdout + proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert str(path) in line
+
     def test_short_corpus_of_long_cycles_stops_early(self):
         """Two tests come from the shortest cycles; enumerating every
         cycle up to length 40 first never finished."""

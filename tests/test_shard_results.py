@@ -1,5 +1,6 @@
-"""Typed shard results: the meta channel, its cache round trip, and
-concurrent writers of one cache directory.
+"""Typed shard results: the meta channel, its cache round trip,
+concurrent writers of one cache directory, and the disk cache's
+segments (torn and bad lines, reads per session, what a session sees).
 
 Every backend returns a :class:`~repro.api.result.ShardResult`; the
 exhaustive backend's meta carries each branch's counters and first
@@ -9,6 +10,7 @@ the lowest index.  So a losing cell's witness arrives with its verdict
 is what lets ``verify`` skip re-exploring losing cells.
 """
 
+import errno
 import itertools
 import json
 import multiprocessing
@@ -19,8 +21,9 @@ import time
 
 import pytest
 
-from repro.api import Session
-from repro.api.cache import DISK_FORMAT_VERSION, ResultCache
+from repro.api import RunSpec, Session
+from repro.api.cache import (DISK_FORMAT_VERSION, SEGMENT_PREFIX,
+                             ResultCache, decode_entry, encode_entry)
 from repro.api.result import ShardResult, SpecResult
 from repro.apps.scenario import ScenarioSpec, get_scenario, select_scenarios
 from repro.exhaustive import (ExhaustiveBackend, ExhaustiveMeta,
@@ -142,16 +145,22 @@ def run_one(session, spec):
 
 class TestCacheMeta:
     def _entry(self, directory):
+        """The one segment in ``directory``; it holds one entry line,
+        which is a whole JSON document."""
         (name,) = [name for name in os.listdir(directory)
                    if name.endswith(".json")]
+        assert name.startswith(SEGMENT_PREFIX)
         return os.path.join(directory, name)
 
     def _rewrite(self, path, change):
         with open(path) as handle:
-            payload = json.load(handle)
+            (line,) = handle.read().splitlines()
+        payload = json.loads(line)
         change(payload)
+        # The writer's compact form, so the line keeps the key prefix
+        # the reader indexes by and only ``change`` can make it a miss.
         with open(path, "w") as handle:
-            json.dump(payload, handle)
+            handle.write(json.dumps(payload, separators=(",", ":")) + "\n")
 
     def test_meta_round_trips_through_the_disk_cache(self, tmp_path):
         spec = scenario_spec("deque-mp")
@@ -162,11 +171,13 @@ class TestCacheMeta:
         assert cached.meta == fresh.meta
         assert cached.histogram.counts == fresh.histogram.counts
         with open(self._entry(str(tmp_path))) as handle:
-            assert json.load(handle)["version"] == DISK_FORMAT_VERSION == 3
+            assert json.load(handle)["version"] == DISK_FORMAT_VERSION == 4
 
     @pytest.mark.parametrize("change", [
         lambda payload: payload.update(version=1),
         lambda payload: payload.update(version=2),
+        lambda payload: payload.update(version=3),
+        lambda payload: payload.update(key="exhaustive-other"),
         lambda payload: payload.pop("provenance"),
         lambda payload: payload.update(provenance=3),
         lambda payload: payload.pop("meta"),
@@ -180,8 +191,8 @@ class TestCacheMeta:
         lambda payload: payload["meta"]["witness"]["events"][0].__setitem__(
             0, "T0"),
         lambda payload: payload["meta"]["witness"].pop("state"),
-    ], ids=["v1", "v2", "no-provenance", "bad-provenance", "no-meta",
-            "null-meta", "empty-meta", "list-meta", "bad-counter",
+    ], ids=["v1", "v2", "v3", "other-key", "no-provenance", "bad-provenance",
+            "no-meta", "null-meta", "empty-meta", "list-meta", "bad-counter",
             "bad-flag", "witness-without-branch", "short-event", "bad-tid",
             "no-final-state"])
     def test_stale_or_malformed_entry_is_a_miss(self, tmp_path, change):
@@ -194,7 +205,7 @@ class TestCacheMeta:
         assert session.stats.executed == 1
         assert not again.cached
         assert again.meta == original.meta
-        # The re-execution rewrote the entry whole.
+        # The re-execution appended a whole entry, which heals the key.
         healed = exhaustive_session(cache_dir=str(tmp_path))
         assert run_one(healed, spec).cached
         assert healed.stats.executed == 0
@@ -276,7 +287,9 @@ class TestConcurrentWriters:
         assert errors == []
         assert [process.exitcode for process in processes] \
             == [0] * len(processes)
-        # Every entry reads back whole, and no temporary is left over.
+        # Every entry reads back whole, and no temporary is left over:
+        # the directory holds one segment per writer, and each of its
+        # lines is a whole entry.
         reader = ResultCache(cache_dir=cache_dir)
         for key in KEYS:
             entry = reader.get(key, result.spec, ExhaustiveBackend.name,
@@ -284,8 +297,16 @@ class TestConcurrentWriters:
             assert entry is not None, key
             assert entry.meta == result.meta
             assert entry.histogram.counts == result.histogram.counts
-        assert sorted(os.listdir(cache_dir)) \
-            == sorted(key + ".json" for key in KEYS)
+        whole = [encode_entry(key, result) for key in KEYS]
+        names = os.listdir(cache_dir)
+        assert len(names) == len(processes) + len(threads)
+        for name in names:
+            assert name.startswith(SEGMENT_PREFIX) and name.endswith(".json")
+            with open(os.path.join(cache_dir, name), "rb") as handle:
+                lines = handle.read().splitlines(keepends=True)
+            assert len(lines) >= len(KEYS)
+            assert all(line == whole[index % len(KEYS)]
+                       for index, line in enumerate(lines))
 
     def test_failed_write_leaves_no_temporary(self, tmp_path):
         class Unserialisable:
@@ -299,3 +320,171 @@ class TestConcurrentWriters:
         with pytest.raises(TypeError):
             ResultCache(cache_dir=str(tmp_path)).put("key", broken)
         assert os.listdir(str(tmp_path)) == []
+
+
+# -- the segment tier --------------------------------------------------------
+
+CHIPS_OF_SPECS = ("Titan", "HD7970", "GTX280")
+
+
+def mp_spec(chip):
+    return RunSpec.make(library.build("mp"), chip, iterations=50, seed=3)
+
+
+def segment_paths(directory):
+    return sorted(os.path.join(directory, name)
+                  for name in os.listdir(directory)
+                  if name.startswith(SEGMENT_PREFIX))
+
+
+class TestSegments:
+    def _cold(self, directory, chips=CHIPS_OF_SPECS):
+        session = Session(cache_dir=directory)
+        results = session.run_specs([mp_spec(chip) for chip in chips])
+        assert session.stats.executed == len(chips)
+        return results
+
+    def test_a_torn_tail_re_executes_only_its_entry(self, tmp_path):
+        directory = str(tmp_path)
+        cold = self._cold(directory)
+        (path,) = segment_paths(directory)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        # Cut the last entry mid-line, as a writer killed mid-write would.
+        cut = data.rstrip(b"\n").rfind(b"\n") + 1
+        with open(path, "wb") as handle:
+            handle.write(data[:cut + (len(data) - cut) // 2])
+        session = Session(cache_dir=directory)
+        warm = session.run_specs([mp_spec(chip) for chip in CHIPS_OF_SPECS])
+        assert [result.cached for result in warm] == [True, True, False]
+        assert session.stats.executed == 1
+        assert [result.histogram.counts for result in warm] \
+            == [result.histogram.counts for result in cold]
+
+    def test_a_bad_line_before_a_good_one_still_hits(self, tmp_path):
+        directory = str(tmp_path)
+        (cold,) = self._cold(directory, chips=["Titan"])
+        (path,) = segment_paths(directory)
+        with open(path, "rb") as handle:
+            good = handle.read()
+        bad = good[:good.index(b',"histogram":')] + b',"histogram":\n'
+        with open(path, "wb") as handle:
+            handle.write(bad + good)
+        session = Session(cache_dir=directory)
+        (warm,) = session.run_specs([mp_spec("Titan")])
+        assert warm.cached and session.stats.executed == 0
+        assert warm.histogram.counts == cold.histogram.counts
+
+    def test_a_warm_session_opens_each_segment_once(self, tmp_path,
+                                                    monkeypatch):
+        directory = str(tmp_path)
+        self._cold(directory, chips=CHIPS_OF_SPECS[:2])
+        self._cold(directory, chips=CHIPS_OF_SPECS[2:])
+        segments = segment_paths(directory)
+        assert len(segments) == 2
+        opened, listed = [], []
+        real_open, real_listdir = open, os.listdir
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(str(path))
+            return real_open(path, *args, **kwargs)
+
+        def counting_listdir(path="."):
+            listed.append(str(path))
+            return real_listdir(path)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        monkeypatch.setattr(os, "listdir", counting_listdir)
+        session = Session(cache_dir=directory)
+        specs = [mp_spec(chip) for chip in CHIPS_OF_SPECS]
+        session.run_specs(specs)
+        session.run_specs(specs)
+        monkeypatch.undo()
+        assert session.stats.executed == 0
+        assert session.stats.cache_hits == 2 * len(specs)
+        assert sorted(path for path in opened
+                      if path.startswith(directory)) == segments
+        assert listed == [directory]
+
+    def test_a_failed_write_moves_to_a_fresh_segment(self, tmp_path,
+                                                     monkeypatch):
+        directory = str(tmp_path)
+        result = _sample_result()
+        cache = ResultCache(cache_dir=directory)
+        cache.put("first", result)
+        real_open = open
+
+        class Torn:
+            """A file whose write stops halfway, as on a full disk."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, data):
+                self.handle.write(data[:len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr("builtins.open", lambda *args, **kwargs: Torn(
+            real_open(*args, **kwargs)))
+        with pytest.raises(OSError):
+            cache.put("torn", result)
+        monkeypatch.undo()
+        cache.put("last", result)
+        assert len(segment_paths(directory)) == 2
+        reader = ResultCache(cache_dir=directory)
+        assert [reader.get(key, result.spec, ExhaustiveBackend.name,
+                           ExhaustiveMeta) is not None
+                for key in ("first", "torn", "last")] == [True, False, True]
+
+    def test_a_format_3_entry_is_ignored(self, tmp_path):
+        directory = str(tmp_path)
+        (cold,) = self._cold(directory, chips=["Titan"])
+        (path,) = segment_paths(directory)
+        with open(path) as handle:
+            payload = json.loads(handle.read())
+        os.unlink(path)
+        key = payload.pop("key")
+        payload["version"] = 3
+        legacy = os.path.join(directory, key + ".json")
+        with open(legacy, "w") as handle:
+            json.dump(payload, handle, separators=(",", ":"))
+        session = Session(cache_dir=directory)
+        (again,) = session.run_specs([mp_spec("Titan")])
+        assert not again.cached and session.stats.executed == 1
+        assert again.histogram.counts == cold.histogram.counts
+        # Left in place, not read and not deleted.
+        assert os.path.exists(legacy)
+        assert len(segment_paths(directory)) == 1
+
+    def test_entries_written_after_the_first_lookup_re_execute(
+            self, tmp_path):
+        directory = str(tmp_path)
+        early = Session(cache_dir=directory)
+        run_one(early, mp_spec("Titan"))
+        writer = Session(cache_dir=directory)
+        written = run_one(writer, mp_spec("HD7970"))
+        # ``early`` read the directory before ``writer`` appended.
+        again = run_one(early, mp_spec("HD7970"))
+        assert not again.cached and early.stats.executed == 2
+        assert again.histogram.counts == written.histogram.counts
+        third = Session(cache_dir=directory)
+        hits = third.run_specs([mp_spec("Titan"), mp_spec("HD7970")])
+        assert third.stats.executed == 0 and all(hit.cached for hit in hits)
+        assert hits[1].histogram.counts == written.histogram.counts
+        # Both copies of the entry stay valid.
+        key = third._cache_key(mp_spec("HD7970"))
+        copies = []
+        for path in segment_paths(directory):
+            with open(path, "rb") as handle:
+                copies.extend(
+                    decode_entry(line, key, None)
+                    for line in handle.read().splitlines()
+                    if line.startswith(b'{"key":"%s"' % key.encode()))
+        assert len(copies) == 2
+        assert copies[0] == copies[1] is not None
