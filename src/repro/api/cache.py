@@ -7,10 +7,12 @@ process and can be shared between sessions.  Keys combine the backend
 name with the :meth:`RunSpec.fingerprint` — the same cell simulated and
 model-checked are distinct entries.
 
-Layout: each cache that writes anything owns one
-``segment-<unique>.json`` at the top of the directory (beside the batch
-engine's ``plans/`` store), and appends one compact JSON line per entry
-to it: ``{"key": <cache key>, "version": 4, ...}``.  An entry stores the
+Layout: each cache owns one ``segment-<backend>-<unique>.json`` per
+backend it writes entries of, at the top of the directory (beside the
+batch engine's ``plans/`` store); ``<backend>`` is the part of the key
+before its first ``-``, e.g. ``sim``, ``model_ptx``, ``app`` or
+``exhaustive``.  It appends one compact JSON line per entry:
+``{"key": <cache key>, "version": 4, ...}``.  An entry stores the
 histogram as a list of ``{regs, mem, count}`` records (a
 :class:`~repro.litmus.condition.FinalState` is a pair of sorted tuples,
 which maps cleanly onto JSON lists), the backend's typed meta as its
@@ -22,28 +24,33 @@ a segment).  Any other file in the directory is ignored, the
 one-file-per-entry ``<key>.json`` files of format 3 included, so such a
 directory is cold once and its old entries can be deleted by hand.
 
-Writes: a cache reserves its segment with :func:`tempfile.mkstemp` at
-its first write and appends each entry with one write in append mode;
-no descriptor outlives a call.  Writers never share a segment, so they
-never collide.  An entry is handed to the OS before ``put`` returns,
-with no fsync.  A result that does not serialise raises before anything
-is written; a write that fails leaves at most one torn line, and the
-cache moves its later entries to a fresh segment.
+Writes: a cache reserves a backend's segment with
+:func:`tempfile.mkstemp` at its first write for that backend and
+appends each entry with one write in append mode; no descriptor
+outlives a call.  Writers never share a segment, so they never collide.
+An entry is handed to the OS before ``put`` returns, with no fsync.  A
+result that does not serialise raises before anything is written; a
+write that fails leaves at most one torn line, and the cache moves its
+later entries of that backend to a fresh segment.
 
-Reads: at its first lookup that misses the memory tier, a cache lists
-the directory once, reads every segment and indexes each complete line
-by the key on its fixed ``{"key":"`` prefix, without decoding the rest;
-later lookups touch no file.  A lookup decodes its key's lines until
-one is a valid version-4 entry, whose meta decodes through the
-backend's ``meta_type.from_json``.  A torn tail, a line that does not
-parse, a stale version or a malformed meta is skipped, and a key with
-no valid line is a miss: the re-executed result is appended, which
-heals the entry.
+Reads: at its first lookup of a backend that misses the memory tier, a
+cache lists the directory and reads *every* segment of that backend,
+indexing each complete line by the key on its fixed ``{"key":"`` prefix
+without decoding the rest; later lookups of that backend touch no file.
+Segments are never compacted, and a key can sit in several of them, so
+this read grows with everything the directory holds for the backend, not
+with the cells the session needs, and the undecoded lines stay in memory
+for the life of the cache; deleting the segments empties the disk tier.
+A lookup decodes its key's lines until one is a valid version-4 entry,
+whose meta decodes through the backend's ``meta_type.from_json``.  A
+torn tail, a line that does not parse, a stale version or a malformed
+meta is skipped, and a key with no valid line is a miss: the re-executed
+result is appended, which heals the entry.
 
-Visibility: a cache sees what was on disk at its first lookup, plus its
-own writes.  An entry another session appends later is re-executed by
-this one and appended to its own segment; both copies are valid, and
-nothing is lost.
+Visibility: a cache sees a backend's segments as they were at its first
+lookup of that backend, plus its own writes.  An entry another session
+appends later is re-executed by this one and appended to its own
+segment; both copies are valid, and nothing is lost.
 """
 
 import json
@@ -62,7 +69,7 @@ from .result import SpecResult
 #: v4: entries are lines of per-cache segments, keyed in the line.
 DISK_FORMAT_VERSION = 4
 
-#: Name prefix of a segment file; its suffix is ``.json``.
+#: Name prefix of every segment file; its suffix is ``.json``.
 SEGMENT_PREFIX = "segment-"
 
 #: How every entry line begins; its key runs to the next quote, since a
@@ -84,6 +91,14 @@ def cache_key(backend_name, signature, variant=""):
         parts.append(variant)
     parts.append(signature)
     return "-".join(parts)
+
+
+def segment_prefix(key):
+    """The name prefix of the segments that may hold ``key``,
+    ``segment-<backend>-``, where ``<backend>`` is the part of the key
+    before its first ``-``.  That part holds no ``-``, so no backend's
+    prefix begins another's."""
+    return "%s%s-" % (SEGMENT_PREFIX, key.split("-", 1)[0])
 
 
 def encode_state(state):
@@ -153,10 +168,11 @@ def decode_entry(line, key, meta_type):
         return None
 
 
-def read_segments(directory):
+def read_segments(directory, prefix):
     """``{key: [line, ...]}`` over every complete line of every segment
-    in ``directory``, in file-name then file order; keys and lines are
-    bytes, and no line is decoded."""
+    in ``directory`` whose name starts with ``prefix`` (a
+    :func:`segment_prefix`), in file-name then file order; keys and
+    lines are bytes, and no line is decoded."""
     index = {}
     try:
         names = sorted(os.listdir(directory))
@@ -164,7 +180,7 @@ def read_segments(directory):
         return index
     start = len(_KEY_PREFIX)
     for name in names:
-        if not (name.startswith(SEGMENT_PREFIX) and name.endswith(".json")):
+        if not (name.startswith(prefix) and name.endswith(".json")):
             continue
         try:
             with open(os.path.join(directory, name), "rb") as handle:
@@ -192,10 +208,12 @@ class ResultCache:
     def __init__(self, cache_dir=None):
         self.cache_dir = cache_dir
         self._memory = {}
-        #: Undecoded segment lines by key, read at the first disk lookup.
-        self._segments = None
-        #: This cache's own segment, reserved at its first disk write.
-        self._segment = None
+        #: Per segment prefix, the undecoded lines of its segments by
+        #: key, read at the first disk lookup of that backend.
+        self._segments = {}
+        #: Per segment prefix, this cache's own segment, reserved at its
+        #: first disk write of that backend.
+        self._own = {}
         self.hits = 0
         self.misses = 0
         if cache_dir:
@@ -237,28 +255,33 @@ class ResultCache:
         self._memory[key] = (dict(result.histogram.counts), result.meta,
                              result.provenance)
         if self.cache_dir:
-            self._append(encode_entry(key, result))
+            self._append(segment_prefix(key), encode_entry(key, result))
 
     def _from_segments(self, key, meta_type):
-        if self._segments is None:
-            self._segments = read_segments(self.cache_dir)
-        for line in self._segments.pop(key.encode(), ()):
+        prefix = segment_prefix(key)
+        index = self._segments.get(prefix)
+        if index is None:
+            index = self._segments[prefix] = read_segments(self.cache_dir,
+                                                           prefix)
+        for line in index.pop(key.encode(), ()):
             entry = decode_entry(line, key, meta_type)
             if entry is not None:
                 self._memory[key] = entry
                 return entry
         return None
 
-    def _append(self, line):
-        if self._segment is None:
-            descriptor, self._segment = tempfile.mkstemp(
-                dir=self.cache_dir, prefix=SEGMENT_PREFIX, suffix=".json")
+    def _append(self, prefix, line):
+        segment = self._own.get(prefix)
+        if segment is None:
+            descriptor, segment = tempfile.mkstemp(
+                dir=self.cache_dir, prefix=prefix, suffix=".json")
             os.close(descriptor)
+            self._own[prefix] = segment
         try:
-            with open(self._segment, "ab") as handle:
+            with open(segment, "ab") as handle:
                 handle.write(line)
         except BaseException:
             # The segment may now end in a torn line; appending after it
             # would glue the next entry onto it.
-            self._segment = None
+            del self._own[prefix]
             raise

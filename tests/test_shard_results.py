@@ -375,18 +375,15 @@ class TestSegments:
         assert warm.cached and session.stats.executed == 0
         assert warm.histogram.counts == cold.histogram.counts
 
-    def test_a_warm_session_opens_each_segment_once(self, tmp_path,
-                                                    monkeypatch):
-        directory = str(tmp_path)
-        self._cold(directory, chips=CHIPS_OF_SPECS[:2])
-        self._cold(directory, chips=CHIPS_OF_SPECS[2:])
-        segments = segment_paths(directory)
-        assert len(segments) == 2
+    def _count_reads(self, monkeypatch, directory):
+        """The paths under ``directory`` that ``open`` and
+        ``os.listdir`` see, in call order, until ``monkeypatch.undo``."""
         opened, listed = [], []
         real_open, real_listdir = open, os.listdir
 
         def counting_open(path, *args, **kwargs):
-            opened.append(str(path))
+            if str(path).startswith(directory):
+                opened.append(str(path))
             return real_open(path, *args, **kwargs)
 
         def counting_listdir(path="."):
@@ -395,6 +392,16 @@ class TestSegments:
 
         monkeypatch.setattr("builtins.open", counting_open)
         monkeypatch.setattr(os, "listdir", counting_listdir)
+        return opened, listed
+
+    def test_a_warm_session_opens_each_segment_once(self, tmp_path,
+                                                    monkeypatch):
+        directory = str(tmp_path)
+        self._cold(directory, chips=CHIPS_OF_SPECS[:2])
+        self._cold(directory, chips=CHIPS_OF_SPECS[2:])
+        segments = segment_paths(directory)
+        assert len(segments) == 2
+        opened, listed = self._count_reads(monkeypatch, directory)
         session = Session(cache_dir=directory)
         specs = [mp_spec(chip) for chip in CHIPS_OF_SPECS]
         session.run_specs(specs)
@@ -402,16 +409,32 @@ class TestSegments:
         monkeypatch.undo()
         assert session.stats.executed == 0
         assert session.stats.cache_hits == 2 * len(specs)
-        assert sorted(path for path in opened
-                      if path.startswith(directory)) == segments
+        assert sorted(opened) == segments
         assert listed == [directory]
+
+    def test_a_session_reads_only_its_backends_segments(self, tmp_path,
+                                                        monkeypatch):
+        directory = str(tmp_path)
+        self._cold(directory, chips=["Titan"])
+        run_one(Session(backend="model", cache_dir=directory),
+                mp_spec("Titan"))
+        (model, sim) = segment_paths(directory)
+        assert os.path.basename(model).startswith("segment-model_ptx-")
+        assert os.path.basename(sim).startswith("segment-sim-")
+        for backend, segment in (("sim", sim), ("model", model)):
+            opened, listed = self._count_reads(monkeypatch, directory)
+            session = Session(backend=backend, cache_dir=directory)
+            assert run_one(session, mp_spec("Titan")).cached
+            monkeypatch.undo()
+            assert session.stats.executed == 0
+            assert opened == [segment] and listed == [directory]
 
     def test_a_failed_write_moves_to_a_fresh_segment(self, tmp_path,
                                                      monkeypatch):
         directory = str(tmp_path)
         result = _sample_result()
         cache = ResultCache(cache_dir=directory)
-        cache.put("first", result)
+        cache.put("exhaustive-first", result)
         real_open = open
 
         class Torn:
@@ -433,14 +456,15 @@ class TestSegments:
         monkeypatch.setattr("builtins.open", lambda *args, **kwargs: Torn(
             real_open(*args, **kwargs)))
         with pytest.raises(OSError):
-            cache.put("torn", result)
+            cache.put("exhaustive-torn", result)
         monkeypatch.undo()
-        cache.put("last", result)
+        cache.put("exhaustive-last", result)
         assert len(segment_paths(directory)) == 2
         reader = ResultCache(cache_dir=directory)
         assert [reader.get(key, result.spec, ExhaustiveBackend.name,
                            ExhaustiveMeta) is not None
-                for key in ("first", "torn", "last")] == [True, False, True]
+                for key in ("exhaustive-first", "exhaustive-torn",
+                            "exhaustive-last")] == [True, False, True]
 
     def test_a_format_3_entry_is_ignored(self, tmp_path):
         directory = str(tmp_path)
