@@ -46,25 +46,17 @@ def env_int(name, fallback, minimum=1):
     return max(parsed, minimum)
 
 
-def resolve_choice(value, env_var, choices, default, what):
-    """Resolve a two-source configuration choice (the engine-switch
-    idiom shared by ``repro.sim.engine.resolve_engine`` and
+def resolve_choice(value, choices, default, what):
+    """Resolve a configuration choice (the engine-switch idiom shared by
+    ``repro.sim.engine.resolve_engine`` and
     ``repro.model.models.resolve_model_engine``).
 
-    ``value=None`` consults the ``env_var`` environment variable
-    (falling back to ``default``), rejecting junk with a
-    :class:`~repro.errors.ConfigurationError`; an explicit ``value``
-    must name one of ``choices`` or a
-    :class:`~repro.errors.ReproError` is raised, with ``what`` naming
-    the knob in the message.
+    ``value=None`` means ``default``; anything else must name one of
+    ``choices`` or a :class:`~repro.errors.ReproError` is raised, with
+    ``what`` naming the knob in the message.
     """
     if value is None:
-        value = os.environ.get(env_var) or default
-        if value not in choices:
-            raise ConfigurationError(
-                "%s must be one of %s, got %r"
-                % (env_var, "/".join(choices), value))
-        return value
+        return default
     if value not in choices:
         from .errors import ReproError
         raise ReproError("unknown %s %r (expected %s)"

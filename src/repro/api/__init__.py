@@ -15,9 +15,10 @@ Quick tour::
     result = session.run(library.build("mp"), "Titan", iterations=100000)
     print(result.summary())
 
-    # The simulation engine is switchable per session, per call or per
-    # spec ("fast" compiled cells by default, "reference" for the
-    # generic interpreter); histograms are bit-identical either way.
+    # Each session sets the engine of its backend once ("fast" compiled
+    # cells by default, "reference" for the generic interpreter), and
+    # every spec it builds carries it; histograms are bit-identical
+    # either way.  A prepared RunSpec keeps its own engine.
     slow = Session(engine="reference")
 
     campaign = session.campaign(

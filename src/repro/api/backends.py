@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from ..harness.histogram import Histogram
 from ..harness.incantations import efficacy
 from ..litmus.writer import write_litmus
-from ..model.models import MODELS, load_model
+from ..model.models import MODELS, load_model, resolve_model_engine
 from ..sim.engine import run_batch
 from ..sim.machine import build_machine
 from .result import ShardResult
@@ -345,7 +345,7 @@ class ModelBackend(Backend):
     not statistical).  ``SpecResult.observations > 0`` therefore reads
     as the paper's Allowed verdict for the test's condition.
 
-    ``spec.model_engine`` picks the checking engine per cell:
+    ``spec.engine`` picks the checking engine per cell:
     ``"fast"`` compiles the model once and prunes the enumeration with
     its monotone checks (:func:`repro.model.enumerate.enumerate_allowed`);
     ``"reference"`` materialises every candidate execution.  Identical
@@ -370,9 +370,11 @@ class ModelBackend(Backend):
         campaign across the seven result chips enumerates each test
         once, not seven times.  The engine is part of the signature for
         the same reason as the sim backend's: a cached reference
-        verdict must never mask a fast-engine divergence."""
+        verdict must never mask a fast-engine divergence; a ``batch``
+        spec fails here, before anything runs."""
         payload = "%s\x1e fuel=%d\x1e engine=%s" % (
-            write_litmus(spec.test), self.fuel, spec.model_engine)
+            write_litmus(spec.test), self.fuel,
+            resolve_model_engine(spec.engine))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def shards(self, spec, shard_size):
@@ -389,7 +391,7 @@ class ModelBackend(Backend):
         # silent sampler.
         allowed = self.model.allowed_outcomes(
             spec.test, fuel=self.fuel, max_executions=self.max_executions,
-            on_limit="error", engine=spec.model_engine)
+            on_limit="error", engine=spec.engine)
         histogram = Histogram()
         for state in allowed:
             histogram.add(state)

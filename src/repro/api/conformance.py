@@ -273,12 +273,12 @@ def run_soundness(tests, chips, model="ptx", incantations=BEST,
     chunked planning holds at most ``chunk_size`` tests' histograms at
     once); names must be corpus-unique (see :func:`uniquify_tests`).
     ``model`` names the axiomatic reference (``"ptx"`` is the paper's).
-    Sim cells use ``incantations``/``iterations``/``seed``/``engine``
-    exactly like :meth:`Session.campaign` (``engine`` matters only for
-    wall-clock: both engines yield bit-identical observations), and
-    ``model_engine`` picks the model-checking engine the same way
-    (``"fast"``, the default, makes longer diy corpora — length 6 and
-    up — enumerable within a campaign's budget).
+    Sim cells use ``incantations``/``iterations``/``seed`` exactly like
+    :meth:`Session.campaign`.  ``engine`` and ``model_engine`` are the
+    sim and model engines (``None``: the engine of the session that
+    runs them); they change only wall-clock, never a verdict, and the
+    fast model engine is what makes diy corpora of length 6 and up
+    enumerable within a campaign's budget.
 
     Example — validate a small generated corpus on two chips::
 
@@ -322,8 +322,11 @@ def run_soundness(tests, chips, model="ptx", incantations=BEST,
             model_session = Session(
                 backend=ModelBackend(model, fuel=fuel), jobs=jobs,
                 executor=executor, cache=shared_cache,
-                cache_dir=cache_dir, pool=own_pool,
-                model_engine=model_engine)
+                cache_dir=cache_dir, pool=own_pool, engine=model_engine)
+        if engine is None:
+            engine = sim_session.engine
+        if model_engine is None:
+            model_engine = model_session.engine
         # Stats are reported as this campaign's delta, so reusing a
         # long-lived session (the benchmarks' shared one) still yields
         # per-campaign executed/cache-hit counts.
@@ -337,10 +340,7 @@ def run_soundness(tests, chips, model="ptx", incantations=BEST,
             # unit — and a sim spec per (test, chip) cell.
             model_specs = [
                 RunSpec.make(test, representative, incantations=None,
-                             iterations=1, seed=0,
-                             model_engine=(model_engine
-                                           if model_engine is not None
-                                           else model_session.model_engine))
+                             iterations=1, seed=0, engine=model_engine)
                 for test in chunk]
             allowed = {}
             for test, result in zip(chunk,
@@ -349,8 +349,7 @@ def run_soundness(tests, chips, model="ptx", incantations=BEST,
                 report.add_test(test.name, len(allowed[test.name]))
             sim_specs = matrix(chunk, chips, incantations=incantations,
                                iterations=iterations, seed=seed,
-                               engine=(engine if engine is not None
-                                       else sim_session.engine))
+                               engine=engine)
             for result in sim_session.run_specs(sim_specs):
                 cell = _join_cell(result, allowed[result.test.name])
                 report.add_cell(cell)

@@ -36,21 +36,22 @@ from dataclasses import asdict, dataclass
 
 from ..errors import ReproError
 from ..harness.histogram import Histogram
+from ..sim.engine import resolve_engine
 from .backends import make_backend
 from .cache import ResultCache, cache_key
 from .result import PROVED, CampaignResult, ShardResult, SpecResult
 from .spec import BEST, RunSpec, matrix
 
-#: Specs per :meth:`Session.run_stream` execution chunk.  Large enough to
-#: keep a worker pool busy and let in-plan deduplication catch twins,
+#: Tests per streaming chunk of the conformance pipeline.  Large enough
+#: to keep a worker pool busy and let in-plan deduplication catch twins,
 #: small enough that a 10k-test corpus never holds more than a chunk of
 #: histograms in memory at once.
 DEFAULT_CHUNK_SIZE = 64
 
 
 def chunked(iterable, size):
-    """Yield lists of up to ``size`` items — the streaming unit shared by
-    :meth:`Session.run_stream` and the conformance pipeline."""
+    """Yield lists of up to ``size`` items — the streaming unit of the
+    conformance pipeline."""
     chunk = []
     for item in iterable:
         chunk.append(item)
@@ -117,17 +118,9 @@ class Session:
         several sessions — e.g. the sim and model halves of a
         conformance pipeline — share one worker pool.
     engine:
-        Default simulation engine for specs this session builds:
-        ``"fast"`` (compiled cells, the default) or ``"reference"``
-        (the generic interpreter) — bit-identical histograms either
-        way.  ``None`` defers to the ``REPRO_ENGINE`` environment
-        variable; a prepared :class:`RunSpec` always keeps its own
-        ``engine``.
-    model_engine:
-        The model-checking twin of ``engine`` for specs this session
-        builds: ``"fast"`` (compiled model + pruned enumeration, the
-        default) or ``"reference"``.  ``None`` defers to
-        ``REPRO_MODEL_ENGINE``.
+        The :attr:`RunSpec.engine` of every spec the session builds
+        (``None`` means ``"fast"``); a prepared :class:`RunSpec` keeps
+        its own.
 
     Example::
 
@@ -139,7 +132,7 @@ class Session:
 
     def __init__(self, backend="sim", jobs=1, cache=True, cache_dir=None,
                  shard_size=None, executor="thread", pool=None,
-                 engine=None, model_engine=None):
+                 engine=None):
         self.backend = make_backend(backend)
         if jobs < 1:
             raise ReproError("jobs must be >= 1, got %r" % jobs)
@@ -154,14 +147,7 @@ class Session:
                              % (executor,))
         self.executor = executor
         self.pool = pool
-        if engine is not None:
-            from ..sim.engine import resolve_engine
-            engine = resolve_engine(engine)
-        self.engine = engine
-        if model_engine is not None:
-            from ..model.models import resolve_model_engine
-            model_engine = resolve_model_engine(model_engine)
-        self.model_engine = model_engine
+        self.engine = resolve_engine(engine)
         if isinstance(cache, ResultCache):
             self.cache = cache
         elif cache_dir or cache:
@@ -180,7 +166,7 @@ class Session:
     # -- public API -------------------------------------------------------
 
     def run(self, test, chip=None, incantations=BEST, iterations=None,
-            seed=0, engine=None, model_engine=None):
+            seed=0):
         """Execute one cell; accepts a prepared :class:`RunSpec` or the
         (test, chip, ...) fields of one.
 
@@ -200,8 +186,7 @@ class Session:
                                  "RunSpec")
             spec = RunSpec.make(test, chip, incantations=incantations,
                                 iterations=iterations, seed=seed,
-                                engine=self._engine(engine),
-                                model_engine=self._model_engine(model_engine))
+                                engine=self.engine)
         return self.run_specs([spec])[0]
 
     def run_specs(self, specs):
@@ -255,61 +240,14 @@ class Session:
         return [results[index] for index in range(len(specs))]
 
     def campaign(self, tests, chips, incantations=BEST, iterations=None,
-                 seed=0, engine=None, model_engine=None):
+                 seed=0):
         """Plan and execute the cartesian product campaign."""
         specs = matrix(tests, chips, incantations=incantations,
-                       iterations=iterations, seed=seed,
-                       engine=self._engine(engine),
-                       model_engine=self._model_engine(model_engine))
+                       iterations=iterations, seed=seed, engine=self.engine)
         campaign = CampaignResult()
         for result in self.run_specs(specs):
             campaign.add(result)
         return campaign
-
-    def plan(self, tests, chips, incantations=BEST, iterations=None, seed=0,
-             engine=None, model_engine=None):
-        """Lazily yield the cartesian-product plan of :meth:`campaign`.
-
-        The generator twin of :func:`~repro.api.spec.matrix`: ``tests``
-        may itself be a generator (e.g. a diy corpus being synthesised on
-        the fly) — specs are built test by test, so a 10k-test corpus
-        never materialises as a spec list.  Feed the result to
-        :meth:`run_stream`.
-        """
-        chips = list(chips)
-        engine = self._engine(engine)
-        model_engine = self._model_engine(model_engine)
-        for test in tests:
-            for chip in chips:
-                yield RunSpec.make(test, chip, incantations=incantations,
-                                   iterations=iterations, seed=seed,
-                                   engine=engine, model_engine=model_engine)
-
-    def run_stream(self, specs, chunk_size=DEFAULT_CHUNK_SIZE):
-        """Execute a plan in chunks; yields results in plan order.
-
-        The streaming twin of :meth:`run_specs`: ``specs`` is any
-        iterable (including a generator from :meth:`plan`), consumed
-        ``chunk_size`` specs at a time, so at most one chunk of
-        histograms is in flight at once.  Within a chunk the usual
-        machinery applies — parallel sharding, cache lookups, in-plan
-        deduplication; across chunks the result cache still catches
-        repeats.  Bit-identical results to :meth:`run_specs` on the same
-        plan.
-        """
-        if chunk_size < 1:
-            raise ReproError("chunk_size must be >= 1, got %r" % (chunk_size,))
-        for chunk in chunked(specs, chunk_size):
-            for result in self.run_specs(chunk):
-                yield result
-
-    def _engine(self, engine):
-        """Per-call engine override, else the session default (which may
-        itself be ``None`` = environment default)."""
-        return engine if engine is not None else self.engine
-
-    def _model_engine(self, model_engine):
-        return model_engine if model_engine is not None else self.model_engine
 
     # -- execution strategies ---------------------------------------------
 

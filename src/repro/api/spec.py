@@ -11,12 +11,11 @@ with identical content hash identically across processes and sessions
 """
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..errors import ReproError
 from ..harness.incantations import Incantations, best_for
 from ..litmus.writer import write_litmus
-from ..model.models import resolve_model_engine
 from ..sim.chip import ChipProfile, chip as resolve_chip
 from ..sim.engine import resolve_engine
 
@@ -116,37 +115,27 @@ class RunSpec:
     incantations: Incantations
     iterations: int
     seed: int = 0
-    #: Simulation engine for sim backends: ``"fast"`` (the compiled
-    #: cells of :mod:`repro.sim.compile`), ``"batch"`` (the numpy
-    #: lockstep lowering of :mod:`repro.sim.batch`) or ``"reference"``
-    #: (the generic interpreter).  ``reference``/``fast`` are
-    #: bit-identical by property-tested contract and ``batch`` is
+    #: Engine of the backend that runs the spec: ``"fast"``,
+    #: ``"reference"`` or, on the sim and app backends only, ``"batch"``
+    #: (:data:`repro.sim.engine.ENGINES`,
+    #: :data:`repro.model.models.MODEL_ENGINES`).  ``reference``/``fast``
+    #: agree exactly by property-tested contract and ``batch`` is
     #: distribution-equivalent under a documented seeded stream-break,
     #: so the engine is *not* part of the content fingerprint (and
-    #: therefore never perturbs shard seeds) — but it *is* part of the
-    #: sim backend's cache signature, so cached histograms never cross
-    #: engines (a cached reference result must not mask a fast-engine
-    #: bug, and a batch histogram must never satisfy a bit-exact
-    #: fast/reference request).
+    #: therefore never perturbs shard seeds) — but it *is* part of every
+    #: engine-switching backend's cache signature, so cached results
+    #: never cross engines (a cached reference result must not mask a
+    #: fast-engine bug, and a batch histogram must never satisfy a
+    #: bit-exact fast/reference request).
     engine: str = "fast"
-    #: Model-checking engine for model backends, with the same contract
-    #: as ``engine``: ``"fast"`` (compiled model + pruned enumeration,
-    #: :func:`repro.model.enumerate.enumerate_allowed`) or
-    #: ``"reference"`` (materialise-then-check).  Excluded from the
-    #: fingerprint, included in the model backend's cache signature.
-    model_engine: str = "fast"
 
     @staticmethod
     def make(test, chip, incantations=BEST, iterations=None, seed=0,
-             engine=None, model_engine=None):
+             engine=None):
         """Build a normalised spec.
 
-        ``engine=None`` resolves through
-        :func:`repro.sim.engine.resolve_engine` (the ``REPRO_ENGINE``
-        environment variable, default ``"fast"``); ``model_engine=None``
-        likewise through
-        :func:`repro.model.models.resolve_model_engine`
-        (``REPRO_MODEL_ENGINE``, default ``"fast"``).
+        ``engine=None`` means ``"fast"``; the model backend refuses
+        ``"batch"`` when it runs the spec.
 
         >>> from repro.litmus import library
         >>> spec = RunSpec.make(library.build("mp"), "Titan",
@@ -154,8 +143,6 @@ class RunSpec:
         >>> spec.key
         ('mp', 'Titan')
         >>> spec.engine
-        'fast'
-        >>> spec.model_engine
         'fast'
         """
         from ..harness.runner import default_iterations
@@ -168,20 +155,12 @@ class RunSpec:
             raise ReproError("iterations must be positive, got %r" % iterations)
         return RunSpec(test=test, chip=chip, incantations=incantations,
                        iterations=int(iterations), seed=int(seed),
-                       engine=resolve_engine(engine),
-                       model_engine=resolve_model_engine(model_engine))
+                       engine=resolve_engine(engine))
 
     @property
     def key(self):
         """The campaign grid key: ``(test name, chip short)``."""
         return (self.test.name, self.chip.short)
-
-    def with_engine(self, engine):
-        return replace(self, engine=resolve_engine(engine))
-
-    def with_model_engine(self, model_engine):
-        return replace(self,
-                       model_engine=resolve_model_engine(model_engine))
 
     def fingerprint(self):
         """Stable content hash of this spec (hex digest).
@@ -189,13 +168,13 @@ class RunSpec:
         Covers the full litmus text (not just the name), the chip's
         complete profile (so recalibrated knobs invalidate old cache
         entries), the incantation column, iterations and seed.  The
-        ``engine`` and ``model_engine`` are deliberately **excluded**:
-        per-shard seeds derive from this digest, and engine-independent
-        seeding is exactly what makes the engine-equivalence contracts
-        testable (fast/reference bit-identity, batch distribution
-        equivalence on the very same shard seeds).  All
-        fields are frozen, so the digest is computed once and memoised
-        (cache lookup, store and every shard seed re-ask for it).
+        ``engine`` is deliberately **excluded**: per-shard seeds derive
+        from this digest, and engine-independent seeding is exactly
+        what makes the engine-equivalence contracts testable
+        (fast/reference bit-identity, batch distribution equivalence on
+        the very same shard seeds).  All fields are frozen, so the
+        digest is computed once and memoised (cache lookup, store and
+        every shard seed re-ask for it).
         """
         cached = self.__dict__.get("_fingerprint")
         if cached is not None:
@@ -218,7 +197,7 @@ class RunSpec:
 
 
 def matrix(tests, chips, incantations=BEST, iterations=None, seed=0,
-           engine=None, model_engine=None):
+           engine=None):
     """Cartesian-product campaign plan: one :class:`RunSpec` per
     (test, chip) cell — the planner behind ``Session.campaign``."""
     specs = []
@@ -226,6 +205,5 @@ def matrix(tests, chips, incantations=BEST, iterations=None, seed=0,
         for chip in chips:
             specs.append(RunSpec.make(test, chip, incantations=incantations,
                                       iterations=iterations, seed=seed,
-                                      engine=engine,
-                                      model_engine=model_engine))
+                                      engine=engine))
     return specs

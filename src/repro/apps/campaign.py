@@ -64,11 +64,14 @@ def run_app_campaign(scenarios, chips, runs=None, seed=0, intensity=STRESS,
 
     ``scenarios`` may mix registry names and
     :class:`~repro.apps.scenario.Scenario` values built outside the
-    registry (another lock or other partial sums).
+    registry (another lock or other partial sums).  ``engine=None``
+    means the engine of the session that runs the campaign.
     """
     if session is None:
         session = app_session(jobs=jobs, executor=executor,
                               cache_dir=cache_dir)
+    if engine is None:
+        engine = session.engine
     specs = app_matrix(scenarios, chips, runs=runs, seed=seed,
                        intensity=intensity, engine=engine)
     campaign = CampaignResult()

@@ -75,8 +75,8 @@ def build_launch_test(kernels, init_mem, condition=None, placement="inter-cta",
 class Grid:
     """A compiled grid: one kernel per thread, ready to launch.
 
-    ``engine`` picks the execution engine (``None`` defers to
-    ``REPRO_ENGINE``, default ``fast``); ``reference`` and ``fast``
+    ``engine`` picks the execution engine (``None`` means the default,
+    ``fast``); ``reference`` and ``fast``
     results are bit-identical for the same seed, ``batch`` results are
     deterministic in the seed but follow the batch RNG-stream contract
     (distribution-equivalent histograms).

@@ -35,7 +35,7 @@ the engine (fast/reference bit-identity keeps shard streams shared).
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..api.spec import _chip_signature
 from ..errors import ConfigurationError, ReproError
@@ -228,9 +228,6 @@ class ScenarioSpec:
         rather than Table 6 incantations; this is the display/caching
         stand-in the shared result plumbing expects."""
         return "intensity=%g" % self.intensity
-
-    def with_engine(self, engine):
-        return replace(self, engine=resolve_engine(engine))
 
     def fingerprint(self):
         """Stable content hash (hex digest), memoised.

@@ -9,7 +9,8 @@ Subcommands::
         Run a litmus test (library name or .litmus file) on a simulated
         chip; print the histogram.  The default incantations are the
         paper's most effective combination; ``--incantations none``
-        reproduces the bare Sec. 4.2 configuration.
+        reproduces the bare Sec. 4.2 configuration.  Under ``--backend
+        model``, ``--engine`` picks the model-checking engine.
 
     repro-litmus campaign TEST [TEST ...] [--chips A B ...] [--jobs N]
                  [--backend ...] [--cache-dir D] [--iterations N]
@@ -85,7 +86,7 @@ import argparse
 import os
 import sys
 
-from .api import Session
+from .api import Session, matrix
 from .api.conformance import SOUNDNESS_CHIPS, run_soundness
 from .api.result import CampaignResult
 from .apps import (FAMILIES, SCENARIOS, STRESS, app_matrix, app_session,
@@ -125,23 +126,23 @@ def _session(args):
     try:
         return Session(backend=args.backend, jobs=args.jobs,
                        executor=args.executor, cache_dir=args.cache_dir,
-                       engine=args.engine, model_engine=args.model_engine)
+                       engine=args.engine)
     except ReproError as error:
         raise SystemExit(str(error))
 
 
 def _engine_argument(parser):
     parser.add_argument("--engine", default=None, choices=ENGINES,
-                        help="simulation engine: fast (compiled cells, "
-                             "the default; bit-identical to reference "
-                             "and several times quicker), reference "
-                             "(the generic interpreter), or batch "
-                             "(numpy lockstep shards, another order of "
-                             "magnitude quicker; distribution-"
+                        help="engine of the backend: fast (compiled "
+                             "cells, the default; bit-identical to "
+                             "reference and several times quicker), "
+                             "reference (the generic interpreter), or "
+                             "batch (numpy lockstep shards, another "
+                             "order of magnitude quicker; distribution-"
                              "equivalent histograms, needs the "
-                             "repro[batch] extra) — tracked speedups "
-                             "live in BENCH_engine.json; REPRO_ENGINE "
-                             "sets the default")
+                             "repro[batch] extra; not for --backend "
+                             "model) — tracked speedups live in "
+                             "BENCH_engine.json and BENCH_model.json")
 
 
 def _model_engine_argument(parser):
@@ -151,8 +152,7 @@ def _model_engine_argument(parser):
                              "model + pruned enumeration, the default) "
                              "or reference (materialise every candidate "
                              "execution) — identical verdicts, speedups "
-                             "tracked in BENCH_model.json; "
-                             "REPRO_MODEL_ENGINE sets the default")
+                             "tracked in BENCH_model.json")
 
 
 def _pool_parent():
@@ -177,7 +177,6 @@ def _session_arguments(parser):
                              "model:NAME, analysis (static verdicts), or "
                              "exhaustive (DPOR model checking)")
     _engine_argument(parser)
-    _model_engine_argument(parser)
 
 
 def _cmd_run(args):
@@ -230,10 +229,10 @@ def _cmd_campaign(args):
     try:
         if args.prescreen:
             from .analysis import CLEAN, condition_skippable
-            specs = list(session.plan(tests, args.chips,
-                                      incantations=args.incantations,
-                                      iterations=args.iterations,
-                                      seed=args.seed))
+            specs = matrix(tests, args.chips,
+                           incantations=args.incantations,
+                           iterations=args.iterations, seed=args.seed,
+                           engine=session.engine)
             # A clean verdict is not enough for a litmus condition (a
             # race-free test can still observe an SC-reachable state) —
             # skip only conditions the SC model forbids under a
@@ -604,7 +603,8 @@ def build_parser():
                              "on = the paper's fences, both (default)")
     verify.add_argument("--intensity", type=float, default=1.0,
                         help="relaxation intent (structural: any positive "
-                             "value explores the same space; default 1.0)")
+                             "value explores the same space, and 0, where "
+                             "nothing relaxes, is refused; default 1.0)")
     verify.add_argument("--loop-bound", type=int, default=None,
                         help="spin-retry bound per backward branch "
                              "(default 3); verdicts at the bound carry an "

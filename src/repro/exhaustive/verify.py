@@ -21,6 +21,7 @@ recorded it, and the merge keeps the serial exploration's first one.
 from dataclasses import dataclass
 
 from ..apps.scenario import ScenarioSpec
+from ..errors import ConfigurationError
 from ..sim.chip import chip as resolve_chip
 from .backend import exhaustive_session, exhaustive_verdict
 from .explore import DEFAULT_LOOP_BOUND, DEFAULT_MAX_TRANSITIONS
@@ -108,15 +109,20 @@ def verify_scenarios(scenarios, chips, intensity=1.0,
     (or registry names), ``chips`` short names or profiles.
     ``intensity`` is structural — any positive value explores the same
     space — and defaults to 1.0, the "small intensity" of the bench
-    corpus.  ``witnesses=False`` leaves the losing execution traces out
-    of the rows.  Returns a :class:`VerifyReport`, whose loop bound is
-    the one the session's backend explored with.
+    corpus; zero, where nothing relaxes, is refused.  ``witnesses=False``
+    leaves the losing execution traces out of the rows.  Returns a
+    :class:`VerifyReport`, whose loop bound is the one the session's
+    backend explored with.
 
     ``loop_bound``, ``max_transitions``, ``jobs``, ``executor`` and
     ``cache_dir`` configure only the session this function builds when
     ``session`` is ``None``; a given session keeps its own.
     """
     from ..apps.scenario import get_scenario
+    if not intensity > 0:
+        raise ConfigurationError(
+            "verify needs an intensity > 0 (at 0 no relaxation fires and "
+            "every cell would verify), got %r" % (intensity,))
     scenarios = [get_scenario(s) if isinstance(s, str) else s
                  for s in scenarios]
     chips = [resolve_chip(chip) for chip in chips]

@@ -22,19 +22,17 @@ from .enumerate import (allowed_final_states, enumerate_allowed,
 #: property-tested contract (``tests/test_model_compile.py``).
 MODEL_ENGINES = ("reference", "fast")
 
-#: Engine used when nothing picks one explicitly (overridable per call
-#: via ``engine=`` / per spec via ``RunSpec.model_engine`` /
-#: ``--model-engine`` or globally via ``REPRO_MODEL_ENGINE``).
+#: Engine used when nothing picks one explicitly.
 DEFAULT_MODEL_ENGINE = "fast"
 
 
 def resolve_model_engine(engine):
-    """Normalise a model-engine choice: ``None`` means the environment's
-    ``REPRO_MODEL_ENGINE`` (default ``fast``); anything else must name
-    one of :data:`MODEL_ENGINES`."""
+    """Normalise a model-engine choice: ``None`` means
+    :data:`DEFAULT_MODEL_ENGINE`; anything else must name one of
+    :data:`MODEL_ENGINES`."""
     from .._util import resolve_choice
-    return resolve_choice(engine, "REPRO_MODEL_ENGINE", MODEL_ENGINES,
-                          DEFAULT_MODEL_ENGINE, "model engine")
+    return resolve_choice(engine, MODEL_ENGINES, DEFAULT_MODEL_ENGINE,
+                          "model engine")
 
 #: Fig. 15 — the RMO core.
 RMO_CORE_CAT = r"""
@@ -133,12 +131,11 @@ class AxiomaticModel:
         ``max_executions`` cap that cuts the enumeration short raises
         instead of silently under-approximating the allowed set.
 
-        ``engine`` picks the checking engine (``None`` resolves through
-        :func:`resolve_model_engine`: ``REPRO_MODEL_ENGINE``, default
-        ``"fast"``).  ``"fast"`` compiles the model once and prunes the
-        enumeration with its monotone checks; ``"reference"``
-        materialises every candidate execution and interprets the .cat
-        text against it.  Identical results either way.
+        ``engine`` picks the checking engine (``None`` means ``"fast"``).
+        ``"fast"`` compiles the model once and prunes the enumeration
+        with its monotone checks; ``"reference"`` materialises every
+        candidate execution and interprets the .cat text against it.
+        Identical results either way.
         """
         if resolve_model_engine(engine) == "fast":
             return enumerate_allowed(test, self.compiled(), fuel=fuel,

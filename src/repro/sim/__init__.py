@@ -18,10 +18,11 @@ Three engines execute litmus iterations:
   run that never lowers a batch cell never imports numpy.
 
 Pick one per run via :func:`run_iterations`'s ``engine`` argument, the
-``engine`` field of :class:`repro.api.RunSpec`, or the CLI's
-``--engine``; :func:`~repro.sim.engine.resolve_engine` applies the
-``REPRO_ENGINE`` environment default.  :func:`build_machine` turns the
-choice into a machine for every caller that samples.
+``engine`` of a :class:`repro.api.Session` (which every spec it builds
+carries in :attr:`repro.api.RunSpec.engine`), or the CLI's
+``--engine``; :func:`~repro.sim.engine.resolve_engine` maps ``None``
+to ``fast``.  :func:`build_machine` turns the choice into a machine for
+every caller that samples.
 """
 
 from .chip import (AMD_RESULT_CHIPS, CHIPS, ChipProfile,

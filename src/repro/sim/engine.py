@@ -37,19 +37,15 @@ LOAD, STORE, FENCE, CAS, EXCH, FETCH_ADD = "R", "W", "F", "CAS", "EXCH", "ADD"
 #: dependency.
 ENGINES = ("reference", "fast", "batch")
 
-#: Engine used when nothing picks one explicitly (overridable per run
-#: via ``RunSpec``/``Session``/``--engine`` or globally via the
-#: ``REPRO_ENGINE`` environment variable).
+#: Engine used when nothing picks one explicitly.
 DEFAULT_ENGINE = "fast"
 
 
 def resolve_engine(engine):
-    """Normalise an engine choice: ``None`` means the environment's
-    ``REPRO_ENGINE`` (default ``fast``); anything else must name one of
-    :data:`ENGINES`."""
+    """Normalise an engine choice: ``None`` means :data:`DEFAULT_ENGINE`;
+    anything else must name one of :data:`ENGINES`."""
     from .._util import resolve_choice
-    return resolve_choice(engine, "REPRO_ENGINE", ENGINES, DEFAULT_ENGINE,
-                          "engine")
+    return resolve_choice(engine, ENGINES, DEFAULT_ENGINE, "engine")
 
 
 def run_batch(machine, iterations, rng, histogram=None):

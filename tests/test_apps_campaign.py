@@ -21,6 +21,7 @@ Covers the PR's contracts:
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -107,7 +108,7 @@ class TestRegistry:
 class TestSpec:
     def test_fingerprint_excludes_engine(self):
         fast = ScenarioSpec.make("deque-mp", "Titan", runs=100, seed=1)
-        ref = fast.with_engine("reference")
+        ref = replace(fast, engine="reference")
         assert fast.fingerprint() == ref.fingerprint()
 
     def test_fingerprint_covers_content(self):
@@ -161,7 +162,7 @@ class TestEngineParity:
             spec = ScenarioSpec.make(scenario, chip, runs=20, seed=3,
                                      intensity=STRESS, engine="fast")
             fast = backend.run(spec).histogram
-            ref = backend.run(spec.with_engine("reference")).histogram
+            ref = backend.run(replace(spec, engine="reference")).histogram
             assert fast.counts == ref.counts, \
                 "engine divergence: %s on %s" % (name, chip)
             assert (fast.observations(scenario.loss)
@@ -247,10 +248,18 @@ class TestAppBackendCache:
         ref_session = app_session(cache=cache)
         spec = ScenarioSpec.make("deque-lb", "Titan", runs=20, seed=2)
         fast_session.run_specs([spec])
-        ref_session.run_specs([spec.with_engine("reference")])
+        ref_session.run_specs([replace(spec, engine="reference")])
         # Same fingerprint, different engines: both executed, no cross-hit.
         assert ref_session.stats.cache_hits == 0
         assert ref_session.stats.executed == 1
+
+    def test_campaign_runs_on_the_sessions_engine(self):
+        """``engine=None`` means the engine of the session given."""
+        session = Session(backend="app", engine="reference", cache=False)
+        (result,) = run_app_campaign(["dot-cbe"], ["Titan"], runs=20,
+                                     seed=1, session=session)
+        assert result.spec.engine == "reference"
+        assert result.provenance == "reference"
 
     def test_in_plan_deduplication(self):
         session = app_session()

@@ -72,7 +72,7 @@ class TestPinnedKeys:
 
     def test_diy_soundness_cell(self):
         spec = RunSpec.make(_diy_test(), "Titan", iterations=300, seed=17,
-                            engine="fast", model_engine="fast")
+                            engine="fast")
         assert Session(cache=False)._cache_key(spec) \
             == ("sim-shard300-4c5ee9b047d3607f4774bfa119b8dc8a"
                 "5a36ebb352abaa19d2cc5c0dfc7cb12d-fast")

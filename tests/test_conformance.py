@@ -1,5 +1,5 @@
 """Tests for the Sec. 5.4 conformance subsystem: the dual-backend
-soundness pipeline, the report, streaming session execution and the
+soundness pipeline, the report, streaming corpus execution and the
 ``repro-litmus soundness`` CLI."""
 
 import pytest
@@ -68,6 +68,24 @@ class TestRunSoundness:
                                chunk_size=2)
         assert len(report.cells) == 5
         assert report.tests == [test.name for test in tests]
+
+    def test_streams_the_corpus_chunk_by_chunk(self):
+        """A chunk's cells are finished before the next test is pulled
+        from the corpus, so a generated corpus never materialises."""
+
+        class Pulled(Exception):
+            pass
+
+        def corpus():
+            yield library.build("mp")
+            raise Pulled("the second test was pulled")
+
+        seen = []
+        with pytest.raises(Pulled):
+            run_soundness(corpus(), ["Titan", "GTX6"], iterations=100,
+                          chunk_size=1, progress=seen.append)
+        assert [(cell.test, cell.chip) for cell in seen] == [
+            ("mp", "Titan"), ("mp", "GTX6")]
 
     def test_accepts_generator_corpus(self):
         report = run_soundness((library.build(name) for name in ("mp", "sb")),
@@ -149,32 +167,6 @@ class TestConformanceReport:
 
 
 class TestSessionStreaming:
-    def test_run_stream_matches_run_specs(self):
-        session = Session(jobs=1, cache=False)
-        specs = list(session.plan(_tests("mp", "sb"), ["Titan", "GTX6"],
-                                  iterations=150, seed=2))
-        batch = session.run_specs(specs)
-        streamed = list(Session(jobs=1, cache=False).run_stream(
-            iter(specs), chunk_size=3))
-        assert [result.histogram.counts for result in batch] == \
-            [result.histogram.counts for result in streamed]
-
-    def test_plan_is_lazy(self):
-        session = Session(jobs=1, cache=False)
-
-        def corpus():
-            yield library.build("mp")
-            raise AssertionError("second test must not be built eagerly")
-
-        plan = session.plan(corpus(), ["Titan"], iterations=100)
-        first = next(plan)
-        assert first.test.name == "mp"
-
-    def test_stream_rejects_bad_chunk_size(self):
-        session = Session(jobs=1, cache=False)
-        with pytest.raises(ReproError):
-            list(session.run_stream([], chunk_size=0))
-
     def test_external_pool_not_shut_down(self):
         from concurrent.futures import ThreadPoolExecutor
 

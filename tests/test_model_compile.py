@@ -14,6 +14,8 @@ pin down the engine switch's plumbing through
 ``RunSpec``/``ModelBackend``/``Session``/CLI.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,8 +23,7 @@ from repro.api import ModelBackend, RunSpec, Session, make_backend
 from repro.api.conformance import run_soundness, uniquify_tests
 from repro.diy import coe, default_pool, enumerate_cycles, fre, generate_tests, po, rfe
 from repro.diy.generate import cycle_to_test
-from repro.errors import (ConfigurationError, EnumerationError,
-                          GenerationError, ReproError)
+from repro.errors import EnumerationError, GenerationError, ReproError
 from repro.litmus import library
 from repro.model import (DEFAULT_MODEL_ENGINE, MODEL_ENGINES,
                          CompiledCatModel, EventIndex, IndexedRelation,
@@ -359,43 +360,44 @@ class TestEngineParity:
 class TestModelEngineSwitch:
     def test_default_engine_is_fast(self):
         assert DEFAULT_MODEL_ENGINE == "fast"
+        assert resolve_model_engine(None) == "fast"
         spec = RunSpec.make(library.build("mp"), "Titan", iterations=10)
-        assert spec.model_engine == "fast"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MODEL_ENGINE", "reference")
-        assert resolve_model_engine(None) == "reference"
-        spec = RunSpec.make(library.build("mp"), "Titan", iterations=10)
-        assert spec.model_engine == "reference"
-
-    def test_bad_env_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MODEL_ENGINE", "oracular")
-        with pytest.raises(ConfigurationError):
-            resolve_model_engine(None)
+        assert spec.engine == "fast"
 
     def test_bad_engine_argument(self):
         with pytest.raises(ReproError):
             RunSpec.make(library.build("mp"), "Titan", iterations=10,
-                         model_engine="oracular")
+                         engine="oracular")
+
+    def test_batch_spec_fails_on_the_model_backend(self):
+        """``batch`` is a sim engine: a model session refuses it with
+        one error naming the model engines, before anything runs."""
+        spec = RunSpec.make(library.build("mp"), "Titan", iterations=1,
+                            engine="batch")
+        with pytest.raises(ReproError) as excinfo:
+            Session(backend="model", cache=False).run(spec)
+        message = str(excinfo.value)
+        assert "batch" in message
+        for engine in MODEL_ENGINES:
+            assert repr(engine) in message
 
     def test_fingerprint_model_engine_independent(self):
         """Shard seeds derive from the fingerprint, so the fingerprint
         must not see the model engine (mirroring the sim engine)."""
         spec = RunSpec.make(library.build("mp"), "Titan", iterations=100,
-                            model_engine="fast")
-        reference = spec.with_model_engine("reference")
+                            engine="fast")
+        reference = replace(spec, engine="reference")
         assert spec.fingerprint() == reference.fingerprint()
-        assert reference.model_engine == "reference"
 
     def test_cache_signature_model_engine_dependent(self):
         """Cached verdicts must not cross engines: a reference verdict
         answering a fast-engine request would mask fast-path bugs."""
         backend = ModelBackend()
         spec = RunSpec.make(library.build("mp"), "Titan", iterations=1,
-                            model_engine="fast")
+                            engine="fast")
         assert (backend.cache_signature(spec)
                 != backend.cache_signature(
-                    spec.with_model_engine("reference")))
+                    replace(spec, engine="reference")))
 
     def test_cache_signature_still_chip_independent(self):
         backend = ModelBackend()
@@ -405,21 +407,19 @@ class TestModelEngineSwitch:
         assert backend.cache_signature(titan) == backend.cache_signature(gtx)
 
     def test_session_model_engine_default_and_override(self):
-        session = Session(backend="model", model_engine="reference",
-                          cache=False)
+        session = Session(backend="model", engine="reference", cache=False)
         test = library.build("mp")
         result = session.run(test, "Titan", iterations=1)
-        assert result.spec.model_engine == "reference"
-        result = session.run(test, "Titan", iterations=1,
-                             model_engine="fast")
-        assert result.spec.model_engine == "fast"
+        assert result.spec.engine == "reference"
+        result = session.run(RunSpec.make(test, "Titan", iterations=1,
+                                          engine="fast"))
+        assert result.spec.engine == "fast"
 
     def test_sessions_identical_across_engines(self):
         test = library.build("mp+membar.gls")
         histograms = {}
         for engine in MODEL_ENGINES:
-            session = Session(backend="model", cache=False,
-                              model_engine=engine)
+            session = Session(backend="model", cache=False, engine=engine)
             result = session.run(test, "Titan", iterations=1)
             histograms[engine] = result.histogram.counts
         assert histograms["fast"] == histograms["reference"]
@@ -433,8 +433,32 @@ class TestModelEngineSwitch:
         assert args.model_engine == "reference"
         args = parser.parse_args(["soundness", "--model-engine", "fast"])
         assert args.model_engine == "fast"
-        args = parser.parse_args(["run", "mp"])
-        assert args.model_engine is None  # defer to REPRO_MODEL_ENGINE
+        # run and campaign pick the model engine with --engine.
+        for command in ("run", "campaign"):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "mp", "--model-engine", "fast"])
+
+    @pytest.mark.parametrize("argv", (
+        ["run", "mp", "--backend", "model"],
+        ["campaign", "mp", "--chips", "Titan", "--backend", "model"],
+    ))
+    def test_cli_engine_picks_the_model_engine(self, monkeypatch, argv):
+        from repro import cli
+        from repro.model.models import AxiomaticModel
+
+        engines = []
+        original = AxiomaticModel.allowed_outcomes
+
+        def recording(self, test, *args, engine=None, **kwargs):
+            engines.append(engine)
+            return original(self, test, *args, engine=engine, **kwargs)
+
+        monkeypatch.setattr(AxiomaticModel, "allowed_outcomes", recording)
+        assert cli.main(argv + ["--engine", "reference"]) == 0
+        assert engines == ["reference"]
+        del engines[:]
+        assert cli.main(argv) == 0
+        assert engines == ["fast"]
 
     def test_cli_witness_subcommand(self):
         from repro.cli import build_parser

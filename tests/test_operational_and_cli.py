@@ -246,16 +246,30 @@ class TestCli:
           "--intensity", "inf"], "inf"),
         (["analyze", "--scenario", "deque-mp", "--cross-check",
           "--chips", "Titan", "--intensity", "-1"], "-1.0"),
+        (["verify", "--scenario", "deque-mp", "dot-cbe", "--chips",
+          "Titan", "--intensity", "0"], "0.0"),
     ))
     def test_bad_intensity_exits_without_traceback(self, argv, value):
         """A negative or NaN intensity disables every relaxation, which
-        used to "verify" the published, losing deque-mp."""
+        used to "verify" the published, losing deque-mp; so does 0 for
+        ``verify``, where it used to print "4/4 cells verified"."""
         proc = _cli_subprocess(argv)
         assert proc.returncode != 0
         assert "Traceback" not in proc.stdout + proc.stderr
         assert "verified" not in proc.stdout
         (line,) = proc.stderr.splitlines()
         assert "intensity" in line and value in line
+
+    def test_model_backend_refuses_a_sim_engine(self):
+        """``--engine`` is the engine of the session's backend, and the
+        model backend has no batch engine."""
+        proc = _cli_subprocess(["run", "mp", "--backend", "model",
+                                "--engine", "batch"])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stdout + proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert "'batch'" in line
+        assert "'fast'" in line and "'reference'" in line
 
     @pytest.mark.parametrize("argv,flag", (
         (["generate", "--max-tests", "-1"], "--max-tests"),

@@ -15,6 +15,7 @@ precedence for every engine knob).
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -208,7 +209,7 @@ class TestEnginePlumbing:
         three engines, which is what makes equivalence testable."""
         spec = RunSpec.make(library.build("mp"), "Titan", iterations=100,
                             engine="fast")
-        batch = spec.with_engine("batch")
+        batch = replace(spec, engine="batch")
         assert spec.fingerprint() == batch.fingerprint()
         assert ([shard.seed for shard in plan_shards(spec, 30)]
                 == [shard.seed for shard in plan_shards(batch, 30)])
@@ -216,7 +217,7 @@ class TestEnginePlumbing:
     def test_cache_signature_separates_all_engines(self):
         backend = SimBackend()
         spec = RunSpec.make(library.build("mp"), "Titan", iterations=100)
-        signatures = {backend.cache_signature(spec.with_engine(engine))
+        signatures = {backend.cache_signature(replace(spec, engine=engine))
                       for engine in ENGINES}
         assert len(signatures) == len(ENGINES)
 
@@ -227,12 +228,12 @@ class TestEnginePlumbing:
         spec = RunSpec.make(library.build("mp"), "Titan", iterations=50,
                             engine="fast")
         fast_machine = backend._machine(spec)
-        batch_machine = backend._machine(spec.with_engine("batch"))
+        batch_machine = backend._machine(replace(spec, engine="batch"))
         assert isinstance(batch_machine, BatchCell)
         assert fast_machine is not batch_machine
         # Memoised: asking again returns the same lowered cells.
         assert backend._machine(spec) is fast_machine
-        assert (backend._machine(spec.with_engine("batch"))
+        assert (backend._machine(replace(spec, engine="batch"))
                 is batch_machine)
 
     def test_backend_run_batch_engine(self):
@@ -251,58 +252,28 @@ class TestEnginePlumbing:
 
 
 class TestResolveChoicePrecedence:
-    """The two-source engine-switch idiom, for all engine knobs."""
+    """The engine-switch idiom, for all engine knobs: an explicit
+    choice, else the default."""
 
     KNOBS = (
-        (resolve_engine, "REPRO_ENGINE", ENGINES, "fast"),
-        (resolve_model_engine, "REPRO_MODEL_ENGINE", MODEL_ENGINES,
-         "fast"),
+        (resolve_engine, ENGINES, "fast"),
+        (resolve_model_engine, MODEL_ENGINES, "fast"),
     )
 
-    def test_default_when_unset(self, monkeypatch):
-        for resolve, env_var, _, default in self.KNOBS:
-            monkeypatch.delenv(env_var, raising=False)
+    def test_default_when_unset(self):
+        for resolve, _, default in self.KNOBS:
             assert resolve(None) == default
 
-    def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "batch")
-        assert resolve_engine(None) == "batch"
-        monkeypatch.setenv("REPRO_MODEL_ENGINE", "reference")
-        assert resolve_model_engine(None) == "reference"
-
-    def test_explicit_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "reference")
-        assert resolve_engine("batch") == "batch"
-        monkeypatch.setenv("REPRO_MODEL_ENGINE", "reference")
-        assert resolve_model_engine("fast") == "fast"
-
     def test_every_choice_accepted(self):
-        for resolve, _, choices, _ in self.KNOBS:
+        for resolve, choices, _ in self.KNOBS:
             for choice in choices:
                 assert resolve(choice) == choice
 
     def test_invalid_explicit_lists_choices(self):
-        for resolve, _, choices, _ in self.KNOBS:
+        for resolve, choices, _ in self.KNOBS:
             with pytest.raises(ReproError) as excinfo:
                 resolve("warp-speed")
             message = str(excinfo.value)
             assert "warp-speed" in message
             for choice in choices:
                 assert choice in message
-
-    def test_invalid_env_lists_choices(self, monkeypatch):
-        for resolve, env_var, choices, _ in self.KNOBS:
-            monkeypatch.setenv(env_var, "warp-speed")
-            with pytest.raises(ConfigurationError) as excinfo:
-                resolve(None)
-            message = str(excinfo.value)
-            assert env_var in message
-            for choice in choices:
-                assert choice in message
-
-    def test_spec_resolves_env_for_both_knobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "batch")
-        monkeypatch.setenv("REPRO_MODEL_ENGINE", "reference")
-        spec = RunSpec.make(library.build("mp"), "Titan", iterations=10)
-        assert spec.engine == "batch"
-        assert spec.model_engine == "reference"

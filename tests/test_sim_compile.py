@@ -12,6 +12,7 @@ shard decompositions, and pin down the engine switch's plumbing through
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.api import RunSpec, Session, SimBackend, plan_shards
 from repro.api.backends import DEFAULT_SHARD_SIZE
 from repro.diy import default_pool, generate_tests
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ReproError
 from repro.harness.histogram import Histogram
 from repro.harness.incantations import Incantations, efficacy
 from repro.litmus import library
@@ -151,19 +152,9 @@ class TestBitIdentity:
 class TestEngineSwitch:
     def test_default_engine_is_fast(self):
         assert DEFAULT_ENGINE == "fast"
+        assert resolve_engine(None) == "fast"
         spec = RunSpec.make(library.build("mp"), "Titan", iterations=10)
         assert spec.engine == "fast"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "reference")
-        assert resolve_engine(None) == "reference"
-        spec = RunSpec.make(library.build("mp"), "Titan", iterations=10)
-        assert spec.engine == "reference"
-
-    def test_bad_env_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "warp-speed")
-        with pytest.raises(ConfigurationError):
-            resolve_engine(None)
 
     def test_bad_engine_argument(self):
         with pytest.raises(ReproError):
@@ -176,7 +167,7 @@ class TestEngineSwitch:
         comparable shard by shard."""
         test = library.build("mp")
         fast = RunSpec.make(test, "Titan", iterations=100, engine="fast")
-        reference = fast.with_engine("reference")
+        reference = replace(fast, engine="reference")
         assert fast.fingerprint() == reference.fingerprint()
         assert ([shard.seed for shard in plan_shards(fast, 30)]
                 == [shard.seed for shard in plan_shards(reference, 30)])
@@ -188,16 +179,17 @@ class TestEngineSwitch:
         test = library.build("mp")
         fast = RunSpec.make(test, "Titan", iterations=100, engine="fast")
         assert (backend.cache_signature(fast)
-                != backend.cache_signature(fast.with_engine("reference")))
+                != backend.cache_signature(replace(fast, engine="reference")))
 
     def test_session_engine_default_and_override(self):
         session = Session(engine="reference", cache=False)
         test = library.build("mp")
         result = session.run(test, "Titan", iterations=20, seed=1)
         assert result.spec.engine == "reference"
-        result = session.run(test, "Titan", iterations=20, seed=1,
-                             engine="fast")
+        result = session.run(RunSpec.make(test, "Titan", iterations=20,
+                                          seed=1, engine="fast"))
         assert result.spec.engine == "fast"
+        assert Session(cache=False).engine == "fast"
 
     def test_sessions_bit_identical_across_engines(self):
         test = library.build("cas-sl")
@@ -237,7 +229,7 @@ class TestEngineSwitch:
         args = parser.parse_args(["soundness", "--engine", "fast"])
         assert args.engine == "fast"
         args = parser.parse_args(["campaign", "mp"])
-        assert args.engine is None  # defer to REPRO_ENGINE / default
+        assert args.engine is None  # the session's default, fast
 
 
 class TestRunBatch:
