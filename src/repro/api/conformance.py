@@ -271,7 +271,8 @@ def run_soundness(tests, chips, model="ptx", incantations=BEST,
 
     ``tests`` is any iterable of litmus tests (a generator streams —
     chunked planning holds at most ``chunk_size`` tests' histograms at
-    once); names must be corpus-unique (see :func:`uniquify_tests`).
+    once, and a ``chunk_size`` below 1 is a :class:`ReproError`); names
+    must be corpus-unique (see :func:`uniquify_tests`).
     ``model`` names the axiomatic reference (``"ptx"`` is the paper's).
     Sim cells use ``incantations``/``iterations``/``seed`` exactly like
     :meth:`Session.campaign`.  ``engine`` and ``model_engine`` are the
@@ -301,6 +302,8 @@ def run_soundness(tests, chips, model="ptx", incantations=BEST,
     chips = [resolve_chip(chip) for chip in chips]
     if not chips:
         raise ReproError("run_soundness needs at least one chip")
+    if chunk_size < 1:
+        raise ReproError("chunk_size must be >= 1, got %r" % (chunk_size,))
     own_pool = None
     try:
         if jobs > 1 and (sim_session is None or model_session is None):
@@ -334,7 +337,7 @@ def run_soundness(tests, chips, model="ptx", incantations=BEST,
         model_before = model_session.stats.snapshot()
         report = ConformanceReport(model=model_session.backend.name)
         representative = chips[0]
-        for chunk in chunked(tests, max(1, chunk_size)):
+        for chunk in chunked(tests, chunk_size):
             # One model spec per *test* — ModelBackend's cache signature
             # ignores chip/iterations/seed, so this is the memoisation
             # unit — and a sim spec per (test, chip) cell.

@@ -87,6 +87,29 @@ class TestRunSoundness:
         assert [(cell.test, cell.chip) for cell in seen] == [
             ("mp", "Titan"), ("mp", "GTX6")]
 
+    def test_chunking_does_not_change_the_cells(self):
+        """Streaming a test at a time yields the cells of one chunk."""
+        tests = _tests("mp", "sb", "lb")
+        whole = run_soundness(tests, ["Titan", "GTX6"], iterations=150,
+                              seed=2, chunk_size=64)
+        streamed = run_soundness(tests, ["Titan", "GTX6"], iterations=150,
+                                 seed=2, chunk_size=1)
+        assert streamed.cells == whole.cells
+        assert streamed.allowed_counts == whole.allowed_counts
+
+    @pytest.mark.parametrize("chunk_size", (0, -7))
+    def test_stream_rejects_bad_chunk_size(self, chunk_size):
+        """Rejected before the corpus is pulled; it used to run with
+        chunks of one test."""
+
+        def corpus():
+            raise AssertionError("the corpus was pulled")
+            yield
+
+        with pytest.raises(ReproError, match="chunk_size .*%d" % chunk_size):
+            run_soundness(corpus(), ["Titan"], iterations=100,
+                          chunk_size=chunk_size)
+
     def test_accepts_generator_corpus(self):
         report = run_soundness((library.build(name) for name in ("mp", "sb")),
                                ["Titan"], iterations=100, chunk_size=1)

@@ -297,6 +297,18 @@ class TestCli:
         (line,) = proc.stderr.splitlines()
         assert "max_transitions" in line and budget in line
 
+    @pytest.mark.parametrize("chunk_size", ("0", "-7"))
+    def test_bad_chunk_size_exits_without_traceback(self, chunk_size):
+        """Both used to run with chunks of one test and exit 0."""
+        proc = _cli_subprocess(["soundness", "--max-tests", "3",
+                                "--iterations", "50", "--chips", "Titan",
+                                "--chunk-size", chunk_size])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert "chunk_size" in line and chunk_size in line
+
     @pytest.mark.parametrize("argv", (
         ["run", "mp", "--chip", "Titan", "--iterations", "10"],
         ["verify", "--scenario", "deque-mp", "--chips", "Titan"],

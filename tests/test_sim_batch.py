@@ -269,6 +269,18 @@ class TestResolveChoicePrecedence:
             for choice in choices:
                 assert resolve(choice) == choice
 
+    def test_environment_is_not_consulted(self, monkeypatch):
+        """The engine is set in one place: ``REPRO_ENGINE`` and
+        ``REPRO_MODEL_ENGINE`` are gone, and a stale export of either
+        picks nothing."""
+        monkeypatch.setenv("REPRO_ENGINE", "reference")
+        monkeypatch.setenv("REPRO_MODEL_ENGINE", "reference")
+        for resolve, _, default in self.KNOBS:
+            assert resolve(None) == default
+        spec = RunSpec.make(library.build("mp"), "Titan", iterations=10)
+        assert spec.engine == "fast"
+        assert Session(cache=False).engine == "fast"
+
     def test_invalid_explicit_lists_choices(self):
         for resolve, choices, _ in self.KNOBS:
             with pytest.raises(ReproError) as excinfo:
