@@ -7,17 +7,16 @@ as simulations and model enumerations — fingerprint-keyed caching,
 in-plan deduplication, ``Shard.iterations=0`` accounting (an analysis is
 not a simulated iteration).
 
-The verdict travels as typed meta: each result carries an
-:class:`AnalysisMeta` (``result.meta.verdict``) beside an empty
-histogram, and the disk cache stores it as ``{"verdict": ...}``.  Since
-the signature covers only the litmus text (which includes the scope
-tree), a campaign across the seven result chips analyses each scenario
-once, like model verdicts.
+Each result answers with an :class:`AnalysisMeta`
+(``result.answer.verdict``), which the disk cache stores as
+``{"verdict": ...}``.  Since the signature covers only the litmus text
+(which includes the scope tree), a campaign across the seven result
+chips analyses each scenario once, like model verdicts.
 
 :func:`prescreen` and :func:`run_prescreened` implement the ``--prescreen``
 flow: analyse every spec first, skip simulation for provably-clean cells
-(their results are empty histograms — zero losses, by proof), and run
-the rest through the real session.
+(they answer with their verdict, which observes nothing: zero losses,
+by proof), and run the rest through the real session.
 """
 
 import hashlib
@@ -25,7 +24,6 @@ from dataclasses import dataclass
 
 from ..api.backends import Backend, Shard
 from ..api.result import ShardResult
-from ..harness.histogram import Histogram
 from ..litmus.writer import write_litmus
 from .races import CLEAN, VERDICTS, analyze_test
 
@@ -35,10 +33,10 @@ ANALYSIS_VERSION = 1
 
 @dataclass(frozen=True)
 class AnalysisMeta:
-    """The static verdict of one test: ``clean``, ``unknown`` or
-    ``racy``.
+    """The static verdict of one test, ``clean``, ``unknown`` or
+    ``racy``: the analysis backend's answer, which observes nothing.
 
-    ``merge`` keeps the more severe verdict (the order of
+    ``merge`` keeps the most severe verdict (the order of
     :data:`~repro.analysis.races.VERDICTS`, the same fold
     :func:`~repro.analysis.races.analyze_test` applies to its pairs),
     which is associative and commutative.
@@ -46,8 +44,17 @@ class AnalysisMeta:
 
     verdict: str
 
-    def merge(self, other):
-        return max(self, other, key=lambda meta: VERDICTS.index(meta.verdict))
+    @classmethod
+    def merge(cls, metas):
+        return max(metas, key=lambda meta: VERDICTS.index(meta.verdict))
+
+    def observations(self, condition):
+        return 0
+
+    def summary(self, condition=None):
+        return "static verdict %s" % self.verdict
+
+    pretty = summary
 
     def to_json(self):
         return {"verdict": self.verdict}
@@ -63,7 +70,7 @@ class AnalysisMeta:
 class AnalysisBackend(Backend):
     """Static analysis as a campaign backend.
 
-    ``run_shard`` analyses the spec's litmus test and returns its
+    ``run_shard`` analyses the spec's litmus test and answers with its
     verdict as :class:`AnalysisMeta`.  Like the model backend, each spec
     is one indivisible work unit with ``iterations=0`` (pure static work
     — the session's simulated-iteration statistic stays a sim/app-only
@@ -73,7 +80,7 @@ class AnalysisBackend(Backend):
     """
 
     name = "analysis"
-    meta_type = AnalysisMeta
+    answer_type = AnalysisMeta
 
     def cache_signature(self, spec):
         payload = "analysis-v%d\x1e%s" % (ANALYSIS_VERSION,
@@ -84,8 +91,7 @@ class AnalysisBackend(Backend):
         return [Shard(index=0, iterations=0, seed=spec.seed)]
 
     def run_shard(self, spec, shard):
-        return ShardResult(Histogram(),
-                           meta=AnalysisMeta(analyze_test(spec.test).verdict))
+        return ShardResult(AnalysisMeta(analyze_test(spec.test).verdict))
 
 
 def analysis_session(jobs=1, executor="thread", cache=True, cache_dir=None,
@@ -110,7 +116,7 @@ def prescreen(specs, session=None):
         from ..errors import ReproError
         raise ReproError("prescreen needs an analysis session, got backend "
                          "%r" % session.backend.name)
-    return [result.meta.verdict for result in session.run_specs(specs)]
+    return [result.answer.verdict for result in session.run_specs(specs)]
 
 
 def condition_skippable(test):
@@ -138,9 +144,9 @@ def run_prescreened(specs, session, analysis=None, skip=None):
 
     Returns ``(results, verdicts)``, both aligned with ``specs``.  A
     skipped spec's result is a :class:`~repro.api.result.SpecResult`
-    tagged ``backend="analysis"`` with an *empty* histogram — zero
-    observations — and its verdict as meta; everything else carries the
-    real session's result.
+    tagged ``backend="analysis"`` that answers with its
+    :class:`AnalysisMeta` verdict — zero observations; everything else
+    carries the real session's result.
 
     ``skip(spec, verdict)`` decides what to skip; the default skips
     every clean spec, which is sound for *scenario* plans (observations
@@ -162,8 +168,7 @@ def run_prescreened(specs, session, analysis=None, skip=None):
     for spec, verdict, skipped in zip(specs, verdicts, skips):
         if skipped:
             results.append(SpecResult(spec=spec, backend=AnalysisBackend.name,
-                                      histogram=Histogram(), cached=False,
-                                      meta=AnalysisMeta(verdict),
+                                      answer=AnalysisMeta(verdict),
                                       provenance=AnalysisBackend.name))
         else:
             results.append(next(executed))

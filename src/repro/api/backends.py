@@ -2,10 +2,9 @@
 
 A :class:`Backend` splits a :class:`~repro.api.spec.RunSpec` into
 shards (:meth:`Backend.shards`) and runs each one into a
-:class:`~repro.api.result.ShardResult`: a
-:class:`~repro.harness.histogram.Histogram` of final states, the
-backend's typed meta and its execution stats.  Two implementations ship
-here:
+:class:`~repro.api.result.ShardResult`: the backend's typed answer
+(:attr:`Backend.answer_type`) and its execution stats.  Two
+implementations ship here:
 
 * :class:`SimBackend` — "run it on silicon": executes the spec on the
   operational GPU simulator, iteration by iteration, on the engine the
@@ -17,9 +16,10 @@ here:
   and merge the histograms bit-identically to the serial order.
 * :class:`ModelBackend` — "check it against the model": enumerates the
   candidate executions of an axiomatic model
-  (:mod:`repro.model.models`) and returns the *allowed* final states as
-  a histogram (count 1 each), so operational campaigns and model
-  checking share one request/result shape (cf. GPUMC's unified driver).
+  (:mod:`repro.model.models`) and answers with the *allowed* final
+  states as a :class:`~repro.harness.histogram.StateSet`, so
+  operational campaigns and model checking share one request shape
+  (cf. GPUMC's unified driver).
 
 Shard seeding.  Shard 0 always uses the spec's own seed with a fresh
 ``random.Random`` — for a single-shard run this reproduces the serial
@@ -34,7 +34,7 @@ import random
 import threading
 from dataclasses import dataclass
 
-from ..harness.histogram import Histogram
+from ..harness.histogram import Histogram, StateSet
 from ..harness.incantations import efficacy
 from ..litmus.writer import write_litmus
 from ..model.models import MODELS, load_model, resolve_model_engine
@@ -105,10 +105,9 @@ class Backend:
 
     name = "backend"
 
-    #: The type of this backend's ``ShardResult.meta``, or ``None`` when
-    #: the histogram is the whole answer.  The result cache decodes
-    #: stored meta through its ``from_json``.
-    meta_type = None
+    #: The type of this backend's answers (see :mod:`repro.api.result`);
+    #: the result cache decodes stored answers through its ``from_json``.
+    answer_type = Histogram
 
     #: The shard size :meth:`run` decomposes with.
     shard_size = DEFAULT_SHARD_SIZE
@@ -340,10 +339,10 @@ class SimBackend(PerThreadMemo, Backend):
 class ModelBackend(Backend):
     """Axiomatic model checking behind the campaign API.
 
-    The histogram holds each final state the model *allows* with count
-    1; ``iterations`` in the spec is ignored (enumeration is exhaustive,
-    not statistical).  ``SpecResult.observations > 0`` therefore reads
-    as the paper's Allowed verdict for the test's condition.
+    The answer is the :class:`~repro.harness.histogram.StateSet` the
+    model *allows*; ``iterations`` in the spec is ignored (enumeration
+    is exhaustive, not statistical).  ``SpecResult.observations > 0``
+    reads as the paper's Allowed verdict for the test's condition.
 
     ``spec.engine`` picks the checking engine per cell:
     ``"fast"`` compiles the model once and prunes the enumeration with
@@ -357,6 +356,8 @@ class ModelBackend(Backend):
     pool one verdict per worker (the verdict — one per test text — is
     already the memoisation unit, so chips never multiply the work).
     """
+
+    answer_type = StateSet
 
     def __init__(self, model="ptx", fuel=128, max_executions=None):
         self.model = load_model(model) if isinstance(model, str) else model
@@ -384,18 +385,14 @@ class ModelBackend(Backend):
 
     def run_shard(self, spec, shard):
         # on_limit="error" is non-negotiable here: the campaign layer
-        # treats this histogram as the *complete* allowed set, and a
+        # treats this answer as the *complete* allowed set, and a
         # truncated enumeration would manufacture false "violations" in
         # soundness campaigns.  ``max_executions`` therefore acts as a
         # safety valve (refuse combinatorial blow-ups loudly), never as a
         # silent sampler.
-        allowed = self.model.allowed_outcomes(
+        return ShardResult(StateSet(self.model.allowed_outcomes(
             spec.test, fuel=self.fuel, max_executions=self.max_executions,
-            on_limit="error", engine=spec.engine)
-        histogram = Histogram()
-        for state in allowed:
-            histogram.add(state)
-        return ShardResult(histogram)
+            on_limit="error", engine=spec.engine)))
 
 
 def make_backend(backend):

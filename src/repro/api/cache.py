@@ -12,17 +12,17 @@ backend it writes entries of, at the top of the directory (beside the
 batch engine's ``plans/`` store); ``<backend>`` is the part of the key
 before its first ``-``, e.g. ``sim``, ``model_ptx``, ``app`` or
 ``exhaustive``.  It appends one compact JSON line per entry:
-``{"key": <cache key>, "version": 4, ...}``.  An entry stores the
-histogram as a list of ``{regs, mem, count}`` records (a
+``{"key": <cache key>, "version": 5, ...}``.  An entry stores the
+result's answer as its ``to_json`` payload (a histogram is a list of
+``{regs, mem, count}`` records: a
 :class:`~repro.litmus.condition.FinalState` is a pair of sorted tuples,
-which maps cleanly onto JSON lists), the backend's typed meta as its
-``to_json`` payload (``null`` for histogram-only backends) and the
-result's provenance (the engine or backend that executed it, or
-``"exhaustive"`` for a proved result), plus enough metadata to audit
-the directory by hand (``python -m json.tool --json-lines`` pretty-prints
-a segment).  Any other file in the directory is ignored, the
-one-file-per-entry ``<key>.json`` files of format 3 included, so such a
-directory is cold once and its old entries can be deleted by hand.
+which maps cleanly onto JSON lists) and the result's provenance (the
+engine or backend that executed it, or ``"exhaustive"`` for a proved
+result), plus enough metadata to audit the directory by hand
+(``python -m json.tool --json-lines`` pretty-prints a segment).  Any
+other file in the directory is ignored, the one-file-per-entry
+``<key>.json`` files of format 3 included, so such a directory is cold
+once and its old entries can be deleted by hand.
 
 Writes: a cache reserves a backend's segment with
 :func:`tempfile.mkstemp` at its first write for that backend and
@@ -41,11 +41,11 @@ Segments are never compacted, and a key can sit in several of them, so
 this read grows with everything the directory holds for the backend, not
 with the cells the session needs, and the undecoded lines stay in memory
 for the life of the cache; deleting the segments empties the disk tier.
-A lookup decodes its key's lines until one is a valid version-4 entry,
-whose meta decodes through the backend's ``meta_type.from_json``.  A
-torn tail, a line that does not parse, a stale version or a malformed
-meta is skipped, and a key with no valid line is a miss: the re-executed
-result is appended, which heals the entry.
+A lookup decodes its key's lines until one is a valid version-5 entry,
+whose answer decodes through the backend's ``answer_type.from_json``.
+A torn tail, a line that does not parse, a stale version or a malformed
+answer is skipped, and a key with no valid line is a miss: the
+re-executed result is appended, which heals the entry.
 
 Visibility: a cache sees a backend's segments as they were at its first
 lookup of that backend, plus its own writes.  An entry another session
@@ -58,16 +58,15 @@ import os
 import tempfile
 
 from ..errors import ConfigurationError
-from ..harness.histogram import Histogram
-from ..litmus.condition import FinalState
-from .result import SpecResult
+from .result import SpecResult, private
 
 #: Bump when the on-disk entry layout changes; mismatched versions are
 #: treated as misses so stale caches degrade to re-simulation, not errors.
 #: v2: typed backend meta stored beside the histogram, compact JSON.
 #: v3: the result's provenance.
 #: v4: entries are lines of per-cache segments, keyed in the line.
-DISK_FORMAT_VERSION = 4
+#: v5: one typed answer replaces the histogram and the meta.
+DISK_FORMAT_VERSION = 5
 
 #: Name prefix of every segment file; its suffix is ``.json``.
 SEGMENT_PREFIX = "segment-"
@@ -101,31 +100,6 @@ def segment_prefix(key):
     return "%s%s-" % (SEGMENT_PREFIX, key.split("-", 1)[0])
 
 
-def encode_state(state):
-    """A :class:`FinalState` as a JSON-ready ``{regs, mem}`` record."""
-    return {"regs": [[tid, reg, value] for (tid, reg), value in state.regs],
-            "mem": [[loc, value] for loc, value in state.mem]}
-
-
-def decode_state(record):
-    regs = {(tid, reg): value for tid, reg, value in record["regs"]}
-    mem = {loc: value for loc, value in record["mem"]}
-    return FinalState.make(regs, mem)
-
-
-def encode_histogram(histogram):
-    return [dict(encode_state(state), count=count)
-            for state, count in sorted(histogram.counts.items(),
-                                       key=lambda kv: str(kv[0]))]
-
-
-def decode_histogram(records):
-    histogram = Histogram()
-    for record in records:
-        histogram.add(decode_state(record), record["count"])
-    return histogram
-
-
 def encode_entry(key, result):
     """``result`` under ``key`` as one segment line, newline included."""
     spec = result.spec
@@ -139,8 +113,7 @@ def encode_entry(key, result):
         "iterations": spec.iterations,
         "seed": spec.seed,
         "fingerprint": spec.fingerprint(),
-        "histogram": encode_histogram(result.histogram),
-        "meta": None if result.meta is None else result.meta.to_json(),
+        "answer": result.answer.to_json(),
         "provenance": result.provenance,
     }
     # Compact separators keep json on its C encoder and fix the key
@@ -148,9 +121,10 @@ def encode_entry(key, result):
     return (json.dumps(payload, separators=(",", ":")) + "\n").encode("ascii")
 
 
-def decode_entry(line, key, meta_type):
-    """The ``(counts, meta, provenance)`` entry of one segment line, or
-    ``None`` if the line is not a valid current entry for ``key``."""
+def decode_entry(line, key, answer_type):
+    """The ``(answer, provenance)`` entry of one segment line, its
+    answer an ``answer_type``, or ``None`` if the line is not a valid
+    current entry for ``key``."""
     try:
         payload = json.loads(line)
         if (payload["key"] != key
@@ -159,10 +133,7 @@ def decode_entry(line, key, meta_type):
         provenance = payload["provenance"]
         if provenance is not None and not isinstance(provenance, str):
             return None
-        histogram = decode_histogram(payload["histogram"])
-        meta = (None if meta_type is None
-                else meta_type.from_json(payload["meta"]))
-        return histogram.counts, meta, provenance
+        return answer_type.from_json(payload["answer"]), provenance
     except (ValueError, KeyError, TypeError, AttributeError):
         # A corrupt entry must never poison a campaign: it is a miss.
         return None
@@ -199,10 +170,9 @@ def read_segments(directory, prefix):
 class ResultCache:
     """Two-tier (memory + optional disk) memo of completed specs.
 
-    An entry is a ``(counts, meta, provenance)`` triple: a private copy
-    of the result histogram's counts, the backend's meta, which is
-    immutable and therefore shared by every hit, and the result's
-    provenance.
+    An entry is an ``(answer, provenance)`` pair: a private copy of the
+    result's answer (see :func:`~repro.api.result.private`) and the
+    result's provenance.
     """
 
     def __init__(self, cache_dir=None):
@@ -227,44 +197,41 @@ class ResultCache:
     def __len__(self):
         return len(self._memory)
 
-    def get(self, key, spec, backend_name, meta_type=None):
+    def get(self, key, spec, backend_name, answer_type):
         """The cached :class:`SpecResult` under ``key`` (a
         :func:`cache_key`), or ``None``.
 
         Returned results are marked ``cached=True``, bound to the
         *caller's* spec object (key equality guarantees the
-        backend-relevant content matches) and carry a *fresh* histogram
-        copy, so mutating a returned histogram can never poison later
-        hits.  ``meta_type`` decodes the stored meta of a disk entry.
+        backend-relevant content matches) and carry a private answer,
+        so mutating a returned histogram can never poison later hits.
+        ``answer_type`` decodes the stored answer of a disk entry.
         """
         entry = self._memory.get(key)
         if entry is None and self.cache_dir:
-            entry = self._from_segments(key, meta_type)
+            entry = self._from_segments(key, answer_type)
         if entry is None:
             self.misses += 1
             return None
         self.hits += 1
-        counts, meta, provenance = entry
+        answer, provenance = entry
         return SpecResult(spec=spec, backend=backend_name,
-                          histogram=Histogram(dict(counts)), cached=True,
-                          meta=meta, provenance=provenance)
+                          answer=private(answer), cached=True,
+                          provenance=provenance)
 
     def put(self, key, result):
-        # Store a private copy: callers own (and may mutate) the result
-        # histogram they were handed.
-        self._memory[key] = (dict(result.histogram.counts), result.meta,
-                             result.provenance)
+        self._memory[key] = (private(result.answer), result.provenance)
         if self.cache_dir:
             self._append(segment_prefix(key), encode_entry(key, result))
 
-    def _from_segments(self, key, meta_type):
+    def _from_segments(self, key, answer_type):
         prefix = segment_prefix(key)
         index = self._segments.get(prefix)
         if index is None:
             index = self._segments[prefix] = read_segments(self.cache_dir,
                                                            prefix)
         for line in index.pop(key.encode(), ()):
-            entry = decode_entry(line, key, meta_type)
+            entry = decode_entry(line, key, answer_type)
             if entry is not None:
                 self._memory[key] = entry
                 return entry

@@ -34,7 +34,7 @@ from ..errors import ReproError
 from ..harness.report import conformance_table
 from .backends import ModelBackend
 from .session import DEFAULT_CHUNK_SIZE, Session, chunked
-from .spec import BEST, RunSpec, matrix, resolve_chip
+from .spec import BEST, RunSpec, matrix, resolve_chips
 
 #: Default chip sweep for soundness campaigns: the paper validates the
 #: PTX model on Nvidia chips (Sec. 5.4); these four cover Fermi and
@@ -194,8 +194,11 @@ class ConformanceReport:
 
         ``max_rows`` truncates the listing for large corpora (a trailing
         line reports how many rows were elided); cells with violations
-        are always shown.
+        are always shown, so ``max_rows=0`` shows only those, and a
+        negative ``max_rows`` is a :class:`ReproError`.
         """
+        if max_rows is not None and max_rows < 0:
+            raise ReproError("max_rows must be >= 0, got %r" % (max_rows,))
         cells = {(cell.test, cell.chip): cell for cell in self.cells}
         tests = self.tests
         elided = 0
@@ -299,7 +302,7 @@ def run_soundness(tests, chips, model="ptx", incantations=BEST,
     :class:`~repro.errors.EnumerationError` rather than checking against
     a truncated (under-approximated) allowed set.
     """
-    chips = [resolve_chip(chip) for chip in chips]
+    chips = resolve_chips(chips)
     if not chips:
         raise ReproError("run_soundness needs at least one chip")
     if chunk_size < 1:
@@ -348,8 +351,8 @@ def run_soundness(tests, chips, model="ptx", incantations=BEST,
             allowed = {}
             for test, result in zip(chunk,
                                     model_session.run_specs(model_specs)):
-                allowed[test.name] = frozenset(result.histogram.counts)
-                report.add_test(test.name, len(allowed[test.name]))
+                allowed[test.name] = result.answer
+                report.add_test(test.name, len(result.answer))
             sim_specs = matrix(chunk, chips, incantations=incantations,
                                iterations=iterations, seed=seed,
                                engine=engine)

@@ -1,30 +1,30 @@
 """Result types of the campaign API: :class:`ShardResult`,
 :class:`SpecResult` and :class:`CampaignResult`.
 
-``ShardResult`` is what every backend returns for one shard of one spec:
-a histogram, the backend's typed meta and its execution stats.  Shard
-results merge (:meth:`ShardResult.merge`) into the result of the whole
-spec, whatever order the shards finished in.
+Every result carries one *answer*, typed by the backend
+(:attr:`~repro.api.backends.Backend.answer_type`): a
+:class:`~repro.harness.histogram.Histogram` of sampled final states
+(sim, app), a :class:`~repro.harness.histogram.StateSet` of the states a
+model allows, an :class:`~repro.exhaustive.explore.ExhaustiveResult` or
+an :class:`~repro.analysis.backend.AnalysisMeta` verdict.  An answer
+type declares ``merge`` (a classmethod, associative and commutative, so
+shards merge in any order), ``observations(condition)`` (the runs, or
+states, satisfying a test's condition), ``summary``/``pretty`` and
+``to_json``/``from_json`` (the disk cache's round trip).
 
-``SpecResult`` is the unified per-cell outcome shared by every backend:
-a histogram plus the spec that produced it.  For the sim backend the
-histogram counts observed final states over the spec's iterations; for
-a model backend it holds the allowed final states (count 1 each), so
-``observations``/``allowed`` give the paper's Allowed/Forbidden verdict.
-Backends with more to say than a histogram (an analysis verdict, an
-exploration's counters and witness) return it as ``meta``, and every
-result names its ``provenance``: the engine or backend that executed it,
-or :data:`PROVED` when the backend's exact tier answered it instead.
-
+``ShardResult`` is what a backend returns for one shard of one spec.
+``SpecResult`` is one cell's merged answer, the spec and its
+``provenance``: the engine or backend that executed it, or
+:data:`PROVED` when the backend's exact tier answered it instead.
 ``CampaignResult`` aggregates the cells of one campaign into the
 paper's grid — per-test and per-chip views plus the figure-style
 summary tables of obs/100k counts.
 """
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 from .._util import format_table
+from ..errors import ReproError
 from ..harness.histogram import Histogram
 
 
@@ -43,33 +43,34 @@ def _merge_stats(parts):
     return total or None
 
 
+def private(answer):
+    """``answer`` for one holder: a histogram, which its holder may
+    mutate, is copied; every other kind is immutable."""
+    if isinstance(answer, Histogram):
+        return Histogram(dict(answer.counts))
+    return answer
+
+
 @dataclass(frozen=True)
 class ShardResult:
     """What one shard of one spec produced.
 
-    ``meta`` is the backend's typed verdict data, an instance of its
-    :attr:`~repro.api.backends.Backend.meta_type` (``None`` for the
-    sampling backends, whose whole answer is the histogram).  A meta
-    type declares ``merge`` (associative and commutative, so shards
-    merge in any order), ``to_json`` and ``from_json`` (the disk
-    cache's round trip).  ``stats`` holds execution counters taken in
-    the worker that ran the shard (e.g. plan-cache hits), or ``None``.
+    ``answer`` is an instance of the backend's
+    :attr:`~repro.api.backends.Backend.answer_type`.  ``stats`` holds
+    execution counters taken in the worker that ran the shard (e.g.
+    plan-cache hits), or ``None``.
     """
 
-    histogram: object
-    meta: object = None
+    answer: object
     stats: dict = None
 
     @classmethod
     def merge(cls, parts):
-        """Fold shard results into one: histograms and stats add, metas
-        fold through their type's ``merge``."""
+        """Fold shard results into one: answers merge through their
+        type's ``merge``, stats add."""
         parts = list(parts)
-        metas = [part.meta for part in parts if part.meta is not None]
-        return cls(histogram=Histogram.merge(part.histogram
-                                             for part in parts),
-                   meta=reduce(lambda a, b: a.merge(b), metas)
-                   if metas else None,
+        return cls(answer=type(parts[0].answer).merge(
+                       part.answer for part in parts),
                    stats=_merge_stats(part.stats for part in parts))
 
 
@@ -79,18 +80,15 @@ class SpecResult:
 
     spec: object                   #: the RunSpec that produced this result
     backend: str                   #: name of the backend that ran it
-    histogram: object              #: Histogram of final states
+    answer: object                 #: the backend's typed answer
     cached: bool = False           #: satisfied from the result cache?
     #: Backend execution statistics for this spec (e.g. plan-cache
     #: hits/misses of the batch engine's cross-worker lowering cache),
     #: or ``None`` when the backend reported nothing.  Cached results
     #: carry ``None`` — nothing executed.
     stats: dict = None
-    #: The backend's typed meta (see :class:`ShardResult`), fresh or
-    #: cached alike, or ``None``.
-    meta: object = None
-    #: What produced the histogram, fresh or cached alike: the engine
-    #: or backend that executed the spec
+    #: What produced the answer, fresh or cached alike: the engine or
+    #: backend that executed the spec
     #: (:meth:`~repro.api.backends.Backend.provenance`), or
     #: :data:`PROVED` when an exact proof fixed it.
     provenance: str = None
@@ -116,8 +114,21 @@ class SpecResult:
     # -- verdicts ---------------------------------------------------------
 
     @property
+    def sampled(self):
+        """Is the answer a histogram of sampled runs?"""
+        return isinstance(self.answer, Histogram)
+
+    @property
+    def histogram(self):
+        """The sampled answer; :class:`ReproError` for any other kind."""
+        if isinstance(self.answer, Histogram):
+            return self.answer
+        raise ReproError("%s answers with %r, not a histogram"
+                         % (self.backend, self.answer))
+
+    @property
     def observations(self):
-        return self.histogram.observations(self.test.condition)
+        return self.answer.observations(self.test.condition)
 
     @property
     def per_100k(self):
@@ -136,10 +147,10 @@ class SpecResult:
         via = self.backend
         if self.provenance not in (None, self.backend):
             via += " (%s)" % self.provenance
-        return ("%s on %s [%s] via %s: %d/%d weak (%.0f per 100k)%s"
+        return ("%s on %s [%s] via %s: %s%s"
                 % (self.test.name, self.chip.short, self.incantations,
-                   via, self.observations, self.histogram.total,
-                   self.per_100k, " [cached]" if self.cached else ""))
+                   via, self.answer.summary(self.test.condition),
+                   " [cached]" if self.cached else ""))
 
 
 @dataclass
@@ -198,9 +209,10 @@ class CampaignResult:
 
     def summary_table(self, paper=None):
         """Paper-style obs/100k table: one row per test, one column per
-        chip (the bottom-of-figure tables of Figs. 1-11).  ``paper``
-        optionally maps ``(test name, chip short)`` to published counts,
-        rendered alongside."""
+        chip (the bottom-of-figure tables of Figs. 1-11); a cell that is
+        no sample shows its observations, i.e. its weak states.
+        ``paper`` optionally maps ``(test name, chip short)`` to
+        published counts, rendered alongside."""
         chips = self.chips
         grid = {}
         for (name, short), result in self.results.items():
@@ -213,12 +225,15 @@ class CampaignResult:
                 if result is None:
                     row.append("n/a")
                     continue
-                cell = "%.0f" % result.per_100k
+                cell = ("%.0f" % result.per_100k if result.sampled
+                        else "%d" % result.observations)
                 if paper is not None and (name, short) in paper:
                     cell += " (paper %s)" % paper[(name, short)]
                 row.append(cell)
             rows.append(row)
-        return format_table(["obs/100k"] + chips, rows)
+        label = ("obs/100k" if any(result.sampled for result in self)
+                 else "weak states")
+        return format_table([label] + chips, rows)
 
     def summary(self):
         weak = self.weak_cells()

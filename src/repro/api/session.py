@@ -20,12 +20,12 @@ backend splits the spec into shards
 (:meth:`~repro.api.backends.Backend.shards`), each shard runs into a
 :class:`~repro.api.result.ShardResult` — in this thread or on a worker —
 and the shard results merge into the spec's
-:class:`~repro.api.result.SpecResult`, meta and stats included.
+:class:`~repro.api.result.SpecResult`, answer and stats included.
 
 Determinism.  The shard decomposition and per-shard seeds are pure
 functions of each spec (:func:`~repro.api.backends.plan_shards`), and
 shard results are merged in shard-index order — so ``jobs=8`` produces
-bit-identical histograms to ``jobs=1`` for the same specs, and a
+bit-identical answers to ``jobs=1`` for the same specs, and a
 single-shard run reproduces the legacy serial iteration stream.
 """
 
@@ -35,11 +35,10 @@ from concurrent import futures as _futures
 from dataclasses import asdict, dataclass
 
 from ..errors import ReproError
-from ..harness.histogram import Histogram
 from ..sim.engine import resolve_engine
 from .backends import make_backend
 from .cache import ResultCache, cache_key
-from .result import PROVED, CampaignResult, ShardResult, SpecResult
+from .result import PROVED, CampaignResult, ShardResult, SpecResult, private
 from .spec import BEST, RunSpec, matrix
 
 #: Tests per streaming chunk of the conformance pipeline.  Large enough
@@ -230,13 +229,11 @@ class Session:
                     results[index] = self._store(
                         key, self._result(spec, shards, parts))
         for index, original in duplicates.items():
-            # Each plan position gets its own histogram copy so callers
-            # mutating one result cannot corrupt its duplicates.
             source = results[original]
             results[index] = SpecResult(
                 spec=specs[index], backend=source.backend,
-                histogram=Histogram(dict(source.histogram.counts)),
-                cached=True, meta=source.meta, provenance=source.provenance)
+                answer=private(source.answer), cached=True,
+                provenance=source.provenance)
         return [results[index] for index in range(len(specs))]
 
     def campaign(self, tests, chips, incantations=BEST, iterations=None,
@@ -308,8 +305,7 @@ class Session:
             self.stats.plan_cache_misses += merged.stats.get(
                 "plan_cache_misses", 0)
         return SpecResult(spec=spec, backend=self.backend.name,
-                          histogram=merged.histogram, cached=False,
-                          stats=merged.stats, meta=merged.meta,
+                          answer=merged.answer, stats=merged.stats,
                           provenance=self.backend.provenance(spec))
 
     def _proved(self, spec, exact):
@@ -318,8 +314,7 @@ class Session:
         self.stats.executed += 1
         self.stats.proved += 1
         return SpecResult(spec=spec, backend=self.backend.name,
-                          histogram=exact.histogram, cached=False,
-                          stats=exact.stats, meta=exact.meta,
+                          answer=exact.answer, stats=exact.stats,
                           provenance=PROVED)
 
     def _store(self, key, result):
@@ -339,4 +334,4 @@ class Session:
         if self.cache is None:
             return None
         return self.cache.get(key, spec, self.backend.name,
-                              self.backend.meta_type)
+                              self.backend.answer_type)

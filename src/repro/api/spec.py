@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from ..errors import ReproError
 from ..harness.incantations import Incantations, best_for
 from ..litmus.writer import write_litmus
-from ..sim.chip import ChipProfile, chip as resolve_chip
+from ..sim.chip import ChipProfile, chip as resolve_chip, resolve_chips
 from ..sim.engine import resolve_engine
 
 #: Sentinel accepted wherever an incantation combination is expected:
@@ -199,7 +199,9 @@ class RunSpec:
 def matrix(tests, chips, incantations=BEST, iterations=None, seed=0,
            engine=None):
     """Cartesian-product campaign plan: one :class:`RunSpec` per
-    (test, chip) cell — the planner behind ``Session.campaign``."""
+    (test, chip) cell — the planner behind ``Session.campaign``.  A
+    repeated chip is swept once."""
+    chips = resolve_chips(chips)
     specs = []
     for test in tests:
         for chip in chips:

@@ -25,6 +25,7 @@ Example::
 
 from ..api.result import CampaignResult
 from ..api.session import Session
+from ..sim.chip import resolve_chips
 from .backend import DEFAULT_APP_SHARD_SIZE, AppBackend
 from .scenario import STRESS, ScenarioSpec
 
@@ -45,7 +46,9 @@ def app_session(jobs=1, executor="thread", cache=True, cache_dir=None,
 def app_matrix(scenarios, chips, runs=None, seed=0, intensity=STRESS,
                engine=None):
     """Cartesian-product campaign plan: one :class:`ScenarioSpec` per
-    (scenario, chip) cell — the app twin of :func:`repro.api.spec.matrix`."""
+    (scenario, chip) cell — the app twin of :func:`repro.api.spec.matrix`
+    (a repeated chip is swept once)."""
+    chips = resolve_chips(chips)
     specs = []
     for scenario in scenarios:
         for chip in chips:

@@ -187,7 +187,7 @@ def _cmd_run(args):
                              iterations=args.iterations, seed=args.seed)
     except ReproError as error:
         raise SystemExit(str(error))
-    print(result.histogram.pretty(test.condition))
+    print(result.answer.pretty(test.condition))
     print(result.summary())
     return 0
 
@@ -479,6 +479,9 @@ def _cmd_generate(args):
 
 
 def _cmd_soundness(args):
+    if args.max_rows < 0:
+        raise SystemExit("--max-rows must be 0 or more, got %d"
+                         % args.max_rows)
     tests = _corpus(args)
     if not tests:
         raise SystemExit("the corpus flags generated no tests")

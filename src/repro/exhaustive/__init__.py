@@ -17,13 +17,13 @@ Layers:
   :class:`~repro.model.relation.IndexedRelation` machinery);
 * :mod:`repro.exhaustive.backend` — :class:`ExhaustiveBackend`, the
   :class:`~repro.api.session.Session`-compatible verdict backend with
-  fingerprint-keyed caching, whose results carry their counters and
-  first witness as typed meta (:class:`ExhaustiveMeta`);
+  fingerprint-keyed caching, whose answer is the exploration's
+  :class:`ExhaustiveResult`, counters and first witness included;
 * :mod:`repro.exhaustive.verify` — the ``repro-litmus verify`` report
   (:func:`verify_scenarios`, :class:`VerifyReport`).
 """
 
-from .backend import (EXHAUSTIVE_VERSION, ExhaustiveBackend, ExhaustiveMeta,
+from .backend import (EXHAUSTIVE_VERSION, ExhaustiveBackend,
                       encode_exhaustive_histogram, exhaustive_session,
                       exhaustive_verdict)
 from .explore import (DEFAULT_LOOP_BOUND, DEFAULT_MAX_TRANSITIONS,
@@ -33,7 +33,7 @@ from .verify import VERIFIED_TEXT, VerifyReport, VerifyRow, verify_scenarios
 
 __all__ = [
     "DEFAULT_LOOP_BOUND", "DEFAULT_MAX_TRANSITIONS", "EXHAUSTIVE_VERSION",
-    "ExhaustiveBackend", "ExhaustiveMeta", "ExhaustiveResult", "Explorer",
+    "ExhaustiveBackend", "ExhaustiveResult", "Explorer",
     "STRATEGIES",
     "VERIFIED_TEXT", "VerifyReport", "VerifyRow", "Witness", "WitnessEvent",
     "encode_exhaustive_histogram", "execution_graph", "exhaustive_session",

@@ -15,17 +15,13 @@ session's merge reassembles exactly the serial result —
 ``repro-litmus verify --jobs N`` scales with cores without perturbing a
 single verdict bit.
 
-Each branch comes back as a :class:`~repro.api.result.ShardResult`
-(:func:`encode_exhaustive_histogram`): its reachable final states as a
-histogram (count 1 per branch that reached them) and an
-:class:`ExhaustiveMeta` holding the execution, transition and loss
-counters, the ``bounded`` flag and the branch's first witness, tagged
-with its root-plan index.  Merging adds the counters, ORs the flag and
-keeps the witness of the lowest index — so merging the branches in any
-order yields the serial exploration's witness, and a losing cell's
+Each branch answers with its own
+:class:`~repro.exhaustive.explore.ExhaustiveResult`, its first witness
+tagged with its root-plan index, and merging the branches in any order
+yields the serial exploration, witness included — so a losing cell's
 trace arrives with its verdict, fresh or cached (the disk cache stores
-the meta as JSON).  :func:`exhaustive_verdict` reads a verdict off a
-result against the loss predicate.
+the answer as JSON).  :func:`exhaustive_verdict` reads that answer off
+a result.
 
 Exploration is *intensity-structural*: only which relaxation intents are
 non-zero matters (the explorer enumerates both branches of every
@@ -37,17 +33,14 @@ the strategy.
 
 import hashlib
 import threading
-from dataclasses import dataclass
 
 from ..api.backends import Backend, PerThreadMemo, Shard
-from ..api.cache import decode_state, encode_state
 from ..api.result import ShardResult
 from ..api.spec import _chip_signature
 from ..errors import ReproError
-from ..harness.histogram import Histogram
 from ..litmus.writer import write_litmus
 from .explore import (DEFAULT_LOOP_BOUND, DEFAULT_MAX_TRANSITIONS, Explorer,
-                      Witness, WitnessEvent)
+                      ExhaustiveResult)
 
 #: Bump to invalidate cached explorations when the explorer changes.
 #: v2: branch-sharded explorations, intra-thread independence and
@@ -56,129 +49,23 @@ from .explore import (DEFAULT_LOOP_BOUND, DEFAULT_MAX_TRANSITIONS, Explorer,
 EXHAUSTIVE_VERSION = 3
 
 
-def _typed(value, kind):
-    """``value`` if it is exactly of type ``kind`` (a JSON bool is no
-    int here), else ``TypeError`` — a malformed cache entry."""
-    if type(value) is not kind:
-        raise TypeError("expected %s, got %r" % (kind.__name__, value))
-    return value
+def encode_exhaustive_histogram(result):
+    """The :class:`~repro.api.result.ShardResult` of one explored branch:
+    its :class:`~repro.exhaustive.explore.ExhaustiveResult` is the
+    answer, witness tag included (the name predates typed answers and is
+    kept for callers that wrap it)."""
+    return ShardResult(result)
 
 
-def _witness_to_json(witness):
-    return {"events": [[event.tid, event.op, event.location, event.value,
-                        event.is_store] for event in witness.events],
-            "state": encode_state(witness.state)}
-
-
-def _witness_from_json(payload):
-    events = []
-    for tid, op, location, value, is_store in payload["events"]:
-        # Fences name no location and carry no value.
-        events.append(WitnessEvent(
-            tid=_typed(tid, int), op=_typed(op, str),
-            location=None if location is None else _typed(location, str),
-            value=None if value is None else _typed(value, int),
-            is_store=_typed(is_store, bool)))
-    return Witness(events=tuple(events), state=decode_state(payload["state"]))
-
-
-@dataclass(frozen=True)
-class ExhaustiveMeta:
-    """What an exploration found besides its reachable states — of one
-    root branch or, merged, of the whole cell.
-
-    ``merge`` is associative and commutative: counters add, ``bounded``
-    ORs, and the witness of the lowest ``witness_branch`` survives, which
-    is the first witness of the serial in-order exploration.
-    """
-
-    executions: int       #: complete executions explored
-    transitions: int      #: transitions executed
-    losses: int           #: executions satisfying the loss predicate
-    bounded: bool         #: some branch hit the loop bound
-    witness: object = None        #: first losing Witness, or None
-    witness_branch: int = None    #: root-plan index that found it
-
-    def _witness_order(self):
-        return (self.witness is None, self.witness_branch or 0)
-
-    def merge(self, other):
-        first = min(self, other, key=ExhaustiveMeta._witness_order)
-        return ExhaustiveMeta(
-            executions=self.executions + other.executions,
-            transitions=self.transitions + other.transitions,
-            losses=self.losses + other.losses,
-            bounded=self.bounded or other.bounded,
-            witness=first.witness, witness_branch=first.witness_branch)
-
-    def to_json(self):
-        return {"executions": self.executions,
-                "transitions": self.transitions, "losses": self.losses,
-                "bounded": self.bounded,
-                "witness": (None if self.witness is None
-                            else _witness_to_json(self.witness)),
-                "witness_branch": self.witness_branch}
-
-    @classmethod
-    def from_json(cls, payload):
-        witness = payload["witness"]
-        branch = payload["witness_branch"]
-        if witness is not None:
-            witness = _witness_from_json(witness)
-            _typed(branch, int)
-        elif branch is not None:
-            raise ValueError("witness branch %r without a witness" % branch)
-        return cls(executions=_typed(payload["executions"], int),
-                   transitions=_typed(payload["transitions"], int),
-                   losses=_typed(payload["losses"], int),
-                   bounded=_typed(payload["bounded"], bool),
-                   witness=witness, witness_branch=branch)
-
-
-def encode_exhaustive_histogram(result, branch=0):
-    """The :class:`~repro.api.result.ShardResult` of an
-    :class:`~repro.exhaustive.explore.ExhaustiveResult`: the reachable
-    states (count 1 each) plus an :class:`ExhaustiveMeta`.
-
-    ``branch`` is the root-plan index the result explored, which tags
-    its witness; a whole exploration's witness is already the first in
-    plan order, so the default 0 fits it too.
-    """
-    histogram = Histogram()
-    for state in result.reachable:
-        histogram.add(state)
-    return ShardResult(histogram, meta=ExhaustiveMeta(
-        executions=result.executions, transitions=result.transitions,
-        losses=result.losses, bounded=result.bounded,
-        witness=result.witness,
-        witness_branch=None if result.witness is None else branch))
-
-
-def exhaustive_verdict(result, condition):
-    """Read a verdict dict off an exhaustive result (a
-    :class:`~repro.api.result.SpecResult` or ``ShardResult``).
-
-    Returns ``{"states", "executions", "transitions", "losses",
-    "bounded", "losing_states", "verified", "witness"}`` where
-    ``losing_states`` are the reachable states satisfying ``condition``
-    (the loss predicate), ``verified`` means the exploration saw zero
-    losing executions and ``witness`` is the first losing execution
-    trace (``None`` when verified).
-    """
-    meta = result.meta
-    if not isinstance(meta, ExhaustiveMeta):
-        raise ReproError("not an exhaustive result: its meta is %r"
-                         % (meta,))
-    return {
-        "states": len(result.histogram),
-        "executions": meta.executions,
-        "transitions": meta.transitions,
-        "losses": meta.losses,
-        "bounded": meta.bounded,
-        "losing_states": result.histogram.witnesses(condition),
-        "verified": meta.losses == 0,
-        "witness": meta.witness,
-    }
+def exhaustive_verdict(result):
+    """The :class:`~repro.exhaustive.explore.ExhaustiveResult` answer of
+    a :class:`~repro.api.result.SpecResult` or ``ShardResult``;
+    :class:`ReproError` for any other kind of answer."""
+    answer = result.answer
+    if not isinstance(answer, ExhaustiveResult):
+        raise ReproError("not an exhaustive result: its answer is %r"
+                         % (answer,))
+    return answer
 
 
 class ExhaustiveBackend(PerThreadMemo, Backend):
@@ -207,7 +94,7 @@ class ExhaustiveBackend(PerThreadMemo, Backend):
     """
 
     name = "exhaustive"
-    meta_type = ExhaustiveMeta
+    answer_type = ExhaustiveResult
 
     def __init__(self, strategy="dpor", loop_bound=DEFAULT_LOOP_BOUND,
                  max_transitions=DEFAULT_MAX_TRANSITIONS):
@@ -252,8 +139,8 @@ class ExhaustiveBackend(PerThreadMemo, Backend):
                 for index in range(len(plan))]
 
     def run_shard(self, spec, shard):
-        result = self._explorer(spec).run_branch(shard.index)
-        return encode_exhaustive_histogram(result, shard.index)
+        return encode_exhaustive_histogram(
+            self._explorer(spec).run_branch(shard.index))
 
 
 def exhaustive_session(jobs=1, executor="thread", cache=True, cache_dir=None,

@@ -111,6 +111,8 @@ from dataclasses import dataclass
 
 from ..analysis.accesses import decode_read_registers, resolve_address
 from ..errors import ConfigurationError, ExplorationLimit, SimulationError
+from ..harness.histogram import StateSet
+from ..litmus.condition import FinalState
 from ..ptx.instructions import Bra
 from ..sim.compile import (_PASS_PAIR, K_ADD, K_CAS, K_EXCH, K_FENCE, K_LOAD,
                            K_STORE, SLOT_BYPASS_BASE, SLOT_MIXED_HAZARD,
@@ -207,6 +209,13 @@ class _StubRng:
         return 0.5
 
 
+def _typed(value, kind):
+    """``value`` if exactly a ``kind`` (a JSON bool is no int here)."""
+    if type(value) is not kind:
+        raise TypeError("expected %s, got %r" % (kind.__name__, value))
+    return value
+
+
 @dataclass(frozen=True)
 class WitnessEvent:
     """One issued op of a witness trace."""
@@ -238,12 +247,30 @@ class Witness:
         out.append("final: %s" % (self.state,))
         return out
 
+    def to_json(self):
+        return {"events": [[event.tid, event.op, event.location, event.value,
+                            event.is_store] for event in self.events],
+                "state": self.state.to_json()}
+
+    @classmethod
+    def from_json(cls, payload):
+        # Fences name no location and carry no value.
+        events = tuple(WitnessEvent(
+            tid=_typed(tid, int), op=_typed(op, str),
+            location=None if location is None else _typed(location, str),
+            value=None if value is None else _typed(value, int),
+            is_store=_typed(is_store, bool))
+            for tid, op, location, value, is_store in payload["events"])
+        return cls(events=events, state=FinalState.from_json(payload["state"]))
+
 
 @dataclass(frozen=True)
 class ExhaustiveResult:
-    """The verdict of one exhaustive exploration."""
+    """The verdict of one exhaustive exploration, of one root branch or,
+    merged (the witness of the lowest ``witness_branch`` wins), of the
+    whole cell: the exhaustive backend's answer."""
 
-    reachable: frozenset  #: every reachable final state
+    reachable: StateSet   #: every reachable final state
     executions: int       #: complete executions walked (dpor: the
                           #: state cache merges converging ones)
     transitions: int      #: transitions executed (the pruning metric)
@@ -252,6 +279,7 @@ class ExhaustiveResult:
     strategy: str
     loop_bound: int
     witness: object       #: first condition-satisfying Witness, or None
+    witness_branch: int = None  #: root-plan index that found the witness
 
     @property
     def complete(self):
@@ -262,6 +290,49 @@ class ExhaustiveResult:
     def verified(self):
         """Zero condition-satisfying states among all reachable ones."""
         return self.losses == 0
+
+    @classmethod
+    def merge(cls, results):
+        results = list(results)
+        first = min(results, key=lambda result: (
+            result.witness is None, result.witness_branch or 0))
+        return cls(
+            reachable=StateSet.merge(result.reachable for result in results),
+            executions=sum(result.executions for result in results),
+            transitions=sum(result.transitions for result in results),
+            losses=sum(result.losses for result in results),
+            bounded=any(result.bounded for result in results),
+            strategy=first.strategy, loop_bound=first.loop_bound,
+            witness=first.witness, witness_branch=first.witness_branch)
+
+    def observations(self, condition):
+        return self.reachable.observations(condition)
+
+    def summary(self, condition):
+        return self.reachable.summary(condition)
+
+    def pretty(self, condition=None):
+        return "%s\n%d executions, %d transitions, %d losses" % (
+            self.reachable.pretty(condition), self.executions,
+            self.transitions, self.losses)
+
+    def to_json(self):
+        return dict(self.__dict__, reachable=self.reachable.to_json(),
+                    witness=self.witness and self.witness.to_json())
+
+    @classmethod
+    def from_json(cls, payload):
+        witness, branch = payload["witness"], payload["witness_branch"]
+        if (witness is None) != (branch is None):
+            raise ValueError("witness %r at branch %r" % (witness, branch))
+        counters = {name: _typed(payload[name], kind) for name, kind in (
+            ("executions", int), ("transitions", int), ("losses", int),
+            ("bounded", bool), ("strategy", str), ("loop_bound", int))}
+        return cls(reachable=StateSet.from_json(payload["reachable"]),
+                   witness=(None if witness is None
+                            else Witness.from_json(witness)),
+                   witness_branch=(None if branch is None
+                                   else _typed(branch, int)), **counters)
 
 
 class _Event:
@@ -1167,12 +1238,6 @@ class Explorer:
         self.witness = None
         self._branch_base = 0
 
-    def _result(self):
-        return ExhaustiveResult(
-            reachable=frozenset(self.reachable), executions=self.executions,
-            transitions=self.transitions, losses=self.losses,
-            bounded=self.bounded, strategy=self.strategy,
-            loop_bound=self.loop_bound, witness=self.witness)
 
     def _run_branch(self, entry):
         script, branch = entry
@@ -1192,21 +1257,26 @@ class Explorer:
     def run(self):
         """Explore everything; returns the :class:`ExhaustiveResult`.
 
-        Iterates :meth:`root_plan` in order — the exact decomposition a
-        parallel run shards across workers, so both spell out the same
-        transitions in the same per-branch groups.
+        Merges the branches of :meth:`root_plan` explored in order — the
+        exact decomposition a parallel run shards across workers, so
+        both spell out the same transitions in the same per-branch
+        groups.
         """
-        self._reset_results()
-        for entry in self.root_plan():
-            self._run_branch(entry)
-        return self._result()
+        return ExhaustiveResult.merge(
+            self.run_branch(index) for index in range(len(self.root_plan())))
 
     def run_branch(self, index):
         """Explore exactly one :meth:`root_plan` entry (a parallel shard);
-        returns the branch-local :class:`ExhaustiveResult`."""
+        returns the branch-local :class:`ExhaustiveResult`, its witness
+        tagged with ``index``."""
         self._reset_results()
         self._run_branch(self.root_plan()[index])
-        return self._result()
+        return ExhaustiveResult(
+            reachable=StateSet(self.reachable), executions=self.executions,
+            transitions=self.transitions, losses=self.losses,
+            bounded=self.bounded, strategy=self.strategy,
+            loop_bound=self.loop_bound, witness=self.witness,
+            witness_branch=None if self.witness is None else index)
 
     def probe(self, project, budget):
         """The single projected final state of the cell, or ``None``.

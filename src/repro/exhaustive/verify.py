@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from ..apps.scenario import ScenarioSpec
 from ..errors import ConfigurationError
-from ..sim.chip import chip as resolve_chip
+from ..sim.chip import resolve_chips
 from .backend import exhaustive_session, exhaustive_verdict
 from .explore import DEFAULT_LOOP_BOUND, DEFAULT_MAX_TRANSITIONS
 
@@ -125,7 +125,7 @@ def verify_scenarios(scenarios, chips, intensity=1.0,
             "every cell would verify), got %r" % (intensity,))
     scenarios = [get_scenario(s) if isinstance(s, str) else s
                  for s in scenarios]
-    chips = [resolve_chip(chip) for chip in chips]
+    chips = resolve_chips(chips)
     if session is None:
         session = exhaustive_session(jobs=jobs, executor=executor,
                                      cache_dir=cache_dir,
@@ -136,13 +136,12 @@ def verify_scenarios(scenarios, chips, intensity=1.0,
              for scenario in scenarios for chip in chips]
     rows = []
     for spec, result in zip(specs, session.run_specs(specs)):
-        verdict = exhaustive_verdict(result, spec.test.condition)
+        answer = exhaustive_verdict(result)
         rows.append(VerifyRow(
             scenario=spec.scenario.name, chip=spec.chip.short,
-            fenced=spec.scenario.fenced, states=verdict["states"],
-            executions=verdict["executions"],
-            transitions=verdict["transitions"], losses=verdict["losses"],
-            bounded=verdict["bounded"],
-            witness=verdict["witness"] if witnesses else None))
+            fenced=spec.scenario.fenced, states=len(answer.reachable),
+            executions=answer.executions, transitions=answer.transitions,
+            losses=answer.losses, bounded=answer.bounded,
+            witness=answer.witness if witnesses else None))
     return VerifyReport(rows=tuple(rows),
                         loop_bound=session.backend.loop_bound)

@@ -1,6 +1,9 @@
-"""Outcome histograms: what the litmus tool prints after 100k runs."""
+"""Outcome histograms and state sets: what the litmus tool prints after
+100k runs, and what a model allows (answers of :mod:`repro.api.result`)."""
 
 from dataclasses import dataclass, field
+
+from ..litmus.condition import FinalState
 
 
 @dataclass
@@ -27,10 +30,6 @@ class Histogram:
         return sum(count for state, count in self.counts.items()
                    if condition.holds(state))
 
-    def witnesses(self, condition):
-        """The distinct final states satisfying the condition."""
-        return [state for state in self.counts if condition.holds(state)]
-
     def per_100k(self, condition):
         """Observation count normalised to the paper's 100k executions."""
         if self.total == 0:
@@ -54,6 +53,23 @@ class Histogram:
                 result.add(state, count)
         return result
 
+    def to_json(self):
+        return [dict(state.to_json(), count=count)
+                for state, count in sorted(self.counts.items(),
+                                           key=lambda kv: str(kv[0]))]
+
+    @classmethod
+    def from_json(cls, records):
+        histogram = cls()
+        for record in records:
+            histogram.add(FinalState.from_json(record), record["count"])
+        return histogram
+
+    def summary(self, condition):
+        return "%d/%d weak (%.0f per 100k)" % (
+            self.observations(condition), self.total,
+            self.per_100k(condition))
+
     def pretty(self, condition=None):
         lines = ["Histogram (%d states, %d runs)" % (len(self), self.total)]
         for state, count in self:
@@ -64,4 +80,33 @@ class Histogram:
         if condition is not None:
             lines.append("Observation %d/%d for %s"
                          % (self.observations(condition), self.total, condition))
+        return "\n".join(lines)
+
+
+class StateSet(frozenset):
+    """The final states a model allows or an exploration reaches; the
+    condition read counts the states that satisfy it."""
+
+    @classmethod
+    def merge(cls, sets):
+        return cls(state for states in sets for state in states)
+
+    def observations(self, condition):
+        return sum(1 for state in self if condition.holds(state))
+
+    def to_json(self):
+        return [state.to_json() for state in sorted(self, key=str)]
+
+    @classmethod
+    def from_json(cls, records):
+        return cls(FinalState.from_json(record) for record in records)
+
+    def summary(self, condition):
+        return "%d/%d states weak" % (self.observations(condition), len(self))
+
+    def pretty(self, condition=None):
+        lines = ["States (%d)" % len(self)]
+        for state in sorted(self, key=str):
+            witness = condition is not None and condition.holds(state)
+            lines.append("  %s%s" % (state, "  *witness*" if witness else ""))
         return "\n".join(lines)

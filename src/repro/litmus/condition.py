@@ -48,6 +48,17 @@ class FinalState:
     def mem_dict(self):
         return dict(self.mem)
 
+    def to_json(self):
+        """A JSON-ready ``{regs, mem}`` record."""
+        return {"regs": [[tid, reg, value] for (tid, reg), value in self.regs],
+                "mem": [[loc, value] for loc, value in self.mem]}
+
+    @staticmethod
+    def from_json(record):
+        return FinalState.make(
+            {(tid, reg): value for tid, reg, value in record["regs"]},
+            {loc: value for loc, value in record["mem"]})
+
     def __str__(self):
         parts = ["%d:%s=%d" % (t, r, v) for (t, r), v in self.regs]
         parts.extend("%s=%d" % (loc, v) for loc, v in self.mem)

@@ -42,7 +42,8 @@ import time
 from dataclasses import dataclass
 
 from ..errors import ReproError
-from ..exhaustive.explore import (DEFAULT_LOOP_BOUND, Explorer, explore_test)
+from ..exhaustive.explore import (DEFAULT_LOOP_BOUND, ExhaustiveResult,
+                                  Explorer, explore_test)
 from .harness import geomean, rounded
 
 #: The exhaust corpora: ``(kind, name, chip)`` cells, where kind is
@@ -224,21 +225,9 @@ def bench_exhaust_cell(kind, name, chip_short, loop_bound=DEFAULT_LOOP_BOUND,
 
     began = time.perf_counter()
     explorer = Explorer(test, chip, strategy="dpor", loop_bound=loop_bound)
-    plan = explorer.root_plan()
-    branch_transitions = []
-    reachable = set()
-    executions = transitions = losses = 0
-    bounded = False
-    witness = None
-    for index in range(len(plan)):
-        branch = explorer.run_branch(index)
-        branch_transitions.append(branch.transitions)
-        reachable |= branch.reachable
-        executions += branch.executions
-        transitions += branch.transitions
-        losses += branch.losses
-        bounded = bounded or branch.bounded
-        witness = witness or branch.witness
+    branches = [explorer.run_branch(index)
+                for index in range(len(explorer.root_plan()))]
+    dpor = ExhaustiveResult.merge(branches)
     dpor_seconds = time.perf_counter() - began
 
     # Parallel leg: the same exploration through the session's process
@@ -253,11 +242,7 @@ def bench_exhaust_cell(kind, name, chip_short, loop_bound=DEFAULT_LOOP_BOUND,
     began = time.perf_counter()
     merged = session.run(spec)
     parallel_seconds = time.perf_counter() - began
-    verdict = exhaustive_verdict(merged, test.condition)
-    identical = (verdict["transitions"] == transitions
-                 and verdict["states"] == len(reachable)
-                 and verdict["losses"] == losses
-                 and verdict["witness"] == witness)
+    identical = exhaustive_verdict(merged) == dpor
 
     if dpor_only:
         naive_transitions = naive_executions = 0
@@ -267,25 +252,26 @@ def bench_exhaust_cell(kind, name, chip_short, loop_bound=DEFAULT_LOOP_BOUND,
         naive = explore_test(test, chip, strategy="naive",
                              loop_bound=loop_bound)
         naive_seconds = time.perf_counter() - began
-        identical = identical and naive.reachable == frozenset(reachable)
+        identical = identical and naive.reachable == dpor.reachable
         naive_transitions = naive.transitions
         naive_executions = naive.executions
-        reduction = naive.transitions / max(1, transitions)
+        reduction = naive.transitions / max(1, dpor.transitions)
 
     return ExhaustBenchCell(
         name=name, chip=chip_short, kind=kind, loop_bound=loop_bound,
-        states=len(reachable), losses=losses, bounded=bounded,
-        identical=identical,
-        dpor_transitions=transitions,
+        states=len(dpor.reachable), losses=dpor.losses,
+        bounded=dpor.bounded, identical=identical,
+        dpor_transitions=dpor.transitions,
         naive_transitions=naive_transitions,
-        dpor_executions=executions,
+        dpor_executions=dpor.executions,
         naive_executions=naive_executions,
         reduction=reduction,
         dpor_seconds=dpor_seconds, naive_seconds=naive_seconds,
-        dpor_only=dpor_only, branches=len(plan), workers=workers,
+        dpor_only=dpor_only, branches=len(branches), workers=workers,
         parallel_seconds=parallel_seconds,
         wall_speedup=dpor_seconds / max(parallel_seconds, 1e-9),
-        balance_speedup=balance_bound(branch_transitions, workers))
+        balance_speedup=balance_bound(
+            [branch.transitions for branch in branches], workers))
 
 
 def bench_exhaust(corpus, loop_bound=DEFAULT_LOOP_BOUND,

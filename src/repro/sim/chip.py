@@ -215,3 +215,13 @@ def chip(name):
     except KeyError:
         raise ConfigurationError("unknown chip %r; valid chips: %s"
                                  % (name, ", ".join(sorted(CHIPS)))) from None
+
+
+def resolve_chips(names):
+    """Resolve each of ``names`` (see :func:`chip`), dropping repeats:
+    the first occurrence of a chip wins."""
+    chips = []
+    for profile in map(chip, names):
+        if profile not in chips:
+            chips.append(profile)
+    return chips

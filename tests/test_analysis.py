@@ -21,7 +21,6 @@ from repro.apps.scenario import SCENARIOS
 from repro.cli import main
 from repro.compiler import Kernel, compile_kernel
 from repro.errors import ConfigurationError, ReproError
-from repro.harness.histogram import Histogram
 from repro.litmus import library, parse_litmus
 from repro.model.models import load_model
 
@@ -179,18 +178,18 @@ class TestDiagnostics:
 
 class TestVerdictEncoding:
     def test_round_trip(self, tmp_path):
-        # Every verdict survives the disk cache as typed meta.
+        # Every verdict survives the disk cache as a typed answer.
         backend = AnalysisBackend()
         spec = RunSpec.make(library.build("mp"), "Titan", iterations=10)
         for verdict in (CLEAN, UNKNOWN, RACY):
             key = cache_key(backend.name, verdict)
             ResultCache(cache_dir=str(tmp_path)).put(key, SpecResult(
-                spec=spec, backend=backend.name, histogram=Histogram(),
-                meta=AnalysisMeta(verdict)))
+                spec=spec, backend=backend.name,
+                answer=AnalysisMeta(verdict)))
             again = ResultCache(cache_dir=str(tmp_path)).get(
-                key, spec, backend.name, backend.meta_type)
+                key, spec, backend.name, backend.answer_type)
             assert again.cached
-            assert again.meta == AnalysisMeta(verdict)
+            assert again.answer == AnalysisMeta(verdict)
 
     def test_rejects_missing_verdict(self):
         with pytest.raises(KeyError):
@@ -205,11 +204,13 @@ class TestVerdictEncoding:
                  AnalysisMeta(UNKNOWN)]
         for first in metas:
             for second in metas:
-                assert first.merge(second) == second.merge(first)
-        assert AnalysisMeta(CLEAN).merge(AnalysisMeta(UNKNOWN)).verdict \
-            == UNKNOWN
-        assert AnalysisMeta(UNKNOWN).merge(AnalysisMeta(RACY)).verdict \
-            == RACY
+                assert AnalysisMeta.merge([first, second]) \
+                    == AnalysisMeta.merge([second, first])
+        assert AnalysisMeta.merge([AnalysisMeta(CLEAN),
+                                   AnalysisMeta(UNKNOWN)]).verdict == UNKNOWN
+        assert AnalysisMeta.merge([AnalysisMeta(UNKNOWN),
+                                   AnalysisMeta(RACY)]).verdict == RACY
+        assert AnalysisMeta.merge(metas).verdict == RACY
 
 
 class TestAnalysisBackend:
@@ -235,7 +236,7 @@ class TestAnalysisBackend:
                  RunSpec.make(library.build("mp"), "GTX7", iterations=999,
                               seed=7)]
         results = session.run_specs(specs)
-        verdicts = [r.meta.verdict for r in results]
+        verdicts = [r.answer.verdict for r in results]
         assert verdicts == [RACY, RACY]
         # The signature covers only the litmus text: the second chip's
         # cell deduplicates in-plan, and nothing counts as simulated.
@@ -249,17 +250,17 @@ class TestAnalysisBackend:
                             iterations=10)
         first = analysis_session(cache_dir=str(tmp_path))
         result = first.run_specs([spec])[0]
-        assert result.meta.verdict == CLEAN
+        assert result.answer.verdict == CLEAN
         assert first.stats.cache_hits == 0
         second = analysis_session(cache_dir=str(tmp_path))
         again = second.run_specs([spec])[0]
         assert second.stats.cache_hits == 1
-        assert again.meta.verdict == CLEAN
+        assert again.answer.verdict == CLEAN
 
     def test_scenario_specs_run_through_the_backend(self):
         session = analysis_session(cache=False)
         specs = app_matrix(select_scenarios(["ticket"]), ["Titan"], runs=10)
-        verdicts = [r.meta.verdict for r in session.run_specs(specs)]
+        verdicts = [r.answer.verdict for r in session.run_specs(specs)]
         assert verdicts == [RACY, CLEAN]
 
 
@@ -283,7 +284,10 @@ class TestPrescreen:
         racy, clean = results
         assert racy.backend == "app" and racy.iterations == 20
         assert clean.backend == "analysis"
-        assert clean.histogram.total == 0 and clean.observations == 0
+        assert clean.answer == AnalysisMeta(CLEAN)
+        assert clean.observations == 0 and not clean.sampled
+        with pytest.raises(ReproError):
+            clean.histogram
         assert session.stats.executed == 1
 
     def test_run_prescreened_custom_skip_predicate(self):

@@ -14,6 +14,7 @@ from repro.litmus import library
 from repro.litmus.condition import FinalState
 from repro.model.models import load_model
 from repro.sim import CHIPS, compile_cell, run_batch
+from repro.sim.chip import resolve_chips
 
 
 def spec_for(name="mp", chip="Titan", iterations=300, seed=3,
@@ -377,8 +378,8 @@ class TestBackends:
                                     iterations=1)
         assert len(campaign) == 3
         assert session.stats.executed == 1
-        histograms = [result.histogram.counts for result in campaign]
-        assert histograms[0] == histograms[1] == histograms[2]
+        answers = [result.answer for result in campaign]
+        assert answers[0] == answers[1] == answers[2]
 
     def test_model_cache_signature_still_tracks_test_content(self):
         session = Session(backend="model")
@@ -477,7 +478,7 @@ class TestCampaignResult:
             campaign.add(SpecResult(
                 spec=RunSpec.make(library.build(name), chip,
                                   iterations=1000),
-                backend="sim", histogram=histogram))
+                backend="sim", answer=histogram))
         table = campaign.summary_table(paper={
             ("mp", "Titan"): 2921, ("sb", "Titan"): 5, ("lb", "HD7970"): 0})
         assert table.splitlines() == [
@@ -492,3 +493,59 @@ class TestCampaignResult:
         assert set(campaign.weak_cells()) <= set(campaign.results)
         assert campaign.total_iterations == 4 * 250
         assert "4 cells" in campaign.summary()
+
+
+class TestRepeatedChips:
+    """A chip named twice is swept once: each planner gives the same
+    report for ``[Titan, Titan]`` as for ``[Titan]``, with no in-plan
+    twin reported as cached."""
+
+    TWICE = ["Titan", CHIPS["Titan"]]
+
+    def test_first_occurrence_wins(self):
+        chips = resolve_chips(["GTX6", "Titan", "GTX6", CHIPS["Titan"]])
+        assert [chip.short for chip in chips] == ["GTX6", "Titan"]
+        with pytest.raises(ReproError):
+            resolve_chips(["Titan", "bogus"])
+
+    def test_matrix_and_campaign(self):
+        tests = [library.build("mp"), library.build("sb")]
+        assert matrix(tests, self.TWICE, iterations=100) \
+            == matrix(tests, ["Titan"], iterations=100)
+        session = Session(cache=False)
+        twice = session.campaign(tests, self.TWICE, iterations=100)
+        once = Session(cache=False).campaign(tests, ["Titan"],
+                                             iterations=100)
+        assert twice.summary() == once.summary()
+        assert twice.summary_table() == once.summary_table()
+        assert session.stats.deduplicated == 0
+
+    def test_app_matrix_and_campaign(self):
+        from repro.apps import app_matrix, app_session, run_app_campaign
+        assert app_matrix(["deque-mp"], self.TWICE, runs=30) \
+            == app_matrix(["deque-mp"], ["Titan"], runs=30)
+        session = app_session(cache=False)
+        twice = run_app_campaign(["deque-mp"], self.TWICE, runs=30,
+                                 session=session)
+        once = run_app_campaign(["deque-mp"], ["Titan"], runs=30)
+        assert twice.summary() == once.summary()
+        assert twice.summary_table() == once.summary_table()
+        assert session.stats.deduplicated == 0
+
+    def test_run_soundness(self):
+        from repro.api import run_soundness
+        tests = [library.build("mp"), library.build("lb")]
+        twice = run_soundness(tests, self.TWICE, iterations=100)
+        once = run_soundness(tests, ["Titan"], iterations=100)
+        assert twice.summary() == once.summary()
+        assert twice.summary_table() == once.summary_table()
+        assert twice.cells == once.cells
+        assert twice.sim_stats["deduplicated"] == 0
+
+    def test_verify_scenarios(self):
+        from repro.exhaustive import verify_scenarios
+        twice = verify_scenarios(["deque-mp+fenced", "deque-mp"],
+                                 self.TWICE)
+        once = verify_scenarios(["deque-mp+fenced", "deque-mp"], ["Titan"])
+        assert twice.lines() == once.lines()
+        assert len(twice.rows) == 2

@@ -19,6 +19,7 @@ Covers the PR's contracts:
   and the scenario listing work.
 """
 
+import hashlib
 import json
 import os
 from dataclasses import replace
@@ -153,6 +154,32 @@ class TestSpec:
         assert spec.runs == spec.iterations == 42
 
 
+class TestHistogramDigests:
+    """The registry's sampled histograms, pinned: ``AppBackend().run``
+    (below the session, so the exact tier answers nothing) on the 22 x 7
+    registry cells at stress intensity and seed 17, one line per cell,
+    ``name@chip sorted(counts.items(), key=str)``, then the first 16 hex
+    digits of the sha256 of the lines joined by newlines."""
+
+    @pytest.mark.parametrize("engine,runs,digest", (
+        ("fast", 300, "3d5199736ec5bc62"),
+        ("reference", 100, "bb9373211720136a"),
+    ))
+    def test_registry_digest(self, engine, runs, digest):
+        backend = AppBackend()
+        lines = []
+        for scenario in select_scenarios(["all"]):
+            for chip in RESULT_CHIPS:
+                spec = ScenarioSpec.make(scenario, chip, runs=runs, seed=17,
+                                         intensity=STRESS, engine=engine)
+                counts = backend.run(spec).answer.counts
+                lines.append("%s@%s %s" % (scenario.name, chip,
+                                           sorted(counts.items(), key=str)))
+        assert len(lines) == 22 * 7
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] \
+            == digest
+
+
 class TestEngineParity:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_fast_matches_reference_across_chip_table(self, name):
@@ -161,8 +188,8 @@ class TestEngineParity:
         for chip in CHIP_TABLE:
             spec = ScenarioSpec.make(scenario, chip, runs=20, seed=3,
                                      intensity=STRESS, engine="fast")
-            fast = backend.run(spec).histogram
-            ref = backend.run(replace(spec, engine="reference")).histogram
+            fast = backend.run(spec).answer
+            ref = backend.run(replace(spec, engine="reference")).answer
             assert fast.counts == ref.counts, \
                 "engine divergence: %s on %s" % (name, chip)
             assert (fast.observations(scenario.loss)
@@ -203,7 +230,7 @@ class TestShardingParity:
         session = Session(backend="app", cache=False)
         result = session.run_specs([spec])[0]
         serial = AppBackend().run(spec)
-        assert result.histogram.counts == serial.histogram.counts
+        assert result.histogram.counts == serial.answer.counts
         assert session.stats.shards_executed == 2
         assert session._cache_key(spec).startswith("app-shard10000-")
 
@@ -218,7 +245,7 @@ class TestShardingParity:
                     dict(scenario.init_mem), placement=scenario.placement,
                     intensity=STRESS, engine="reference")
         expected = scenario.project_histogram(grid.launch_batch(30, seed=7))
-        assert result.histogram.counts == expected.counts
+        assert result.answer.counts == expected.counts
 
 
 class TestAppBackendCache:

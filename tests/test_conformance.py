@@ -6,6 +6,7 @@ import pytest
 
 from repro.api import (CellConformance, ConformanceReport, Session,
                       Violation, run_soundness, uniquify_tests)
+from repro import cli
 from repro.cli import main
 from repro.errors import ReproError
 from repro.litmus import library
@@ -181,6 +182,30 @@ class TestConformanceReport:
         assert "t3" not in table
         assert "elided" in table
 
+    def _report_with_one_unsound_test(self):
+        state = FinalState.make({(0, "r1"): 1}, {"x": 1})
+        report = ConformanceReport(model="model:ptx")
+        for name in ("t0", "t1", "t2"):
+            report.add_test(name, 2)
+            violations = ()
+            if name == "t1":
+                violations = (Violation(test=name, chip="Titan",
+                                        state=state, count=2),)
+            report.add_cell(self._cell(test=name, violations=violations))
+        return report
+
+    def test_zero_rows_shows_only_unsound_rows(self):
+        rows = self._report_with_one_unsound_test().summary_table(
+            max_rows=0).splitlines()
+        assert [row.split()[0] for row in rows[2:]] == ["t1", "..."]
+        assert rows[-1] == "... (2 sound rows elided)"
+
+    @pytest.mark.parametrize("max_rows", (-1, -5))
+    def test_negative_max_rows_is_rejected(self, max_rows):
+        report = self._report_with_one_unsound_test()
+        with pytest.raises(ReproError, match="max_rows .*%d" % max_rows):
+            report.summary_table(max_rows=max_rows)
+
     def test_summary_counts(self):
         report = ConformanceReport(model="model:ptx")
         report.add_test("mp", 4)
@@ -221,6 +246,23 @@ class TestSoundnessCli:
         out = capsys.readouterr().out
         assert code == 1
         assert "VIOLATION:" in out
+
+    def test_negative_max_rows_exits_before_the_corpus(self, monkeypatch):
+        def generate_tests(*args, **kwargs):
+            raise AssertionError("the corpus was generated")
+
+        monkeypatch.setattr(cli, "generate_tests", generate_tests)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["soundness", "--max-tests", "2", "--chips", "Titan",
+                  "--max-rows", "-1"])
+        assert str(exit_info.value) == "--max-rows must be 0 or more, got -1"
+
+    def test_zero_max_rows_lists_no_sound_row(self, capsys):
+        assert main(["soundness", "--length", "3", "--max-tests", "3",
+                     "--chips", "Titan", "--iterations", "100",
+                     "--max-rows", "0"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[2] == "... (3 sound rows elided)"
 
     def test_soundness_empty_corpus_exits(self):
         with pytest.raises(SystemExit):

@@ -37,6 +37,7 @@ from repro.apps import (SCENARIOS, STRESS, AppBackend, ScenarioSpec,
 from repro.errors import ExplorationLimit
 from repro.exhaustive import ExhaustiveBackend
 from repro.exhaustive.explore import Explorer, explore_test
+from repro.harness.histogram import Histogram
 from repro.litmus import library
 from repro.sim import have_numpy
 from repro.sim.chip import CHIPS, RESULT_CHIPS
@@ -95,8 +96,8 @@ class TestContract:
             exact = backend.exact(spec)
             if exact is not None:
                 proved.append(_name(spec))
-                assert (exact.histogram.counts
-                        == backend.run(spec).histogram.counts), _name(spec)
+                assert (exact.answer.counts
+                        == backend.run(spec).answer.counts), _name(spec)
         assert sorted(proved) == load_proved()
 
     @pytest.mark.skipif(not have_numpy(), reason="numpy not installed")
@@ -106,16 +107,16 @@ class TestContract:
             exact = backend.exact(spec)
             if exact is not None:
                 proved.append(_name(spec))
-                assert (exact.histogram.counts
-                        == backend.run(spec).histogram.counts), _name(spec)
+                assert (exact.answer.counts
+                        == backend.run(spec).answer.counts), _name(spec)
         assert sorted(proved) == load_proved()
 
     def test_answer_counts_every_launch(self, backend):
         spec = ScenarioSpec.make("ticket+fenced", "Titan", runs=123)
         exact = backend.exact(spec)
-        (count,) = exact.histogram.counts.values()
+        (count,) = exact.answer.counts.values()
         assert count == 123
-        assert exact.meta is None and exact.stats is None
+        assert isinstance(exact.answer, Histogram) and exact.stats is None
 
 
 class TestProbe:
@@ -167,7 +168,7 @@ class TestProbe:
             "dot-cbe+fenced", "Titan", runs=2)) is None
         exact = backend.exact(ScenarioSpec.make("dot-cbe+fenced", "Titan",
                                                 runs=3))
-        assert sum(exact.histogram.counts.values()) == 3
+        assert sum(exact.answer.counts.values()) == 3
 
 
 class TestSession:

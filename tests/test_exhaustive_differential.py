@@ -115,7 +115,7 @@ class TestExhaustiveVsSimulation:
         projected = {scenario.project(state) for state in result.reachable}
         spec = ScenarioSpec(scenario=scenario, chip=chip, iterations=50000,
                             seed=11, intensity=100.0, engine="batch")
-        histogram = AppBackend().run(spec).histogram
+        histogram = AppBackend().run(spec).answer
         assert set(histogram.counts) <= projected
         # The campaign's loss verdict can never contradict the
         # verifier: losses sampled => losses proven reachable.

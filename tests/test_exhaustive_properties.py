@@ -9,7 +9,7 @@ The contracts the tentpole stands on:
 * **Determinism** — verdicts are a pure function of the spec:
   identical across ``--jobs``, executor kinds and repeat runs, and
   cache round-trips reproduce them bit for bit;
-* the typed result codec round-trips, cache signatures separate
+* the typed answer round-trips, cache signatures separate
   exactly what exploration depends on (structural intent, loop bound,
   strategy — not the numeric intensity), the loop bound flags bounded
   verdicts, the transition budget fails loudly, and witnesses index
@@ -23,7 +23,7 @@ from repro.diy import (default_pool, fences_from_names, generate_tests,
                        scopes_from_names)
 from repro.errors import ConfigurationError, ReproError, SimulationError
 from repro.exhaustive import (DEFAULT_LOOP_BOUND, ExhaustiveBackend,
-                              ExhaustiveMeta, VERIFIED_TEXT,
+                              ExhaustiveResult, VERIFIED_TEXT,
                               encode_exhaustive_histogram, execution_graph,
                               exhaustive_session, exhaustive_verdict,
                               explore_test, verify_scenarios)
@@ -83,22 +83,22 @@ class TestDeterminism:
                                               ("isolation+fenced", 5, 100.0))]
 
     def test_identical_across_jobs_and_executors(self):
-        baseline = [result.histogram.counts
+        baseline = [result.answer
                     for result in exhaustive_session(cache=False)
                     .run_specs(self._specs())]
         for jobs, executor in ((2, "thread"), (2, "process")):
             session = exhaustive_session(jobs=jobs, executor=executor,
                                          cache=False)
-            got = [result.histogram.counts
+            got = [result.answer
                    for result in session.run_specs(self._specs())]
             assert got == baseline, (jobs, executor)
 
     def test_cache_round_trip(self, tmp_path):
         specs = self._specs()
         first = exhaustive_session(cache_dir=str(tmp_path))
-        cold = [r.histogram.counts for r in first.run_specs(specs)]
+        cold = [r.answer for r in first.run_specs(specs)]
         second = exhaustive_session(cache_dir=str(tmp_path))
-        warm = [r.histogram.counts for r in second.run_specs(specs)]
+        warm = [r.answer for r in second.run_specs(specs)]
         assert warm == cold
         assert second.stats.cache_hits == len(specs)
 
@@ -112,27 +112,22 @@ class TestDeterminism:
 
 
 class TestBackendEncoding:
-    def test_histogram_round_trip(self):
-        result = explore_test(library.build("mp"), CHIPS["Titan"])
+    def test_answer_round_trip(self):
+        test = library.build("mp")
+        result = explore_test(test, CHIPS["Titan"])
         encoded = encode_exhaustive_histogram(result)
-        assert set(encoded.histogram.counts) == set(result.reachable)
-        assert ExhaustiveMeta.from_json(encoded.meta.to_json()) \
-            == encoded.meta
-        verdict = exhaustive_verdict(encoded,
-                                     library.build("mp").condition)
-        assert verdict["executions"] == result.executions
-        assert verdict["transitions"] == result.transitions
-        assert verdict["losses"] == result.losses
-        assert verdict["bounded"] == result.bounded
-        assert verdict["verified"] == result.verified
-        assert verdict["witness"] == result.witness
-        assert len(verdict["losing_states"]) > 0
+        assert encoded.answer is result
+        assert ExhaustiveResult.from_json(result.to_json()) == result
+        verdict = exhaustive_verdict(encoded)
+        assert verdict is result
+        assert verdict.witness is not None and verdict.witness_branch >= 0
+        assert verdict.observations(test.condition) == 1
+        assert "*witness*" in verdict.pretty(test.condition)
 
-    def test_verdict_rejects_results_without_exhaustive_meta(self):
+    def test_verdict_rejects_results_without_an_exhaustive_answer(self):
         from repro.api.result import ShardResult
         with pytest.raises(ReproError):
-            exhaustive_verdict(ShardResult(Histogram()),
-                               library.build("mp").condition)
+            exhaustive_verdict(ShardResult(Histogram()))
 
     def test_cache_signature_is_intensity_structural(self):
         backend = ExhaustiveBackend()

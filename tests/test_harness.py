@@ -1,4 +1,7 @@
-"""Tests for incantations, histograms and the litmus runner."""
+"""Tests for incantations, histograms, state sets and the litmus
+runner."""
+
+import json
 
 import pytest
 
@@ -8,6 +11,7 @@ from repro.litmus import library
 from repro.litmus.condition import FinalState, parse_condition
 from repro.harness import (ALL_COMBINATIONS, Histogram, Incantations, TABLE6,
                            best_for, default_iterations, efficacy)
+from repro.harness.histogram import StateSet
 
 
 class TestIncantationColumns:
@@ -107,11 +111,14 @@ class TestHistogram:
         assert histogram.observations(condition) == 7
         assert histogram.per_100k(condition) == pytest.approx(70000.0)
 
-    def test_witnesses(self):
+    def test_json_round_trip(self):
         histogram = Histogram()
-        histogram.add(self._state(1), 2)
-        condition = parse_condition("exists (0:r0=1)")
-        assert histogram.witnesses(condition) == [self._state(1)]
+        histogram.add(self._state(1), 7)
+        histogram.add(FinalState.make({(0, "r0"): 0}, {"x": 2}), 3)
+        records = json.loads(json.dumps(histogram.to_json()))
+        assert [record["count"] for record in records] == [3, 7]
+        assert records[0]["mem"] == [["x", 2]]
+        assert Histogram.from_json(records) == histogram
 
     def test_merged(self):
         a, b = Histogram(), Histogram()
@@ -164,6 +171,39 @@ class TestHistogram:
         histogram.add(self._state(1), 5)
         condition = parse_condition("exists (0:r0=1)")
         assert "*witness*" in histogram.pretty(condition)
+
+
+class TestStateSet:
+    def _state(self, value):
+        return FinalState.make({(0, "r0"): value})
+
+    def test_condition_read_counts_states(self):
+        states = StateSet(self._state(value) for value in (0, 1, 2))
+        assert states.observations(parse_condition("exists (0:r0=1)")) == 1
+        assert states.observations(parse_condition("exists (0:r0=3)")) == 0
+        assert states.summary(parse_condition("exists (0:r0=1)")) \
+            == "1/3 states weak"
+
+    def test_merge_is_union(self):
+        a = StateSet([self._state(0), self._state(1)])
+        b = StateSet([self._state(1), self._state(2)])
+        merged = StateSet.merge([a, b])
+        assert type(merged) is StateSet
+        assert merged == StateSet.merge([b, a]) \
+            == {self._state(value) for value in (0, 1, 2)}
+        assert StateSet.merge([]) == frozenset()
+
+    def test_json_round_trip(self):
+        states = StateSet([self._state(1), FinalState.make({}, {"x": 2})])
+        records = json.loads(json.dumps(states.to_json()))
+        assert StateSet.from_json(records) == states
+        assert type(StateSet.from_json(records)) is StateSet
+
+    def test_pretty_lists_states_in_a_fixed_order(self):
+        states = StateSet(self._state(value) for value in (2, 0, 1))
+        lines = states.pretty(parse_condition("exists (0:r0=1)")).splitlines()
+        assert lines == ["States (3)", "  0:r0=0", "  0:r0=1  *witness*",
+                         "  0:r0=2"]
 
 
 class TestRunner:

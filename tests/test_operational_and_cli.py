@@ -182,7 +182,11 @@ class TestCli:
         monkeypatch.setenv("REPRO_ITERS", "50")
         assert main(["campaign", "mp", "--chips", "Titan",
                      "--backend", "model"]) == 0
-        assert "obs/100k" in capsys.readouterr().out
+        # The model answers with its allowed states, not a sample: the
+        # table counts the allowed weak states instead of a rate.
+        table = capsys.readouterr().out.splitlines()
+        assert table[0].split() == ["weak", "states", "Titan"]
+        assert table[2].split() == ["mp", "1"]
 
     def test_generate(self, capsys):
         assert main(["generate", "--length", "3", "--max", "5"]) == 0
@@ -308,6 +312,19 @@ class TestCli:
         assert proc.stdout == ""
         (line,) = proc.stderr.splitlines()
         assert "chunk_size" in line and chunk_size in line
+
+    @pytest.mark.parametrize("max_rows", ("-1", "-7"))
+    def test_negative_max_rows_exits_without_traceback(self, max_rows):
+        """``--max-rows -1`` used to drop the last row, report it elided
+        and exit 0."""
+        proc = _cli_subprocess(["soundness", "--max-tests", "3",
+                                "--iterations", "50", "--chips", "Titan",
+                                "--max-rows", max_rows])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert "--max-rows" in line and max_rows in line
 
     @pytest.mark.parametrize("argv", (
         ["run", "mp", "--chip", "Titan", "--iterations", "10"],

@@ -1,13 +1,15 @@
-"""Typed shard results: the meta channel, its cache round trip,
-concurrent writers of one cache directory, and the disk cache's
+"""Typed shard results: the answer of each backend, its cache round
+trip, concurrent writers of one cache directory, and the disk cache's
 segments (torn and bad lines, reads per session, what a session sees).
 
 Every backend returns a :class:`~repro.api.result.ShardResult`; the
-exhaustive backend's meta carries each branch's counters and first
-witness, tagged with the branch's root-plan index, and the merge keeps
-the lowest index.  So a losing cell's witness arrives with its verdict
-(fresh, pooled or cached) and equals the serial exploration's — which
-is what lets ``verify`` skip re-exploring losing cells.
+exhaustive backend's answer is each branch's
+:class:`~repro.exhaustive.explore.ExhaustiveResult`, counters and first
+witness included, the witness tagged with the branch's root-plan index,
+and the merge keeps the lowest index.  So a losing cell's witness
+arrives with its verdict (fresh, pooled or cached) and equals the
+serial exploration's — which is what lets ``verify`` skip re-exploring
+losing cells.
 """
 
 import errno
@@ -25,12 +27,14 @@ from repro.api import RunSpec, Session
 from repro.api.cache import (DISK_FORMAT_VERSION, SEGMENT_PREFIX,
                              ResultCache, decode_entry, encode_entry)
 from repro.api.result import ShardResult, SpecResult
+from repro.apps import app_session
 from repro.apps.scenario import ScenarioSpec, get_scenario, select_scenarios
-from repro.exhaustive import (ExhaustiveBackend, ExhaustiveMeta,
+from repro.exhaustive import (ExhaustiveBackend, ExhaustiveResult,
                               encode_exhaustive_histogram, exhaustive_session,
                               explore_test, verify_scenarios)
 from repro.exhaustive.explore import Explorer
-from repro.litmus import library
+from repro.harness.histogram import Histogram, StateSet
+from repro.litmus import FinalState, library
 from repro.sim import CHIPS
 from repro.sim.chip import RESULT_CHIPS
 
@@ -74,34 +78,42 @@ class TestWitnessChannel:
         test = get_scenario("dot-cbe").test()
         chip = CHIPS["Titan"]
         explorer = Explorer(test, chip)
-        parts = [encode_exhaustive_histogram(explorer.run_branch(index),
-                                             index)
+        parts = [encode_exhaustive_histogram(explorer.run_branch(index))
                  for index in range(len(explorer.root_plan()))]
-        assert sum(part.meta.witness is not None for part in parts) > 1
+        assert sum(part.answer.witness is not None for part in parts) > 1
         serial = explore_test(test, chip)
         for order in itertools.permutations(parts):
             merged = ShardResult.merge(order)
-            assert merged.meta.witness == serial.witness
-            assert merged.meta.witness_branch == 0
-            assert merged.meta.losses == serial.losses
-            assert merged.meta.transitions == serial.transitions
+            assert merged.answer.witness == serial.witness
+            assert merged.answer.witness_branch == 0
+            assert merged.answer.losses == serial.losses
+            assert merged.answer.transitions == serial.transitions
+            assert merged.answer == serial
 
-    def test_meta_merge_is_associative_and_commutative(self):
-        metas = [ExhaustiveMeta(executions=1, transitions=5, losses=0,
-                                bounded=False),
-                 ExhaustiveMeta(executions=2, transitions=7, losses=1,
-                                bounded=True, witness="w3",
-                                witness_branch=3),
-                 ExhaustiveMeta(executions=4, transitions=9, losses=2,
-                                bounded=False, witness="w1",
-                                witness_branch=1)]
-        for a, b, c in itertools.permutations(metas):
-            assert a.merge(b) == b.merge(a)
-            assert a.merge(b).merge(c) == a.merge(b.merge(c))
-        total = metas[0].merge(metas[1]).merge(metas[2])
+    def test_answer_merge_is_associative_and_commutative(self):
+        def branch(states, executions, transitions, losses, bounded,
+                   witness=None, witness_branch=None):
+            return ExhaustiveResult(
+                reachable=StateSet(FinalState.make({}, {"x": value})
+                                   for value in states),
+                executions=executions, transitions=transitions,
+                losses=losses, bounded=bounded, strategy="dpor",
+                loop_bound=3, witness=witness, witness_branch=witness_branch)
+
+        answers = [branch((0,), 1, 5, 0, False),
+                   branch((0, 1), 2, 7, 1, True, "w3", 3),
+                   branch((2,), 4, 9, 2, False, "w1", 1)]
+        merge = ExhaustiveResult.merge
+        for a, b, c in itertools.permutations(answers):
+            assert merge([a, b]) == merge([b, a])
+            assert merge([merge([a, b]), c]) == merge([a, merge([b, c])])
+        total = merge(answers)
         assert (total.executions, total.transitions, total.losses) \
             == (7, 21, 3)
         assert total.bounded
+        assert total.reachable == StateSet.merge(answer.reachable
+                                                 for answer in answers)
+        assert len(total.reachable) == 3
         assert (total.witness, total.witness_branch) == ("w1", 1)
 
     def test_warm_verify_executes_nothing_and_renders_identically(
@@ -124,7 +136,7 @@ class TestWitnessChannel:
         (row,) = report.rows
         assert not row.verified and row.witness is None
 
-    def test_in_plan_duplicates_carry_the_meta(self):
+    def test_in_plan_duplicates_carry_the_answer(self):
         session = exhaustive_session(cache=False)
         # Seed and intensity do not change the exploration, so the
         # second spec deduplicates onto the first.
@@ -134,8 +146,8 @@ class TestWitnessChannel:
         assert session.stats.executed == 1
         assert session.stats.deduplicated == 1
         assert twin.cached
-        assert twin.meta == first.meta
-        assert twin.meta.witness is not None
+        assert twin.answer == first.answer
+        assert twin.answer.witness is not None
 
 
 def run_one(session, spec):
@@ -143,7 +155,7 @@ def run_one(session, spec):
     return result
 
 
-class TestCacheMeta:
+class TestCacheAnswer:
     def _entry(self, directory):
         """The one segment in ``directory``; it holds one entry line,
         which is a whole JSON document."""
@@ -162,39 +174,67 @@ class TestCacheMeta:
         with open(path, "w") as handle:
             handle.write(json.dumps(payload, separators=(",", ":")) + "\n")
 
-    def test_meta_round_trips_through_the_disk_cache(self, tmp_path):
+    def test_answer_round_trips_through_the_disk_cache(self, tmp_path):
         spec = scenario_spec("deque-mp")
         fresh = run_one(exhaustive_session(cache_dir=str(tmp_path)), spec)
         session = exhaustive_session(cache_dir=str(tmp_path))
         cached = run_one(session, spec)
         assert session.stats.executed == 0 and cached.cached
-        assert cached.meta == fresh.meta
-        assert cached.histogram.counts == fresh.histogram.counts
+        assert cached.answer == fresh.answer
         with open(self._entry(str(tmp_path))) as handle:
-            assert json.load(handle)["version"] == DISK_FORMAT_VERSION == 4
+            assert json.load(handle)["version"] == DISK_FORMAT_VERSION == 5
+
+    @pytest.mark.parametrize("kind", ["sim", "app", "model", "exhaustive",
+                                      "analysis"])
+    def test_each_answer_kind_round_trips(self, tmp_path, kind):
+        directory = str(tmp_path)
+        if kind == "app":
+            make_session = lambda: app_session(cache_dir=directory)
+            spec = ScenarioSpec.make("deque-mp", "Titan", runs=40, seed=3)
+        elif kind == "exhaustive":
+            make_session = lambda: exhaustive_session(cache_dir=directory)
+            spec = scenario_spec("deque-mp")
+        else:
+            make_session = lambda: Session(backend=kind, cache_dir=directory)
+            spec = mp_spec("Titan")
+        cold_session = make_session()
+        cold = run_one(cold_session, spec)
+        assert cold_session.stats.executed == 1
+        warm_session = make_session()
+        warm = run_one(warm_session, spec)
+        assert warm_session.stats.executed == 0 and warm.cached
+        assert type(warm.answer) is cold_session.backend.answer_type
+        assert warm.answer == cold.answer
+        assert warm.provenance == cold.provenance
+        assert warm.observations == cold.observations
 
     @pytest.mark.parametrize("change", [
         lambda payload: payload.update(version=1),
         lambda payload: payload.update(version=2),
         lambda payload: payload.update(version=3),
+        lambda payload: payload.update(version=4),
         lambda payload: payload.update(key="exhaustive-other"),
         lambda payload: payload.pop("provenance"),
         lambda payload: payload.update(provenance=3),
-        lambda payload: payload.pop("meta"),
-        lambda payload: payload.update(meta=None),
-        lambda payload: payload.update(meta={}),
-        lambda payload: payload.update(meta=[1, 2]),
-        lambda payload: payload["meta"].update(executions="many"),
-        lambda payload: payload["meta"].update(bounded=0),
-        lambda payload: payload["meta"].update(witness_branch=None),
-        lambda payload: payload["meta"]["witness"].update(events=[[0]]),
-        lambda payload: payload["meta"]["witness"]["events"][0].__setitem__(
-            0, "T0"),
-        lambda payload: payload["meta"]["witness"].pop("state"),
-    ], ids=["v1", "v2", "v3", "other-key", "no-provenance", "bad-provenance",
-            "no-meta", "null-meta", "empty-meta", "list-meta", "bad-counter",
-            "bad-flag", "witness-without-branch", "short-event", "bad-tid",
-            "no-final-state"])
+        lambda payload: payload.pop("answer"),
+        lambda payload: payload.update(answer=None),
+        lambda payload: payload.update(answer={}),
+        lambda payload: payload.update(answer=[1, 2]),
+        lambda payload: payload["answer"].update(executions="many"),
+        lambda payload: payload["answer"].update(bounded=0),
+        lambda payload: payload["answer"].update(loop_bound="3"),
+        lambda payload: payload["answer"].pop("strategy"),
+        lambda payload: payload["answer"].update(reachable=[{"regs": []}]),
+        lambda payload: payload["answer"].update(witness_branch=None),
+        lambda payload: payload["answer"]["witness"].update(events=[[0]]),
+        lambda payload: payload["answer"]["witness"]["events"][0]
+        .__setitem__(0, "T0"),
+        lambda payload: payload["answer"]["witness"].pop("state"),
+    ], ids=["v1", "v2", "v3", "v4", "other-key", "no-provenance",
+            "bad-provenance", "no-answer", "null-answer", "empty-answer",
+            "list-answer", "bad-counter", "bad-flag", "bad-loop-bound",
+            "no-strategy", "state-without-mem", "witness-without-branch",
+            "short-event", "bad-tid", "no-final-state"])
     def test_stale_or_malformed_entry_is_a_miss(self, tmp_path, change):
         spec = scenario_spec("deque-mp")
         original = run_one(exhaustive_session(cache_dir=str(tmp_path)), spec)
@@ -204,18 +244,21 @@ class TestCacheMeta:
         again = run_one(session, spec)
         assert session.stats.executed == 1
         assert not again.cached
-        assert again.meta == original.meta
+        assert again.answer == original.answer
         # The re-execution appended a whole entry, which heals the key.
         healed = exhaustive_session(cache_dir=str(tmp_path))
         assert run_one(healed, spec).cached
         assert healed.stats.executed == 0
 
-    def test_sampling_backends_store_no_meta(self, tmp_path):
+    def test_sampling_backends_store_a_histogram(self, tmp_path):
         result = Session(cache_dir=str(tmp_path)).run(
             library.build("mp"), "Titan", iterations=50)
-        assert result.meta is None
+        assert isinstance(result.answer, Histogram)
         with open(self._entry(str(tmp_path))) as handle:
-            assert json.load(handle)["meta"] is None
+            payload = json.load(handle)
+        assert "histogram" not in payload and "meta" not in payload
+        assert sum(record["count"] for record in payload["answer"]) == 50
+        assert Histogram.from_json(payload["answer"]) == result.answer
 
 
 # -- concurrent writers ------------------------------------------------------
@@ -225,12 +268,11 @@ WRITE_SECONDS = 1.0
 
 
 def _sample_result():
-    """A result whose meta holds a witness, so writers race on the
+    """A result whose answer holds a witness, so writers race on the
     whole codec."""
     spec = scenario_spec("deque-mp")
-    shard = ExhaustiveBackend().run(spec)
     return SpecResult(spec=spec, backend=ExhaustiveBackend.name,
-                      histogram=shard.histogram, meta=shard.meta)
+                      answer=ExhaustiveBackend().run(spec).answer)
 
 
 def _hammer(cache_dir, result, go, errors):
@@ -293,10 +335,9 @@ class TestConcurrentWriters:
         reader = ResultCache(cache_dir=cache_dir)
         for key in KEYS:
             entry = reader.get(key, result.spec, ExhaustiveBackend.name,
-                               ExhaustiveMeta)
+                               ExhaustiveResult)
             assert entry is not None, key
-            assert entry.meta == result.meta
-            assert entry.histogram.counts == result.histogram.counts
+            assert entry.answer == result.answer
         whole = [encode_entry(key, result) for key in KEYS]
         names = os.listdir(cache_dir)
         assert len(names) == len(processes) + len(threads)
@@ -315,8 +356,7 @@ class TestConcurrentWriters:
 
         result = _sample_result()
         broken = SpecResult(spec=result.spec, backend=result.backend,
-                            histogram=result.histogram,
-                            meta=Unserialisable())
+                            answer=Unserialisable())
         with pytest.raises(TypeError):
             ResultCache(cache_dir=str(tmp_path)).put("key", broken)
         assert os.listdir(str(tmp_path)) == []
@@ -367,7 +407,7 @@ class TestSegments:
         (path,) = segment_paths(directory)
         with open(path, "rb") as handle:
             good = handle.read()
-        bad = good[:good.index(b',"histogram":')] + b',"histogram":\n'
+        bad = good[:good.index(b',"answer":')] + b',"answer":\n'
         with open(path, "wb") as handle:
             handle.write(bad + good)
         session = Session(cache_dir=directory)
@@ -462,7 +502,7 @@ class TestSegments:
         assert len(segment_paths(directory)) == 2
         reader = ResultCache(cache_dir=directory)
         assert [reader.get(key, result.spec, ExhaustiveBackend.name,
-                           ExhaustiveMeta) is not None
+                           ExhaustiveResult) is not None
                 for key in ("exhaustive-first", "exhaustive-torn",
                             "exhaustive-last")] == [True, False, True]
 
@@ -507,7 +547,7 @@ class TestSegments:
         for path in segment_paths(directory):
             with open(path, "rb") as handle:
                 copies.extend(
-                    decode_entry(line, key, None)
+                    decode_entry(line, key, Histogram)
                     for line in handle.read().splitlines()
                     if line.startswith(b'{"key":"%s"' % key.encode()))
         assert len(copies) == 2

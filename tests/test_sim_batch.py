@@ -240,7 +240,7 @@ class TestEnginePlumbing:
         backend = SimBackend(shard_size=40)
         spec = RunSpec.make(library.build("sb"), "TesC", iterations=100,
                             seed=5, engine="batch")
-        histogram = backend.run(spec).histogram
+        histogram = backend.run(spec).answer
         assert histogram.total == 100
 
     def test_session_batch_engine(self):

@@ -41,7 +41,7 @@ def _histograms(test, chip, incantations, iterations, seed,
     for engine in ("reference", "fast"):
         spec = RunSpec.make(test, chip, incantations=incantations,
                             iterations=iterations, seed=seed, engine=engine)
-        out.append(backend.run(spec).histogram.counts)
+        out.append(backend.run(spec).answer.counts)
     return out
 
 
