@@ -17,7 +17,7 @@ TeraScale 2 *compiler* bug that invalidated dlb-lb on the HD 6570 (the
 """
 
 from repro.api import Session
-from repro.apps import run_app_campaign, select_scenarios
+from repro.apps import app_session, run_app_campaign, select_scenarios
 from repro.compiler import LOAD_CAS_REORDERED, effective_litmus
 from repro.litmus import library
 
@@ -29,7 +29,7 @@ def main():
     campaign = run_app_campaign(
         select_scenarios(["deque-mp", "deque-lb", "deque-rt"]),
         ["TesC", "Titan", "GTX7", "HD7970"],
-        runs=400, seed=1, intensity=STRESS, jobs=2)
+        runs=400, seed=1, intensity=STRESS, session=app_session(jobs=2))
     print(campaign.summary_table())
     print(campaign.summary())
     fenced_losses = [key for key in campaign.weak_cells()

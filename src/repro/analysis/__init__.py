@@ -13,9 +13,9 @@ stay SC under the PTX model.
 Front doors:
 
 * :func:`analyze_test` — analyse one litmus test, full report.
-* :class:`AnalysisBackend` / :func:`analysis_session` — the
+* :class:`AnalysisBackend` — the
   :class:`~repro.api.session.Session`-compatible triage backend
-  (``make_backend("analysis")`` resolves here).
+  (``Session(backend="analysis")`` resolves here).
 * :func:`prescreen` / :func:`run_prescreened` — the ``--prescreen``
   flow: skip simulation for provably-clean cells.
 * :func:`run_consistency` — the CI cross-check.
@@ -24,8 +24,8 @@ Front doors:
 from .accesses import (Access, ControlDep, FenceEvent, GuardPoint,
                        ThreadSummary, ValueCond, summarize_test,
                        summarize_thread)
-from .backend import (AnalysisBackend, AnalysisMeta, analysis_session,
-                      condition_skippable, prescreen, run_prescreened)
+from .backend import (AnalysisBackend, AnalysisMeta, condition_skippable,
+                      prescreen, run_prescreened)
 from .consistency import (ConsistencyProblem, ConsistencyReport,
                           check_exhaustive, check_library,
                           check_scenarios, run_consistency)
@@ -51,7 +51,6 @@ __all__ = [
     "ThreadSummary",
     "UNKNOWN",
     "ValueCond",
-    "analysis_session",
     "analyze_test",
     "check_exhaustive",
     "check_library",

@@ -94,28 +94,11 @@ class AnalysisBackend(Backend):
         return ShardResult(AnalysisMeta(analyze_test(spec.test).verdict))
 
 
-def analysis_session(jobs=1, executor="thread", cache=True, cache_dir=None,
-                     pool=None):
-    """A :class:`~repro.api.session.Session` wired to the analysis
-    backend (the static twin of :func:`repro.apps.campaign.app_session`)."""
+def prescreen(specs):
+    """Analyse a plan on a fresh analysis session; returns the verdict
+    list aligned with ``specs``."""
     from ..api.session import Session
-    return Session(backend=AnalysisBackend(), jobs=jobs, executor=executor,
-                   cache=cache, cache_dir=cache_dir, pool=pool)
-
-
-def prescreen(specs, session=None):
-    """Analyse a plan; returns the verdict list aligned with ``specs``.
-
-    ``session`` may supply a shared analysis session (for cache/pool
-    reuse); any other backend is rejected.
-    """
-    specs = list(specs)
-    if session is None:
-        session = analysis_session()
-    if session.backend.name != AnalysisBackend.name:
-        from ..errors import ReproError
-        raise ReproError("prescreen needs an analysis session, got backend "
-                         "%r" % session.backend.name)
+    session = Session(backend=AnalysisBackend())
     return [result.answer.verdict for result in session.run_specs(specs)]
 
 
@@ -138,7 +121,7 @@ def condition_skippable(test):
     return not load_model("sc").allows_condition(test)
 
 
-def run_prescreened(specs, session, analysis=None, skip=None):
+def run_prescreened(specs, session):
     """Run a plan with static triage: provably-clean specs skip the
     backend entirely.
 
@@ -146,30 +129,33 @@ def run_prescreened(specs, session, analysis=None, skip=None):
     skipped spec's result is a :class:`~repro.api.result.SpecResult`
     tagged ``backend="analysis"`` that answers with its
     :class:`AnalysisMeta` verdict — zero observations; everything else
-    carries the real session's result.
+    carries ``session``'s result.
 
-    ``skip(spec, verdict)`` decides what to skip; the default skips
-    every clean spec, which is sound for *scenario* plans (observations
-    are losses, and the clean proof is exactly "ordered pairs cannot
-    lose").  Litmus-condition plans must pass a stricter predicate built
-    on :func:`condition_skippable` — clean does not make a condition
-    unobservable.
+    What a clean verdict proves depends on the kind of spec.  A scenario
+    cell is skipped when it is clean: its observations are losses, and
+    the clean proof is exactly "ordered pairs cannot lose".  A litmus
+    cell (a :class:`~repro.api.spec.RunSpec`) is skipped only when
+    :func:`condition_skippable` holds for its test, decided once per
+    test: clean does not make a condition unobservable.
     """
     from ..api.result import SpecResult
+    from ..api.spec import RunSpec
     specs = list(specs)
-    verdicts = prescreen(specs, session=analysis)
-    if skip is None:
-        skip = lambda spec, verdict: verdict == CLEAN
-    skips = [bool(skip(spec, verdict))
-             for spec, verdict in zip(specs, verdicts)]
-    to_run = [spec for spec, skipped in zip(specs, skips) if not skipped]
-    executed = iter(session.run_specs(to_run))
-    results = []
-    for spec, verdict, skipped in zip(specs, verdicts, skips):
-        if skipped:
-            results.append(SpecResult(spec=spec, backend=AnalysisBackend.name,
-                                      answer=AnalysisMeta(verdict),
-                                      provenance=AnalysisBackend.name))
+    verdicts = prescreen(specs)
+    skippable = {}
+    skips = []
+    for spec, verdict in zip(specs, verdicts):
+        if verdict == CLEAN and isinstance(spec, RunSpec):
+            if id(spec.test) not in skippable:
+                skippable[id(spec.test)] = condition_skippable(spec.test)
+            skips.append(skippable[id(spec.test)])
         else:
-            results.append(next(executed))
+            skips.append(verdict == CLEAN)
+    executed = iter(session.run_specs(
+        spec for spec, skipped in zip(specs, skips) if not skipped))
+    results = [SpecResult(spec=spec, backend=AnalysisBackend.name,
+                          answer=AnalysisMeta(verdict),
+                          provenance=AnalysisBackend.name)
+               if skipped else next(executed)
+               for spec, verdict, skipped in zip(specs, verdicts, skips)]
     return results, verdicts

@@ -95,15 +95,15 @@ class ConsistencyReport:
 
 
 def check_scenarios(scenarios=None, chips=None, runs=None, seed=0,
-                    intensity=None, jobs=1, executor="thread",
-                    cache_dir=None, session=None):
-    """Run the selected scenarios through an app campaign and flag any
-    loss in an analyzer-certified-clean cell.
+                    intensity=None, session=None):
+    """Run the selected scenarios through an app campaign on ``session``
+    (default: a serial :func:`~repro.apps.campaign.app_session`) and
+    flag any loss in an analyzer-certified-clean cell.
 
     Returns ``(rows, problems)`` where each row is ``(name, verdict,
     total losses, total runs)`` summed over the chips.
     """
-    from ..apps.campaign import app_session, run_app_campaign
+    from ..apps.campaign import run_app_campaign
     from ..apps.scenario import SCENARIOS, STRESS
     from ..harness.runner import default_iterations
     from ..sim.chip import RESULT_CHIPS
@@ -118,9 +118,6 @@ def check_scenarios(scenarios=None, chips=None, runs=None, seed=0,
         intensity = STRESS
     reports = {scenario.name: analyze_test(scenario.test())
                for scenario in scenarios}
-    if session is None:
-        session = app_session(jobs=jobs, executor=executor,
-                              cache_dir=cache_dir)
     campaign = run_app_campaign(scenarios, chips, runs=runs, seed=seed,
                                 intensity=intensity, session=session)
     rows, problems = [], []
@@ -180,9 +177,10 @@ def check_library(tests=None, fuel=128):
     return rows, problems
 
 
-def check_exhaustive(scenarios=None, chips=None, loop_bound=None,
-                     jobs=1, executor="thread", cache_dir=None):
-    """Exhaustively verify every analyzer-certified-clean scenario.
+def check_exhaustive(scenarios=None, chips=None, session=None):
+    """Exhaustively verify every analyzer-certified-clean scenario on
+    ``session`` (default: a serial
+    :func:`~repro.exhaustive.backend.exhaustive_session`).
 
     The strongest of the three oracles: a clean scenario must lose
     *zero* of all executions on every chip — the campaign oracle's
@@ -193,23 +191,20 @@ def check_exhaustive(scenarios=None, chips=None, loop_bound=None,
     paper's point, not a contradiction).
     """
     from ..apps.scenario import SCENARIOS
-    from ..exhaustive import DEFAULT_LOOP_BOUND, verify_scenarios
+    from ..exhaustive import verify_scenarios
     from ..sim.chip import RESULT_CHIPS
 
     if scenarios is None:
         scenarios = list(SCENARIOS.values())
     scenarios = list(scenarios)
     chips = list(chips) if chips is not None else list(RESULT_CHIPS)
-    if loop_bound is None:
-        loop_bound = DEFAULT_LOOP_BOUND
     clean = [scenario for scenario in scenarios
              if analyze_test(scenario.test()).verdict == CLEAN]
     rows, problems = [], []
     if not clean:
         return rows, problems
-    report = verify_scenarios(clean, chips, loop_bound=loop_bound,
-                              jobs=jobs, executor=executor,
-                              cache_dir=cache_dir, witnesses=False)
+    report = verify_scenarios(clean, chips, session=session,
+                              witnesses=False)
     by_name = {}
     for row in report.rows:
         losses, executions, bounded, lossy = by_name.get(
@@ -232,16 +227,17 @@ def check_exhaustive(scenarios=None, chips=None, loop_bound=None,
 
 
 def run_consistency(scenarios=None, tests=None, chips=None, runs=None,
-                    seed=0, intensity=None, jobs=1, executor="thread",
-                    cache_dir=None, fuel=128, loop_bound=None):
-    """The full cross-check; returns a :class:`ConsistencyReport`."""
+                    seed=0, intensity=None, fuel=128, app_session=None,
+                    exhaustive_session=None):
+    """The full cross-check, its campaign on ``app_session`` and its
+    verification on ``exhaustive_session`` (each serial by default);
+    returns a :class:`ConsistencyReport`."""
     scenario_rows, scenario_problems = check_scenarios(
         scenarios, chips=chips, runs=runs, seed=seed, intensity=intensity,
-        jobs=jobs, executor=executor, cache_dir=cache_dir)
+        session=app_session)
     library_rows, library_problems = check_library(tests, fuel=fuel)
     exhaustive_rows, exhaustive_problems = check_exhaustive(
-        scenarios, chips=chips, loop_bound=loop_bound, jobs=jobs,
-        executor=executor, cache_dir=cache_dir)
+        scenarios, chips=chips, session=exhaustive_session)
     return ConsistencyReport(scenario_rows=scenario_rows,
                              library_rows=library_rows,
                              exhaustive_rows=exhaustive_rows,

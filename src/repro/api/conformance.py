@@ -268,8 +268,8 @@ def _join_cell(result, allowed):
 def run_soundness(tests, chips, model="ptx", incantations=BEST,
                   iterations=None, seed=0, jobs=1, executor="thread",
                   cache=True, cache_dir=None, chunk_size=DEFAULT_CHUNK_SIZE,
-                  fuel=128, sim_session=None, model_session=None,
-                  progress=None, engine=None, model_engine=None):
+                  sim_session=None, progress=None, engine=None,
+                  model_engine=None):
     """Run the Sec. 5.4 conformance campaign over ``tests`` x ``chips``.
 
     ``tests`` is any iterable of litmus tests (a generator streams —
@@ -291,12 +291,13 @@ def run_soundness(tests, chips, model="ptx", incantations=BEST,
         report = run_soundness(tests, ["Titan", "GTX7"], iterations=1000)
         assert report.ok, report.violation_lines()
 
-    ``jobs``/``executor``/``cache``/``cache_dir`` configure the two
-    internally built sessions, which share one worker pool and one
-    result cache; pass ``sim_session``/``model_session`` to reuse
-    existing engines instead (e.g. the benchmarks' shared memoising
-    session).  ``progress`` is an optional callable invoked with each
-    finished :class:`CellConformance`.
+    ``jobs``/``executor``/``cache``/``cache_dir`` configure the sim and
+    model sessions this function builds, which share one worker pool
+    and one result cache; pass ``sim_session`` to run the sim cells on
+    an existing session instead (e.g. the benchmarks' shared memoising
+    one), whose cache the model session then shares.  ``progress`` is
+    an optional callable invoked with each finished
+    :class:`CellConformance`.
 
     Returns a :class:`ConformanceReport`.  Raises
     :class:`~repro.errors.EnumerationError` rather than checking against
@@ -309,7 +310,7 @@ def run_soundness(tests, chips, model="ptx", incantations=BEST,
         raise ReproError("chunk_size must be >= 1, got %r" % (chunk_size,))
     own_pool = None
     try:
-        if jobs > 1 and (sim_session is None or model_session is None):
+        if jobs > 1:
             pool_cls = (_futures.ProcessPoolExecutor
                         if executor == "process"
                         else _futures.ThreadPoolExecutor)
@@ -319,20 +320,17 @@ def run_soundness(tests, chips, model="ptx", incantations=BEST,
                                   executor=executor, cache=cache,
                                   cache_dir=cache_dir, pool=own_pool,
                                   engine=engine)
-        if model_session is None:
-            # Share the sim session's cache object so one cache_dir (and
-            # one in-memory tier) serves both backends; keys never
-            # collide because they embed the backend name.
-            shared_cache = (sim_session.cache
-                            if sim_session.cache is not None else cache)
-            model_session = Session(
-                backend=ModelBackend(model, fuel=fuel), jobs=jobs,
-                executor=executor, cache=shared_cache,
-                cache_dir=cache_dir, pool=own_pool, engine=model_engine)
+        # Share the sim session's cache object so one cache_dir (and one
+        # in-memory tier) serves both backends; keys never collide
+        # because they embed the backend name.
+        shared_cache = (sim_session.cache
+                        if sim_session.cache is not None else cache)
+        model_session = Session(
+            backend=ModelBackend(model), jobs=jobs, executor=executor,
+            cache=shared_cache, cache_dir=cache_dir, pool=own_pool,
+            engine=model_engine)
         if engine is None:
             engine = sim_session.engine
-        if model_engine is None:
-            model_engine = model_session.engine
         # Stats are reported as this campaign's delta, so reusing a
         # long-lived session (the benchmarks' shared one) still yields
         # per-campaign executed/cache-hit counts.

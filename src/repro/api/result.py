@@ -201,7 +201,9 @@ class CampaignResult:
 
     @property
     def total_iterations(self):
-        return sum(result.iterations for result in self)
+        """Iterations of the sampled cells: a model's set, an
+        exploration or a static verdict ran none."""
+        return sum(result.iterations for result in self if result.sampled)
 
     @property
     def cached_cells(self):

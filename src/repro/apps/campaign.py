@@ -16,10 +16,11 @@ the paper-style losses-per-100k grid of Sec. 3.2.
 
 Example::
 
-    from repro.apps import run_app_campaign, select_scenarios
+    from repro.apps import app_session, run_app_campaign, select_scenarios
 
     campaign = run_app_campaign(select_scenarios(["deque-mp", "ticket"]),
-                                ["Titan", "HD7970"], runs=2000, jobs=4)
+                                ["Titan", "HD7970"], runs=2000,
+                                session=app_session(jobs=4))
     print(campaign.summary_table())
 """
 
@@ -59,9 +60,9 @@ def app_matrix(scenarios, chips, runs=None, seed=0, intensity=STRESS,
 
 
 def run_app_campaign(scenarios, chips, runs=None, seed=0, intensity=STRESS,
-                     engine=None, jobs=1, executor="thread",
-                     cache_dir=None, session=None):
-    """Plan and execute a scenarios x chips campaign; returns a
+                     engine=None, session=None):
+    """Plan and execute a scenarios x chips campaign on ``session``
+    (default: a serial :func:`app_session`); returns a
     :class:`~repro.api.result.CampaignResult` keyed by
     ``(scenario name, chip short)``.
 
@@ -71,8 +72,7 @@ def run_app_campaign(scenarios, chips, runs=None, seed=0, intensity=STRESS,
     means the engine of the session that runs the campaign.
     """
     if session is None:
-        session = app_session(jobs=jobs, executor=executor,
-                              cache_dir=cache_dir)
+        session = app_session()
     if engine is None:
         engine = session.engine
     specs = app_matrix(scenarios, chips, runs=runs, seed=seed,

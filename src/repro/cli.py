@@ -85,11 +85,12 @@ Subcommands::
 import argparse
 import os
 import sys
+from collections import Counter
 
 from .api import Session, matrix
 from .api.conformance import SOUNDNESS_CHIPS, run_soundness
 from .api.result import CampaignResult
-from .apps import (FAMILIES, SCENARIOS, STRESS, app_matrix, app_session,
+from .apps import (FAMILIES, SCENARIOS, STRESS, app_matrix,
                    run_app_campaign, select_scenarios)
 from .diy import (default_pool, fences_from_names, generate_tests,
                   scopes_from_names)
@@ -119,16 +120,17 @@ def _load_tests(specs):
     return [_load_test(spec) for spec in specs]
 
 
-def _session(args):
-    if args.backend == "app":
-        raise SystemExit("--backend app runs scenarios, not litmus tests; "
-                         "use `repro-litmus app`")
-    try:
-        return Session(backend=args.backend, jobs=args.jobs,
-                       executor=args.executor, cache_dir=args.cache_dir,
-                       engine=args.engine)
-    except ReproError as error:
-        raise SystemExit(str(error))
+def _session(args, backend=None):
+    """The session a subcommand runs on: ``backend`` (default: the
+    ``--backend`` flag) with the pool, cache and engine flags."""
+    if backend is None:
+        if args.backend == "app":
+            raise SystemExit("--backend app runs scenarios, not litmus "
+                             "tests; use `repro-litmus app`")
+        backend = args.backend
+    return Session(backend=backend, jobs=args.jobs, executor=args.executor,
+                   cache_dir=args.cache_dir,
+                   engine=getattr(args, "engine", None))
 
 
 def _engine_argument(parser):
@@ -181,78 +183,55 @@ def _session_arguments(parser):
 
 def _cmd_run(args):
     test = _load_test(args.test)
-    session = _session(args)
-    try:
-        result = session.run(test, args.chip, incantations=args.incantations,
-                             iterations=args.iterations, seed=args.seed)
-    except ReproError as error:
-        raise SystemExit(str(error))
+    result = _session(args).run(test, args.chip,
+                                incantations=args.incantations,
+                                iterations=args.iterations, seed=args.seed)
     print(result.answer.pretty(test.condition))
     print(result.summary())
     return 0
 
 
-def _run_prescreened_campaign(specs, session, skip=None, proof="by proof"):
-    """Static triage, then execution: analyse every cell, skip the ones
-    the proof covers, print the triage summary, and return the
-    assembled :class:`CampaignResult`."""
+def _run_prescreened_campaign(specs, session, proof):
+    """Static triage, then execution on ``session``: analyse every cell,
+    skip the ones the proof covers, print the triage summary, and
+    return the assembled :class:`CampaignResult`."""
     from .analysis import AnalysisBackend, run_prescreened
-    results, verdicts = run_prescreened(specs, session, skip=skip)
+    results, verdicts = run_prescreened(specs, session)
     campaign = CampaignResult()
-    for result in results:
-        campaign.add(result)
     verdict_by_test = {}
-    skipped_names = set()
+    skipped = []
     for spec, verdict, result in zip(specs, verdicts, results):
+        campaign.add(result)
         verdict_by_test.setdefault(spec.test.name, verdict)
         if result.backend == AnalysisBackend.name:
-            skipped_names.add(spec.test.name)
-    counts = {}
-    for verdict in verdict_by_test.values():
-        counts[verdict] = counts.get(verdict, 0) + 1
-    skipped = sum(1 for result in results
-                  if result.backend == AnalysisBackend.name)
+            skipped.append(spec.test.name)
+    counts = Counter(verdict_by_test.values())
     print("prescreen: %s — skipped %d/%d cells"
           % (", ".join("%d %s" % (counts[verdict], verdict)
                        for verdict in ("racy", "unknown", "clean")
                        if verdict in counts),
-             skipped, len(specs)))
-    if skipped_names:
+             len(skipped), len(specs)))
+    if skipped:
         print("prescreen: zero observations %s: %s"
-              % (proof, ", ".join(sorted(skipped_names))))
+              % (proof, ", ".join(sorted(set(skipped)))))
     return campaign
 
 
 def _cmd_campaign(args):
     tests = _load_tests(args.tests)
     session = _session(args)
-    try:
-        if args.prescreen:
-            from .analysis import CLEAN, condition_skippable
-            specs = matrix(tests, args.chips,
-                           incantations=args.incantations,
-                           iterations=args.iterations, seed=args.seed,
-                           engine=session.engine)
-            # A clean verdict is not enough for a litmus condition (a
-            # race-free test can still observe an SC-reachable state) —
-            # skip only conditions the SC model forbids under a
-            # DRF-implies-SC verdict.
-            memo = {}
-            def _skip(spec, verdict):
-                if spec.test.name not in memo:
-                    memo[spec.test.name] = (verdict == CLEAN
-                                            and condition_skippable(spec.test))
-                return memo[spec.test.name]
-            campaign = _run_prescreened_campaign(
-                specs, session, skip=_skip,
-                proof="by proof (clean, SC-implied, SC-forbidden condition)")
-        else:
-            campaign = session.campaign(tests, args.chips,
-                                        incantations=args.incantations,
-                                        iterations=args.iterations,
-                                        seed=args.seed)
-    except ReproError as error:
-        raise SystemExit(str(error))
+    if args.prescreen:
+        specs = matrix(tests, args.chips, incantations=args.incantations,
+                       iterations=args.iterations, seed=args.seed,
+                       engine=session.engine)
+        campaign = _run_prescreened_campaign(
+            specs, session,
+            "by proof (clean, SC-implied, SC-forbidden condition)")
+    else:
+        campaign = session.campaign(tests, args.chips,
+                                    incantations=args.incantations,
+                                    iterations=args.iterations,
+                                    seed=args.seed)
     print(campaign.summary_table())
     print(campaign.summary())
     stats = session.stats
@@ -266,11 +245,9 @@ def _cmd_campaign(args):
 def _cmd_model(args):
     test = _load_test(args.test)
     model = load_model(args.model)
-    try:
-        allowed = model.allowed_outcomes(test, engine=args.model_engine)
-        verdict = model.allows_condition(test, engine=args.model_engine)
-    except ReproError as error:
-        raise SystemExit(str(error))
+    allowed = model.allowed_outcomes(test, engine=args.model_engine)
+    # The model's allows_condition, read off the set already enumerated.
+    verdict = any(test.condition.holds(state) for state in allowed)
     print(write_litmus(test))
     print("%d allowed final states under %s:" % (len(allowed), model.name))
     for state in sorted(allowed, key=str):
@@ -285,7 +262,7 @@ def _cmd_witness(args):
     model = None if args.model == "none" else load_model(args.model)
     try:
         dot = weak_witness_dot(test, model=model)
-    except (ReproError, ValueError) as error:
+    except ValueError as error:
         raise SystemExit(str(error))
     if args.output:
         with open(args.output, "w") as handle:
@@ -300,23 +277,19 @@ def _cmd_verify(args):
     """Exit status mirrors ``app``: nonzero iff a *fenced* scenario
     loses (an unfenced loss is the paper's point)."""
     from .exhaustive import (DEFAULT_LOOP_BOUND, DEFAULT_MAX_TRANSITIONS,
-                             exhaustive_session, verify_scenarios)
-    try:
-        scenarios = select_scenarios(args.scenarios, fenced=args.fenced)
-        if not scenarios:
-            raise ReproError("the scenario selection is empty")
-        session = exhaustive_session(
-            jobs=args.jobs, executor=args.executor, cache_dir=args.cache_dir,
-            loop_bound=(DEFAULT_LOOP_BOUND if args.loop_bound is None
-                        else args.loop_bound),
-            max_transitions=(DEFAULT_MAX_TRANSITIONS
-                             if args.max_transitions is None
-                             else args.max_transitions))
-        report = verify_scenarios(scenarios, args.chips,
-                                  intensity=args.intensity, session=session,
-                                  witnesses=not args.no_witness)
-    except ReproError as error:
-        raise SystemExit(str(error))
+                             ExhaustiveBackend, verify_scenarios)
+    scenarios = select_scenarios(args.scenarios, fenced=args.fenced)
+    if not scenarios:
+        raise ReproError("the scenario selection is empty")
+    session = _session(args, ExhaustiveBackend(
+        loop_bound=(DEFAULT_LOOP_BOUND if args.loop_bound is None
+                    else args.loop_bound),
+        max_transitions=(DEFAULT_MAX_TRANSITIONS
+                         if args.max_transitions is None
+                         else args.max_transitions)))
+    report = verify_scenarios(scenarios, args.chips,
+                              intensity=args.intensity, session=session,
+                              witnesses=not args.no_witness)
     print("exhaustive verification (intensity is structural: any positive "
           "value explores the same space):")
     for line in report.lines():
@@ -329,28 +302,20 @@ def _cmd_verify(args):
 
 
 def _cmd_app(args):
-    try:
-        runs = (args.runs if args.runs is not None
-                else default_iterations(300))
-        scenarios = select_scenarios(args.scenarios, fenced=args.fenced)
-        if not scenarios:
-            raise ReproError("the scenario selection is empty")
-        session = app_session(jobs=args.jobs, executor=args.executor,
-                              cache_dir=args.cache_dir)
-        if args.prescreen:
-            specs = app_matrix(scenarios, args.chips, runs=runs,
-                               seed=args.seed, intensity=args.intensity,
-                               engine=args.engine)
-            campaign = _run_prescreened_campaign(
-                specs, session, proof="(losses) by proof")
-        else:
-            campaign = run_app_campaign(scenarios, args.chips, runs=runs,
-                                        seed=args.seed,
-                                        intensity=args.intensity,
-                                        engine=args.engine,
-                                        session=session)
-    except ReproError as error:
-        raise SystemExit(str(error))
+    runs = args.runs if args.runs is not None else default_iterations(300)
+    scenarios = select_scenarios(args.scenarios, fenced=args.fenced)
+    if not scenarios:
+        raise ReproError("the scenario selection is empty")
+    session = _session(args, "app")
+    if args.prescreen:
+        specs = app_matrix(scenarios, args.chips, runs=runs, seed=args.seed,
+                           intensity=args.intensity, engine=session.engine)
+        campaign = _run_prescreened_campaign(specs, session,
+                                             "(losses) by proof")
+    else:
+        campaign = run_app_campaign(scenarios, args.chips, runs=runs,
+                                    seed=args.seed, intensity=args.intensity,
+                                    session=session)
     print("losses per 100k launches (x%g intensity, %d runs/cell):"
           % (args.intensity, runs))
     print(campaign.summary_table())
@@ -373,12 +338,9 @@ def _cmd_app(args):
 
 def _cmd_analyze(args):
     from .analysis import analyze_test, run_consistency
-    try:
-        tests = _load_tests(args.tests) if args.tests else []
-        scenarios = (select_scenarios(args.scenarios, fenced=args.fenced)
-                     if args.scenarios else [])
-    except ReproError as error:
-        raise SystemExit(str(error))
+    tests = _load_tests(args.tests) if args.tests else []
+    scenarios = (select_scenarios(args.scenarios, fenced=args.fenced)
+                 if args.scenarios else [])
     if not tests and not scenarios:
         raise SystemExit("nothing to analyze: name litmus tests (or 'all') "
                          "and/or select scenarios with --scenario")
@@ -399,13 +361,11 @@ def _cmd_analyze(args):
     if not args.cross_check:
         return 0
     runs = args.runs if args.runs is not None else default_iterations(300)
-    try:
-        consistency = run_consistency(
-            scenarios=scenarios, tests=tests, chips=args.chips, runs=runs,
-            seed=args.seed, intensity=args.intensity, jobs=args.jobs,
-            executor=args.executor, cache_dir=args.cache_dir, fuel=args.fuel)
-    except ReproError as error:
-        raise SystemExit(str(error))
+    consistency = run_consistency(
+        scenarios=scenarios, tests=tests, chips=args.chips, runs=runs,
+        seed=args.seed, intensity=args.intensity, fuel=args.fuel,
+        app_session=_session(args, "app"),
+        exhaustive_session=_session(args, "exhaustive"))
     print()
     for line in consistency.lines():
         print(line)
@@ -460,13 +420,10 @@ def _corpus(args):
     if args.max_tests is not None and args.max_tests < 0:
         raise SystemExit("--max-tests must be 0 or more, got %d"
                          % args.max_tests)
-    try:
-        pool = default_pool(scopes=scopes_from_names(args.scopes),
-                            fences=fences_from_names(args.fences))
-        tests = generate_tests(pool, max_length=args.length,
-                               max_tests=args.max_tests)
-    except ReproError as error:
-        raise SystemExit(str(error))
+    pool = default_pool(scopes=scopes_from_names(args.scopes),
+                        fences=fences_from_names(args.fences))
+    tests = generate_tests(pool, max_length=args.length,
+                           max_tests=args.max_tests)
     return sorted(tests, key=lambda test: test.name)
 
 
@@ -487,15 +444,12 @@ def _cmd_soundness(args):
         raise SystemExit("the corpus flags generated no tests")
     iterations = (args.iterations if args.iterations is not None
                   else default_iterations(2500))
-    try:
-        report = run_soundness(
-            tests, args.chips, model=args.model,
-            incantations=args.incantations, iterations=iterations,
-            seed=args.seed, jobs=args.jobs, executor=args.executor,
-            cache_dir=args.cache_dir, chunk_size=args.chunk_size,
-            engine=args.engine, model_engine=args.model_engine)
-    except ReproError as error:
-        raise SystemExit(str(error))
+    report = run_soundness(
+        tests, args.chips, model=args.model, incantations=args.incantations,
+        iterations=iterations, seed=args.seed, jobs=args.jobs,
+        executor=args.executor, cache_dir=args.cache_dir,
+        chunk_size=args.chunk_size, engine=args.engine,
+        model_engine=args.model_engine)
     print(report.summary_table(max_rows=args.max_rows))
     print()
     print(report.coverage_table())
@@ -724,8 +678,13 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; a :class:`ReproError` exits 1 with its
+    message as the one line on stderr."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as error:
+        raise SystemExit(str(error))
 
 
 if __name__ == "__main__":

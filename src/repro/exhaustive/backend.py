@@ -148,8 +148,7 @@ def exhaustive_session(jobs=1, executor="thread", cache=True, cache_dir=None,
                        loop_bound=DEFAULT_LOOP_BOUND,
                        max_transitions=DEFAULT_MAX_TRANSITIONS):
     """A :class:`~repro.api.session.Session` wired to the exhaustive
-    backend (the verifying twin of
-    :func:`repro.analysis.backend.analysis_session`)."""
+    backend (the verifying twin of :func:`repro.apps.campaign.app_session`)."""
     from ..api.session import Session
     return Session(backend=ExhaustiveBackend(strategy=strategy,
                                              loop_bound=loop_bound,

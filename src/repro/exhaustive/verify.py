@@ -24,7 +24,6 @@ from ..apps.scenario import ScenarioSpec
 from ..errors import ConfigurationError
 from ..sim.chip import resolve_chips
 from .backend import exhaustive_session, exhaustive_verdict
-from .explore import DEFAULT_LOOP_BOUND, DEFAULT_MAX_TRANSITIONS
 
 #: The exact verified-verdict sentence (tested verbatim; keep stable).
 VERIFIED_TEXT = "verified: 0 losses over all executions"
@@ -98,12 +97,12 @@ class VerifyReport:
         return out
 
 
-def verify_scenarios(scenarios, chips, intensity=1.0,
-                     loop_bound=DEFAULT_LOOP_BOUND,
-                     max_transitions=DEFAULT_MAX_TRANSITIONS,
-                     session=None, jobs=1, executor="thread",
-                     cache_dir=None, witnesses=True):
-    """Exhaustively verify every ``(scenario, chip)`` cell.
+def verify_scenarios(scenarios, chips, intensity=1.0, session=None,
+                     witnesses=True):
+    """Exhaustively verify every ``(scenario, chip)`` cell on ``session``
+    (default: a serial :func:`~repro.exhaustive.backend.exhaustive_session`
+    at the default bounds), whose backend sets the loop bound, the
+    transition budget and the strategy.
 
     ``scenarios`` holds :class:`~repro.apps.scenario.Scenario` objects
     (or registry names), ``chips`` short names or profiles.
@@ -113,10 +112,6 @@ def verify_scenarios(scenarios, chips, intensity=1.0,
     leaves the losing execution traces out of the rows.  Returns a
     :class:`VerifyReport`, whose loop bound is the one the session's
     backend explored with.
-
-    ``loop_bound``, ``max_transitions``, ``jobs``, ``executor`` and
-    ``cache_dir`` configure only the session this function builds when
-    ``session`` is ``None``; a given session keeps its own.
     """
     from ..apps.scenario import get_scenario
     if not intensity > 0:
@@ -127,10 +122,7 @@ def verify_scenarios(scenarios, chips, intensity=1.0,
                  for s in scenarios]
     chips = resolve_chips(chips)
     if session is None:
-        session = exhaustive_session(jobs=jobs, executor=executor,
-                                     cache_dir=cache_dir,
-                                     loop_bound=loop_bound,
-                                     max_transitions=max_transitions)
+        session = exhaustive_session()
     specs = [ScenarioSpec(scenario=scenario, chip=chip, iterations=1,
                           seed=0, intensity=float(intensity))
              for scenario in scenarios for chip in chips]

@@ -9,13 +9,14 @@ the backend registry, and the CLI ``analyze`` subcommand.
 import pytest
 
 from repro.analysis import (CLEAN, RACY, UNKNOWN, AnalysisBackend,
-                            AnalysisMeta, analysis_session, analyze_test,
-                            condition_skippable, prescreen, run_prescreened)
+                            AnalysisMeta, analyze_test, condition_skippable,
+                            prescreen, run_prescreened)
 from repro.analysis.consistency import check_library, check_scenarios
 from repro.api.backends import make_backend
 from repro.api.cache import ResultCache, cache_key
 from repro.api.result import SpecResult
-from repro.api.spec import RunSpec
+from repro.api.session import Session
+from repro.api.spec import RunSpec, matrix
 from repro.apps import app_matrix, app_session, select_scenarios
 from repro.apps.scenario import SCENARIOS
 from repro.cli import main
@@ -231,7 +232,7 @@ class TestAnalysisBackend:
             assert name in message
 
     def test_session_verdicts_and_zero_iteration_accounting(self):
-        session = analysis_session(cache=False)
+        session = Session(backend="analysis", cache=False)
         specs = [RunSpec.make(library.build("mp"), "Titan", iterations=50),
                  RunSpec.make(library.build("mp"), "GTX7", iterations=999,
                               seed=7)]
@@ -248,17 +249,17 @@ class TestAnalysisBackend:
     def test_verdicts_round_trip_through_the_disk_cache(self, tmp_path):
         spec = RunSpec.make(library.build("cas-sl+membar.gls"), "Titan",
                             iterations=10)
-        first = analysis_session(cache_dir=str(tmp_path))
+        first = Session(backend="analysis", cache_dir=str(tmp_path))
         result = first.run_specs([spec])[0]
         assert result.answer.verdict == CLEAN
         assert first.stats.cache_hits == 0
-        second = analysis_session(cache_dir=str(tmp_path))
+        second = Session(backend="analysis", cache_dir=str(tmp_path))
         again = second.run_specs([spec])[0]
         assert second.stats.cache_hits == 1
         assert again.answer.verdict == CLEAN
 
     def test_scenario_specs_run_through_the_backend(self):
-        session = analysis_session(cache=False)
+        session = Session(backend="analysis", cache=False)
         specs = app_matrix(select_scenarios(["ticket"]), ["Titan"], runs=10)
         verdicts = [r.answer.verdict for r in session.run_specs(specs)]
         assert verdicts == [RACY, CLEAN]
@@ -269,11 +270,6 @@ class TestPrescreen:
         specs = app_matrix(select_scenarios(["deque-mp"]), ["Titan"],
                            runs=20, seed=1)
         assert prescreen(specs) == [RACY, CLEAN]
-
-    def test_prescreen_rejects_foreign_sessions(self):
-        specs = app_matrix(select_scenarios(["ticket"]), ["Titan"], runs=10)
-        with pytest.raises(ReproError):
-            prescreen(specs, session=app_session(cache=False))
 
     def test_run_prescreened_skips_only_clean_cells(self):
         specs = app_matrix(select_scenarios(["deque-mp"]), ["Titan"],
@@ -290,13 +286,30 @@ class TestPrescreen:
             clean.histogram
         assert session.stats.executed == 1
 
-    def test_run_prescreened_custom_skip_predicate(self):
-        specs = app_matrix(select_scenarios(["deque-mp"]), ["Titan"],
-                           runs=20, seed=1)
-        session = app_session(cache=False)
-        results, _ = run_prescreened(specs, session,
-                                     skip=lambda spec, verdict: False)
-        assert all(result.backend == "app" for result in results)
+    def test_litmus_cells_skip_only_on_the_condition_proof(self):
+        # Clean, SC-implied and SC-forbidden: skipped.  mp-volatile is
+        # clean too, but its condition is observable; mp is racy.
+        tests = [library.build(name) for name in
+                 ("cas-sl+membar.gls", "mp-volatile", "mp")]
+        specs = matrix(tests, ["Titan", "GTX7"], iterations=20, seed=1)
+        session = Session(cache=False)
+        results, verdicts = run_prescreened(specs, session)
+        assert verdicts == [CLEAN, CLEAN, CLEAN, CLEAN, RACY, RACY]
+        assert [result.backend for result in results] == [
+            "analysis", "analysis", "sim", "sim", "sim", "sim"]
+        assert session.stats.executed == 4
+
+    def test_a_mixed_plan_applies_each_kinds_rule(self):
+        # A clean scenario cell is skipped on its verdict alone; a clean
+        # litmus cell whose condition is observable still runs.
+        specs = (app_matrix(select_scenarios(["deque-mp+fenced"]),
+                            ["Titan"], runs=20, seed=1)
+                 + matrix([library.build("mp-volatile")], ["Titan"],
+                          iterations=20, seed=1))
+        results, verdicts = run_prescreened(specs, Session(cache=False))
+        assert verdicts == [CLEAN, CLEAN]
+        assert [result.backend for result in results] == ["analysis",
+                                                          "sim"]
 
     def test_condition_skippable_needs_the_full_proof(self):
         # Clean + SC-implied + SC-forbidden condition: skippable.

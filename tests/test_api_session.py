@@ -493,6 +493,22 @@ class TestCampaignResult:
         assert set(campaign.weak_cells()) <= set(campaign.results)
         assert campaign.total_iterations == 4 * 250
         assert "4 cells" in campaign.summary()
+        # Only sampled cells count: the model's allowed sets ran
+        # nothing, and neither did the cell a prescreen skipped.
+        model = Session(backend="model").campaign(
+            [library.build("mp")], ["Titan", "HD7970"], iterations=250)
+        assert model.total_iterations == 0
+        assert model.summary().endswith(", 0 iterations")
+        from repro.analysis import run_prescreened
+        specs = matrix([library.build("mp"),
+                        library.build("cas-sl+membar.gls")], ["Titan"],
+                       iterations=250, seed=1)
+        results, _ = run_prescreened(specs, Session(cache=False))
+        assert [result.sampled for result in results] == [True, False]
+        prescreened = CampaignResult()
+        for result in results:
+            prescreened.add(result)
+        assert prescreened.total_iterations == 250
 
 
 class TestRepeatedChips:

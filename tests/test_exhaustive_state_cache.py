@@ -125,7 +125,6 @@ def test_registry_reports_no_bounded_cell_at_loop_bound_one():
     # is checked, so even one retry completes every registry cell, with
     # the reachable states of the default bound.
     report = verify_scenarios(select_scenarios(["all"]), RESULT_CHIPS,
-                              loop_bound=1,
                               session=exhaustive_session(jobs=1, cache=False,
                                                          loop_bound=1))
     assert not [row for row in report.rows if row.bounded]

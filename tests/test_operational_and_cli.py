@@ -126,6 +126,24 @@ class TestCli:
         assert main(["model", "mp+membar.gls", "--model", "ptx"]) == 0
         assert "Forbidden" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("engine,enumerator", (
+        ("fast", "enumerate_allowed"), ("reference", "enumerate_executions")))
+    def test_model_enumerates_once(self, capsys, monkeypatch, engine,
+                                   enumerator):
+        """The verdict is read off the allowed set the command prints."""
+        from repro.model import models
+        enumerate_ = getattr(models, enumerator)
+        calls = []
+
+        def counted(test, *args, **kwargs):
+            calls.append(test.name)
+            return enumerate_(test, *args, **kwargs)
+
+        monkeypatch.setattr(models, enumerator, counted)
+        assert main(["model", "mp", "--model-engine", engine]) == 0
+        assert calls == ["mp"]
+        assert "Allowed" in capsys.readouterr().out
+
     def test_run_litmus_file(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_ITERS", "100")
         from repro.litmus import write_litmus
@@ -329,6 +347,16 @@ class TestCli:
     @pytest.mark.parametrize("argv", (
         ["run", "mp", "--chip", "Titan", "--iterations", "10"],
         ["verify", "--scenario", "deque-mp", "--chips", "Titan"],
+        ["campaign", "mp", "--chips", "Titan", "--iterations", "10"],
+        ["campaign", "mp", "--chips", "Titan", "--iterations", "10",
+         "--prescreen"],
+        ["app", "--scenario", "deque-mp", "--chips", "Titan", "--runs", "10"],
+        ["app", "--scenario", "deque-mp", "--chips", "Titan", "--runs", "10",
+         "--prescreen"],
+        ["soundness", "--max-tests", "1", "--chips", "Titan",
+         "--iterations", "10"],
+        ["analyze", "--scenario", "deque-mp", "--cross-check", "--chips",
+         "Titan", "--runs", "10"],
     ))
     def test_cache_dir_naming_a_file_exits_without_traceback(
             self, tmp_path, argv):

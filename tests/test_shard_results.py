@@ -66,8 +66,9 @@ class TestWitnessChannel:
                                                (2, "process")))
     def test_lost_cells_carry_the_serial_witness(self, serial_witnesses,
                                                  jobs, executor):
-        report = verify_scenarios(select_scenarios(["all"]), RESULT_CHIPS,
-                                  jobs=jobs, executor=executor)
+        report = verify_scenarios(
+            select_scenarios(["all"]), RESULT_CHIPS,
+            session=exhaustive_session(jobs=jobs, executor=executor))
         lost = {(row.scenario, row.chip): row.witness
                 for row in report.rows if not row.verified}
         assert lost == serial_witnesses
