@@ -412,7 +412,16 @@ def _mixed_atomic_locations(summaries):
 def analyze_test(test):
     """Statically classify every conflicting pair of ``test``; returns
     an :class:`AnalysisReport` whose ``verdict`` is ``racy``,
-    ``unknown`` or ``clean``."""
+    ``unknown`` or ``clean``.
+
+    A test is never mutated after it is built, so its report is computed
+    once and kept on the test, as its text is
+    (:func:`~repro.litmus.writer.write_litmus`): every later call
+    returns the same report.
+    """
+    report = test.__dict__.get("_analysis")
+    if report is not None:
+        return report
     summaries = summarize_test(test)
     tree = test.scope_tree
 
@@ -462,11 +471,13 @@ def analyze_test(test):
         verdict = UNKNOWN
     else:
         verdict = CLEAN
-    return AnalysisReport(test_name=test.name, verdict=verdict, pairs=pairs,
-                          diagnostics=diagnostics,
-                          unresolved=unresolved_notes,
-                          volatile_sync_pairs=volatile_sync,
-                          atomic_sync_locations=frozenset(atomic_sync))
+    report = AnalysisReport(test_name=test.name, verdict=verdict,
+                            pairs=pairs, diagnostics=diagnostics,
+                            unresolved=unresolved_notes,
+                            volatile_sync_pairs=volatile_sync,
+                            atomic_sync_locations=frozenset(atomic_sync))
+    object.__setattr__(test, "_analysis", report)
+    return report
 
 
 def _may_conflict(summaries, access):

@@ -184,8 +184,6 @@ class ResultCache:
         #: Per segment prefix, this cache's own segment, reserved at its
         #: first disk write of that backend.
         self._own = {}
-        self.hits = 0
-        self.misses = 0
         if cache_dir:
             try:
                 os.makedirs(cache_dir, exist_ok=True)
@@ -211,9 +209,7 @@ class ResultCache:
         if entry is None and self.cache_dir:
             entry = self._from_segments(key, answer_type)
         if entry is None:
-            self.misses += 1
             return None
-        self.hits += 1
         answer, provenance = entry
         return SpecResult(spec=spec, backend=backend_name,
                           answer=private(answer), cached=True,

@@ -295,8 +295,9 @@ def run_soundness(tests, chips, model="ptx", incantations=BEST,
     model sessions this function builds, which share one worker pool
     and one result cache; pass ``sim_session`` to run the sim cells on
     an existing session instead (e.g. the benchmarks' shared memoising
-    one), whose cache the model session then shares.  ``progress`` is
-    an optional callable invoked with each finished
+    one), whose cache the model session then shares, and leave those
+    four at their defaults: beside it they are a :class:`ReproError`.
+    ``progress`` is an optional callable invoked with each finished
     :class:`CellConformance`.
 
     Returns a :class:`ConformanceReport`.  Raises
@@ -308,6 +309,15 @@ def run_soundness(tests, chips, model="ptx", incantations=BEST,
         raise ReproError("run_soundness needs at least one chip")
     if chunk_size < 1:
         raise ReproError("chunk_size must be >= 1, got %r" % (chunk_size,))
+    if sim_session is not None:
+        ignored = ["%s=%r" % (name, value) for name, value, default in (
+            ("jobs", jobs, 1), ("executor", executor, "thread"),
+            ("cache", cache, True), ("cache_dir", cache_dir, None))
+            if value != default]
+        if ignored:
+            raise ReproError(
+                "run_soundness got %s beside sim_session, which brings its "
+                "own; configure that session instead" % ", ".join(ignored))
     own_pool = None
     try:
         if jobs > 1:

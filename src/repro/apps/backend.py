@@ -27,7 +27,6 @@ from it unchanged.  What differs:
 
 from ..api.backends import SimBackend
 from ..api.result import ShardResult
-from ..errors import ConfigurationError
 from ..harness.histogram import Histogram
 
 #: Default launches per shard.  Application launches are an order of
@@ -81,11 +80,7 @@ class AppBackend(SimBackend):
         """
         # Local import: the exhaustive package sits above the apps layer.
         from ..exhaustive.explore import Explorer
-        try:
-            explorer = Explorer(spec.test, spec.chip,
-                                intensity=spec.intensity)
-        except ConfigurationError:
-            return None         # stale-L1 chips are not enumerable
+        explorer = Explorer(spec.test, spec.chip, intensity=spec.intensity)
         state = explorer.probe(spec.scenario.project,
                                spec.iterations * explorer.static_ops)
         if state is None:

@@ -90,16 +90,15 @@ transition budget.  A yes is exact for every sampling engine, since
 their samples lie inside the reachable set (the structural intent
 vector above); the app backend's exact tier rests on it.
 
-Memory-system cache draws (L1 warm/evict) are *not* choice points: every
-modelled chip has ``p_stale = 0``, so L1 content is unobservable and the
-draws are semantically inert (enforced at construction).  For the same
-reason a state snapshot leaves L1 lines out, and it copies only the
-shared banks of the SMs the threads are placed on — no other bank is
-ever written.  Snapshots and keys are incremental: the explorer
-remembers which snapshot part (each thread's front, the memory image)
-the live machine equals, so a transition rebuilds only the thread it
-moved and, for a write, the memory image, and a restore copies back
-only the parts that differ.
+Memory-system L1 draws are *not* choice points: the L1 is a presence
+set no load reads a value from (:mod:`repro.sim.memory`), so its drop
+draws are semantically inert.  For the same reason a state snapshot
+leaves L1 lines out, and it copies only the shared banks of the SMs the
+threads are placed on — no other bank is ever written.  Snapshots and
+keys are incremental: the explorer remembers which snapshot part (each
+thread's front, the memory image) the live machine equals, so a
+transition rebuilds only the thread it moved and, for a write, the
+memory image, and a restore copies back only the parts that differ.
 
 The happens-before bookkeeping uses the same integer-bitmask row idiom
 as :class:`~repro.model.relation.IndexedRelation`;
@@ -199,9 +198,8 @@ class _ChoiceRng:
 
 
 class _StubRng:
-    """The memory system's rng: cache-effect draws (L1 evict/inval) only
-    touch L1 lines, which are unobservable when staleness is off, so a
-    fixed value is semantically inert."""
+    """The memory system's rng: its only draws drop L1 lines, which no
+    load reads, so a fixed value is semantically inert."""
 
     __slots__ = ()
 
@@ -440,10 +438,6 @@ class Explorer:
         self.loop_bound = loop_bound
         self.max_transitions = max_transitions
         cell = compile_cell(test, chip, intensity=intensity)
-        if cell.p_stale > 0.0:
-            raise ConfigurationError(
-                "exhaustive mode cannot enumerate stale-L1 nondeterminism "
-                "(chip %s has p_stale=%g)" % (chip.short, cell.p_stale))
         self.cell = cell
         self.threads = cell.threads
         self.memory = cell.memory
@@ -480,7 +474,7 @@ class Explorer:
         self._wrap_backward_branches()
         self._loc_names = {address: name
                            for name, address in cell.address_map.items()}
-        self.memory.reset(_StubRng(), False)
+        self.memory.reset(_StubRng())
         for thread in self.threads:
             thread.reset(self._choice_rng)
         placed = sorted({thread.sm for thread in self.threads})
@@ -618,7 +612,7 @@ class Explorer:
         initial binding or an instruction writes), pending destinations
         (a bitmask in the same order) and queue entries by static slot —
         loop counters and sequence numbers are left out, as is L1
-        content, unobservable with staleness off (:func:`_renumber` maps
+        content, which no load reads (:func:`_renumber` maps
         the labels of two visits onto each other).  Only the parts
         mutated since the last key or restore are rebuilt.
         """
@@ -650,8 +644,8 @@ class Explorer:
     def _snapshot(self):
         """Everything a verdict can depend on: thread fronts, global
         memory, the placed SMs' shared banks and the loop counts.  L1
-        lines are left out — unobservable with staleness off, the same
-        argument as :class:`_StubRng`.  Parts the live machine still
+        lines are left out — no load reads them, the same argument as
+        :class:`_StubRng`.  Parts the live machine still
         shares with an earlier snapshot are reused, not copied: nothing
         mutates a snapshot once taken."""
         fronts = self._live_threads
@@ -739,8 +733,8 @@ class Explorer:
     def _dependent(self, a, b):
         """May the transitions labelled ``a`` and ``b`` not commute?
 
-        Cross-thread: fences touch only their own SM's L1 (unobservable,
-        see :class:`_StubRng`) and are independent of everything; memory
+        Cross-thread: fences touch only their own SM's L1 (unread, see
+        :class:`_StubRng`) and are independent of everything; memory
         ops conflict iff they target the same address with at least one
         writer.  Same-thread: barrier ops (flag ``None``) are dependent
         with everything; free ops conflict on a shared address, on a

@@ -62,8 +62,8 @@ SCHEMA_VERSION = 2
 #: The engine corpora.  ``pinned``: one cell per behaviour class the
 #: simulator spends its cycles on — plain message passing, the
 #: load-load hazard, AMD's R->W reordering, store buffering, atomics,
-#: the L1-staleness machinery (the memory-system-heavy worst case for
-#: the fast path) and a spin-loop test, on chips chosen so every
+#: ``.ca`` loads on a Fermi chip (fence bypasses and the L1's line
+#: draws) and a spin-loop test, on chips chosen so every
 #: vendor/architecture family with distinct switch sets is represented.
 #: ``tiny``: the CI-sized subset for the perf-smoke job.
 ENGINE_CORPORA = {

@@ -21,8 +21,9 @@ Lowering summary
   decode past an instruction whose sources are pending, so at most one
   in-flight instance per static op can exist — checked at push time.)
 * **Memory** — locations become dense column indices: one ``(N, Lg)``
-  global array, an ``(N, S, Ls)`` shared array and — only on chips with
-  incoherent L1s — ``(N, S, Lg)`` L1 value/presence arrays.
+  global array and an ``(N, S, Ls)`` shared array.  There is no L1: no
+  load reads an L1 line (:mod:`repro.sim.memory`), so only the L1's
+  draws remain (see the stream contract below).
 * **Incantation draws** — the per-iteration intent vector is an
   ``(N, n_slots)`` Bernoulli matrix drawn once per batch; pass rules
   index it with the same slot constants as the fast engine.
@@ -44,11 +45,16 @@ seeded deterministically from the shard's ``random.Random`` (via
 ``getrandbits``), so results remain a pure function of the shard seed —
 but the histograms are no longer bit-identical to the other engines.
 What *is* preserved is the stochastic process itself: every transition
-probability (intent vector, staleness, L1 warm lines, CTA placement,
-uniform runnable-thread choice, random non-oldest eligible pick,
-store/fence/cg cache draws, under-scoped fence damping) is identical,
-so the outcome *distribution* of every cell is exactly the fast
-engine's.  ``tests/test_sim_batch.py`` enforces this with
+probability (intent vector, CTA placement, uniform runnable-thread
+choice, random non-oldest eligible pick, under-scoped fence damping) is
+identical, so the outcome *distribution* of every cell is exactly the
+fast engine's.  Each chunk still makes the draws of the retired stale-L1
+model that the recorded streams hold: one staleness draw per row and,
+on chips with an L1, one warm-line draw per (row, used SM, global
+location).  The other engines' L1 drop draws have no counterpart here:
+the recorded batch streams hold none, since a batch row filled its L1
+only under a staleness intent, which no chip ever drew.
+``tests/test_sim_batch.py`` enforces this with
 distribution-equivalence tests plus weak-behaviour-verdict and
 scenario-loss-verdict parity on the acceptance corpora.
 
@@ -70,8 +76,8 @@ from ..litmus.condition import FinalState
 from ..ptx.operands import Imm, Loc, Reg
 from ..ptx.types import MemorySpace, Scope
 from .compile import (K_ADD, K_CAS, K_EXCH, K_FENCE, K_LOAD, K_STORE,
-                      SLOT_BYPASS_BASE, SLOT_MIXED_HAZARD, SLOT_RR_HAZARD,
-                      SLOT_VOLATILE, _bypass_slots, _PASS_PAIR, _SCOPES)
+                      SLOT_MIXED_HAZARD, SLOT_RR_HAZARD, SLOT_VOLATILE,
+                      _bypass_slots, _PASS_PAIR, _SCOPES)
 from .machine import _FUEL_PER_INSTRUCTION
 
 #: Cap on a lockstep chunk's width, so state arrays stay cache- and
@@ -164,12 +170,12 @@ class _SlotStatic:
 
     __slots__ = ("kind", "dst_col", "cop", "volatile", "is_load", "is_store",
                  "atomic", "ca_load", "pass_pair", "mixed_slot", "ca_slot",
-                 "inval_prob", "addr_const", "addr_reg_col", "val_const",
-                 "val_reg_col", "cmp_const", "cmp_reg_col", "static_addr",
-                 "shared", "gloc", "sloc")
+                 "addr_const", "addr_reg_col", "val_const", "val_reg_col",
+                 "cmp_const", "cmp_reg_col", "static_addr", "shared", "gloc",
+                 "sloc")
 
     def __init__(self, kind, dst_col=None, cop=None, volatile=False,
-                 mixed_slot=0, ca_slot=0, inval_prob=0.0):
+                 mixed_slot=0, ca_slot=0):
         self.kind = kind
         self.dst_col = dst_col
         self.cop = cop
@@ -181,7 +187,6 @@ class _SlotStatic:
         self.pass_pair = _PASS_PAIR[self.is_store]
         self.mixed_slot = mixed_slot
         self.ca_slot = ca_slot
-        self.inval_prob = inval_prob
         self.addr_const = 0
         self.addr_reg_col = None
         self.val_const = 0
@@ -253,9 +258,8 @@ class _ThreadState:
 class _BatchState:
     """All mutable SoA state for one lockstep batch."""
 
-    __slots__ = ("n", "rng", "threads", "glob", "shm", "l1h", "l1v", "iv",
-                 "any_intent", "stale", "sm", "fuel", "stalled", "progress",
-                 "budget", "dec")
+    __slots__ = ("n", "rng", "threads", "glob", "shm", "iv", "any_intent",
+                 "sm", "fuel", "stalled", "progress", "budget", "dec")
 
     def __init__(self, cell, n, rng):
         self.n = n
@@ -269,8 +273,11 @@ class _BatchState:
             self.iv[:, cols] = (rng.random((n, len(cols)))
                                 < cell._probs_row[cols])
         self.any_intent = self.iv.any(axis=1)
-        stale = rng.random(n) < cell.p_stale
-        self.stale = stale & cell.l1_active
+        # The retired stale-L1 model's draws, kept so recorded streams
+        # stay put: staleness per row, then warm lines per used SM.
+        rng.random(n)
+        if cell.l1_active:
+            rng.random((n, cell.n_sms_eff, cell.n_global))
         # -- memory image ---------------------------------------------
         self.glob = np.tile(cell._init_global_row, (n, 1))
         if cell.n_shared:
@@ -278,25 +285,6 @@ class _BatchState:
                                (n, cell.n_sms_eff, 1))
         else:
             self.shm = None
-        if cell.l1_active:
-            eshape = (n, cell.n_sms_eff, cell.n_global)
-            # Draw only for the SMs the placement uses, and not at all
-            # when lines can never start warm.
-            if cell.p_l1_warm > 0.0:
-                warm = (self.stale[:, None, None]
-                        & (rng.random(eshape) < cell.p_l1_warm))
-            else:
-                warm = np.zeros(eshape, dtype=bool)
-            self.l1h = warm
-            # Values only matter where a line is present; fill warm
-            # lines with the initial image, leave the rest garbage.
-            self.l1v = np.empty(eshape, dtype=np.int64)
-            if warm.any():
-                self.l1v[warm] = np.broadcast_to(cell._init_global_row,
-                                                 eshape)[warm]
-        else:
-            self.l1h = None
-            self.l1v = None
         # -- CTA placement --------------------------------------------
         if cell.shuffle_placement:
             cta_sm = rng.integers(0, cell.n_sms, size=(n, cell.n_ctas))
@@ -312,14 +300,11 @@ class _BatchState:
         self.threads = [_ThreadState(S, n) for S in cell._thread_statics]
 
     def take(self, idx):
-        for name in ("iv", "any_intent", "stale", "glob", "sm", "fuel",
-                     "stalled", "progress", "budget", "dec"):
+        for name in ("iv", "any_intent", "glob", "sm", "fuel", "stalled",
+                     "progress", "budget", "dec"):
             setattr(self, name, getattr(self, name)[idx])
         if self.shm is not None:
             self.shm = self.shm[idx]
-        if self.l1h is not None:
-            self.l1h = self.l1h[idx]
-            self.l1v = self.l1v[idx]
         for thread in self.threads:
             thread.take(idx)
         self.n = len(self.iv)
@@ -329,31 +314,27 @@ class BatchCell:
     """One cell lowered to lockstep numpy execution.
 
     Same constructor parameters as
-    :class:`~repro.sim.compile.CompiledCell`; answers
-    ``run_many(iterations, rng, histogram)`` (the whole point) and a
-    compatibility ``run_once(rng)``.  Holds numpy buffers and kernels —
-    not picklable; process-pool backends compile per worker, exactly
-    like compiled cells.
+    :class:`~repro.sim.compile.CompiledCell`, less ``scope_blind``, plus
+    ``plan``; answers ``run_many(iterations, rng, histogram)`` (the
+    whole point) and a compatibility ``run_once(rng)``.  Holds numpy
+    buffers and kernels — not picklable; process-pool backends compile
+    per worker, exactly like compiled cells.
     """
 
-    def __init__(self, test, chip, intensity=1.0, stale_intensity=None,
-                 shuffle_placement=False, fuel=None, scope_blind=False,
+    def __init__(self, test, chip, intensity=1.0, shuffle_placement=False,
                  plan=None):
         require_numpy()
         self.test = test
         self.chip = chip
         self.intensity = intensity
-        self.stale_intensity = (intensity if stale_intensity is None
-                                else stale_intensity)
         self.shuffle_placement = shuffle_placement
-        self.scope_blind = scope_blind
         address_map = test.address_map()
         self.address_map = address_map
 
         placement = test.scope_tree.classify()
         required_scope = Scope.GL if placement == "inter-cta" else Scope.CTA
         total_instructions = sum(len(program) for program in test.threads)
-        self.fuel = fuel or _FUEL_PER_INSTRUCTION * max(total_instructions, 1)
+        self.fuel = _FUEL_PER_INSTRUCTION * max(total_instructions, 1)
 
         # -- intent draw plan (same slot order as the fast engine) ----
         relax = chip.relax_probability
@@ -367,18 +348,11 @@ class BatchCell:
         for scope in _SCOPES:
             probs.append(chip.p_mixed_bypass.get(scope, 0.0))
             probs.append(chip.p_ca_bypass.get(scope, 0.0))
-        if scope_blind:
-            for index in range(SLOT_BYPASS_BASE, len(probs)):
-                probs[index] = 0.0
         self.draw_probs = probs
         self._probs_row = np.asarray(probs)
         # Columns that can actually fire — chunks draw only these.
         self._nz_prob_cols = np.nonzero(self._probs_row > 0.0)[0]
-        self.p_stale = chip.p_stale * self.stale_intensity
         self.l1_active = chip.l1_stale_reads
-        self.p_l1_warm = chip.p_l1_warm
-        self.p_store_inval = chip.p_store_invalidates_own_l1
-        self.p_cg_evict = chip.p_cg_evicts_l1
         self.atomic_ordered = chip.atomic_ordered
         self.volatile_ordered = chip.volatile_ordered
         self.n_sms = max(chip.n_sms, 1)
@@ -429,7 +403,7 @@ class BatchCell:
         for index, (program, cta) in enumerate(zip(test.threads,
                                                    self.thread_ctas)):
             compiler = _BatchCompiler(self, program, test, cta,
-                                      required_scope, scope_blind, chip)
+                                      required_scope, chip)
             if plan is not None:
                 # Plan-cache hit: skip the analysis pass (register
                 # columns + slot tables) and regenerate only the
@@ -442,8 +416,8 @@ class BatchCell:
             [cta % self.n_sms for cta in self.thread_ctas], dtype=np.int64)
         self._thread_cta_row = np.asarray(self.thread_ctas, dtype=np.int64)
         # With static placement only a handful of SMs are ever
-        # addressed, so per-SM state (shared memory, L1 lines) is
-        # allocated for the used subset only and ``sm`` ids are
+        # addressed, so per-SM state (shared memory, the warm-line draw)
+        # is sized for the used subset only and ``sm`` ids are
         # remapped to compact indices; ``_sm_used[compact]`` recovers
         # the real id (needed when a row is handed to the fast engine).
         # Row compaction then copies kilobytes instead of megabytes.
@@ -483,6 +457,8 @@ class BatchCell:
         self._last_ticks = (0, 0)
         # Static state-bytes-per-row estimate feeding adaptive chunk
         # sizing (refined by the measured retirement profile per call).
+        # The L1 term prices no state the engine holds; it stays because
+        # the chunk widths, and so the recorded streams, depend on it.
         per_row = 8 * (len(self.draw_probs) + self.n_global
                        + self.n_sms_eff * self.n_shared + 8)
         if self.l1_active:
@@ -718,18 +694,12 @@ class BatchCell:
             return states[0]
         st = _BatchState.__new__(_BatchState)
         st.rng = states[0].rng
-        for name in ("iv", "any_intent", "stale", "glob", "sm", "fuel",
-                     "stalled", "progress", "budget", "dec"):
+        for name in ("iv", "any_intent", "glob", "sm", "fuel", "stalled",
+                     "progress", "budget", "dec"):
             setattr(st, name,
                     np.concatenate([getattr(s, name) for s in states]))
         st.shm = (np.concatenate([s.shm for s in states])
                   if states[0].shm is not None else None)
-        if states[0].l1h is not None:
-            st.l1h = np.concatenate([s.l1h for s in states])
-            st.l1v = np.concatenate([s.l1v for s in states])
-        else:
-            st.l1h = None
-            st.l1v = None
         threads = []
         for t, S in enumerate(self._thread_statics):
             th = _ThreadState.__new__(_ThreadState)
@@ -782,9 +752,7 @@ class BatchCell:
             from .compile import compile_cell
             self._fast = compile_cell(
                 self.test, self.chip, intensity=self.intensity,
-                stale_intensity=self.stale_intensity,
-                shuffle_placement=self.shuffle_placement, fuel=self.fuel,
-                scope_blind=self.scope_blind)
+                shuffle_placement=self.shuffle_placement)
         return self._fast
 
     def _thread_reg_names(self):
@@ -802,10 +770,9 @@ class BatchCell:
 
         The payload mirrors the fast cell's mutable state exactly: the
         drawn intent vector, the memory image keyed by real addresses,
-        per-SM L1 lines, and per-thread register files, pending sets and
-        queues (slot index ``k`` maps onto the fast cell's ``k``-th op
-        static — both compilers assign slots to memory instructions in
-        program order).
+        and per-thread register files, pending sets and queues (slot
+        index ``k`` maps onto the fast cell's ``k``-th op static — both
+        compilers assign slots to memory instructions in program order).
         """
         reg_names = self._thread_reg_names()
         threads = []
@@ -834,16 +801,9 @@ class BatchCell:
                 shared[real] = {address: int(value) for address, value in
                                 zip(self._saddr_list,
                                     st.shm[row, s].tolist())}
-        l1 = [{} for _ in range(self.n_sms)]
-        if self.l1_active:
-            for s, real in enumerate(self._sm_used.tolist()):
-                for g in np.nonzero(st.l1h[row, s])[0].tolist():
-                    l1[real][self._gaddr_list[g]] = int(st.l1v[row, s, g])
         return {"iv": [bool(v) for v in st.iv[row].tolist()],
-                "stale": bool(st.stale[row]),
                 "fuel": int(st.fuel[row]),
-                "global": glob, "shared": shared, "l1": l1,
-                "threads": threads}
+                "global": glob, "shared": shared, "threads": threads}
 
     # -- frontend ----------------------------------------------------------
 
@@ -1033,13 +993,11 @@ class _BatchCompiler:
     per-thread semantics across all selected iterations at once.
     """
 
-    def __init__(self, cell, program, test, cta, required_scope,
-                 scope_blind, chip):
+    def __init__(self, cell, program, test, cta, required_scope, chip):
         self.cell = cell
         self.program = program
         self.test = test
         self.required_scope = required_scope
-        self.scope_blind = scope_blind
         self.chip = chip
         self.S = _ThreadStatic(program.tid, cta)
 
@@ -1133,11 +1091,9 @@ class _BatchCompiler:
                 self._bind_addr(slot, instruction.addr)
                 self._bind_value(slot, instruction.src, "val")
             elif isinstance(instruction, Membar):
-                scope = instruction.scope
-                mixed_slot, ca_slot = _bypass_slots(scope)
-                slot = _SlotStatic(
-                    K_FENCE, mixed_slot=mixed_slot, ca_slot=ca_slot,
-                    inval_prob=self.chip.fence_l1_inval.get(scope, 1.0))
+                mixed_slot, ca_slot = _bypass_slots(instruction.scope)
+                slot = _SlotStatic(K_FENCE, mixed_slot=mixed_slot,
+                                   ca_slot=ca_slot)
                 slot.static_addr = -1  # fences carry no address
             if slot is not None:
                 slot_of[pc] = len(S.slots)
@@ -1320,7 +1276,7 @@ class _BatchCompiler:
         return step
 
     def _compile_fence_push(self, k, scope):
-        covered = self.scope_blind or scope.covers(self.required_scope)
+        covered = scope.covers(self.required_scope)
         damping = self.chip.underscoped_fence_damping
 
         def push(st, th, rows, _k=k):
@@ -1509,7 +1465,9 @@ class _BatchCompiler:
         tid = self.S.tid
         kind = slot.kind
         if kind == K_FENCE:
-            return self._compile_issue_fence(k, slot, tid)
+            # A fence orders through the queue alone: issuing it leaves
+            # memory as it is.
+            return lambda st, th, rows: None
         if kind == K_STORE:
             return self._compile_issue_store(k, slot, tid)
         if kind == K_LOAD:
@@ -1530,93 +1488,41 @@ class _BatchCompiler:
         return pos_clipped
 
     def _compile_issue_load(self, k, slot, tid):
+        cell = self.cell
         dst = slot.dst_col
-        plain = slot.volatile or slot.cop is None
-        cop = slot.cop
         dynamic = slot.static_addr is None
 
         def issue(st, th, rows, _k=k):
-            sm = st.sm[rows, tid]
             if dynamic:
+                sm = st.sm[rows, tid]
                 locs = self._dynamic_locs(th.q_addr[rows, _k])
-                value = self._read_dynamic(st, rows, sm, locs, plain, cop)
+                shared = cell._loc_shared[locs]
+                value = np.zeros(len(rows), dtype=np.int64)
+                if shared.any():
+                    s = shared
+                    value[s] = st.shm[rows[s], sm[s],
+                                      cell._loc_sidx[locs[s]]]
+                g = ~shared
+                if g.any():
+                    value[g] = st.glob[rows[g], cell._loc_gidx[locs[g]]]
             elif slot.shared:
-                value = st.shm[rows, sm, slot.sloc]
+                value = st.shm[rows, st.sm[rows, tid], slot.sloc]
             else:
-                value = self._read_global(st, rows, sm, slot.gloc,
-                                          plain, cop)
+                value = st.glob[rows, slot.gloc]
             th.regs[rows, dst] = value
             th.pending[rows, dst] = False
             th.dec_blocked[rows] = False
 
         return issue
 
-    def _read_global(self, st, idx, sm, gloc, plain, cop):
-        cell = self.cell
-        base = st.glob[idx, gloc]
-        if plain or not cell.l1_active:
-            return base
-        if cop == "ca":
-            has = st.l1h[idx, sm, gloc]
-            stale = st.stale[idx]
-            value = np.where(has & stale, st.l1v[idx, sm, gloc], base)
-            # Lines of non-stale rows can never hit, so only stale rows
-            # fill on a miss.
-            fill = stale & ~has
-            if fill.any():
-                st.l1v[idx[fill], sm[fill], gloc] = base[fill]
-                st.l1h[idx[fill], sm[fill], gloc] = True
-            return value
-        if cop in ("cg", "cv"):
-            has = st.l1h[idx, sm, gloc]
-            if has.any():
-                evict = has & (st.rng.random(len(idx)) < cell.p_cg_evict)
-                if evict.any():
-                    st.l1h[idx[evict], sm[evict], gloc] = False
-            return base
-        return base
-
-    def _read_dynamic(self, st, idx, sm, locs, plain, cop):
-        cell = self.cell
-        value = np.zeros(len(idx), dtype=np.int64)
-        shared = cell._loc_shared[locs]
-        if shared.any():
-            s = shared
-            value[s] = st.shm[idx[s], sm[s], cell._loc_sidx[locs[s]]]
-        g = ~shared
-        if g.any():
-            gloc = cell._loc_gidx[locs[g]]
-            gi, gs = idx[g], sm[g]
-            base = st.glob[gi, gloc]
-            if plain or not cell.l1_active:
-                value[g] = base
-            elif cop == "ca":
-                has = st.l1h[gi, gs, gloc]
-                stale = st.stale[gi]
-                value[g] = np.where(has & stale, st.l1v[gi, gs, gloc], base)
-                fill = stale & ~has
-                if fill.any():
-                    st.l1v[gi[fill], gs[fill], gloc[fill]] = base[fill]
-                    st.l1h[gi[fill], gs[fill], gloc[fill]] = True
-            elif cop in ("cg", "cv"):
-                has = st.l1h[gi, gs, gloc]
-                if has.any():
-                    evict = has & (st.rng.random(len(gi)) < cell.p_cg_evict)
-                    if evict.any():
-                        st.l1h[gi[evict], gs[evict], gloc[evict]] = False
-                value[g] = base
-            else:
-                value[g] = base
-        return value
-
     def _compile_issue_store(self, k, slot, tid):
         cell = self.cell
         dynamic = slot.static_addr is None
 
         def issue(st, th, rows, _k=k):
-            sm = st.sm[rows, tid]
             value = th.q_val[rows, _k]
             if dynamic:
+                sm = st.sm[rows, tid]
                 locs = self._dynamic_locs(th.q_addr[rows, _k])
                 shared = cell._loc_shared[locs]
                 if shared.any():
@@ -1624,43 +1530,11 @@ class _BatchCompiler:
                     st.shm[rows[s], sm[s], cell._loc_sidx[locs[s]]] = value[s]
                 g = ~shared
                 if g.any():
-                    self._write_global(st, rows[g], sm[g],
-                                       cell._loc_gidx[locs[g]], value[g])
+                    st.glob[rows[g], cell._loc_gidx[locs[g]]] = value[g]
             elif slot.shared:
-                st.shm[rows, sm, slot.sloc] = value
+                st.shm[rows, st.sm[rows, tid], slot.sloc] = value
             else:
-                self._write_global(st, rows, sm, slot.gloc, value)
-
-        return issue
-
-    def _write_global(self, st, idx, sm, gloc, value):
-        cell = self.cell
-        st.glob[idx, gloc] = value
-        if not cell.l1_active:
-            return
-        # Stores bypass the L1 and invalidate the writing SM's own line
-        # only unreliably; remote lines are never touched (Sec. 3.1.2).
-        has = st.l1h[idx, sm, gloc]
-        if has.any():
-            inval = has & (st.rng.random(len(idx)) < cell.p_store_inval)
-            if inval.any():
-                if getattr(gloc, "ndim", 0):
-                    st.l1h[idx[inval], sm[inval], gloc[inval]] = False
-                else:
-                    st.l1h[idx[inval], sm[inval], gloc] = False
-
-    def _compile_issue_fence(self, k, slot, tid):
-        cell = self.cell
-        prob = slot.inval_prob
-
-        def issue(st, th, rows, _k=k):
-            if not cell.l1_active or prob <= 0.0:
-                return
-            sm = st.sm[rows, tid]
-            lines = st.l1h[rows, sm, :]
-            if lines.any():
-                drop = lines & (st.rng.random(lines.shape) < prob)
-                st.l1h[rows, sm, :] = lines & ~drop
+                st.glob[rows, slot.gloc] = value
 
         return issue
 
@@ -1730,12 +1604,12 @@ class _BatchCompiler:
         return issue
 
 
-def compile_batch_cell(test, chip, intensity=1.0, stale_intensity=None,
-                       shuffle_placement=False, fuel=None, scope_blind=False,
+def compile_batch_cell(test, chip, intensity=1.0, shuffle_placement=False,
                        plan=None):
     """Lower one campaign cell into a :class:`BatchCell`.
 
-    Parameters mirror :func:`~repro.sim.compile.compile_cell`; the
+    Parameters mirror :func:`~repro.sim.compile.compile_cell`, less
+    ``scope_blind`` (the Sec. 6 machine runs on the other engines); the
     result answers ``run_many(iterations, rng, histogram)`` with the
     same outcome *distribution* as the fast engine (see the module
     docstring for the RNG-stream contract).  Raises
@@ -1745,6 +1619,4 @@ def compile_batch_cell(test, chip, intensity=1.0, stale_intensity=None,
     :meth:`BatchCell.plan` — a plan-cache hit skips the analysis pass.
     """
     return BatchCell(test, chip, intensity=intensity,
-                     stale_intensity=stale_intensity,
-                     shuffle_placement=shuffle_placement, fuel=fuel,
-                     scope_blind=scope_blind, plan=plan)
+                     shuffle_placement=shuffle_placement, plan=plan)

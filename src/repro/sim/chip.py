@@ -3,10 +3,14 @@
 Real hardware is unavailable, so each chip is modelled as a
 :class:`ChipProfile`: a set of *structural switches* saying which
 micro-architectural relaxations exist (store buffering, non-FIFO drain,
-out-of-order loads, the load-load hazard, un-invalidated L1 lines,
-atomics that do or don't order) plus *probability knobs* calibrated
-against the paper's observation tables so that weak-outcome rates land
-near the published per-100k counts.
+out-of-order loads, the load-load hazard, ``.ca`` loads slipping past
+fences, atomics that do or don't order) plus *probability knobs*
+calibrated against the paper's observation tables so that weak-outcome
+rates land near the published per-100k counts.  The L1 results of
+Figs. 3 and 4 come from intents like every other relaxation:
+``r_pass_r`` reorders ``mp-L1``'s ``.ca`` loads, ``p_mixed_hazard``
+``coRR-L2-L1``'s ``.cg``-then-``.ca`` pair, and ``p_ca_bypass`` and
+``p_mixed_bypass`` let either slip past a fence.
 
 The switches are inferred from the paper's data:
 
@@ -63,7 +67,8 @@ class ChipProfile:
     p_relax: dict = field(default_factory=dict)
     atomic_ordered: bool = True       #: atomics issue strictly in order
     volatile_ordered: bool = True     #: .volatile accesses issue in order
-    l1_stale_reads: bool = False      #: .ca loads may hit un-invalidated lines
+    #: the chip caches ``.ca`` loads in a per-SM L1 (Fermi, Kepler)
+    l1_stale_reads: bool = False
 
     # -- L1 (.ca) pathologies of the Fermi generation ----------------------
     #: same-address load-load reordering when the two loads use *different*
@@ -79,13 +84,15 @@ class ChipProfile:
     #: CUDA compilation schemes" on the Tesla C2075, Sec. 3.1.2).
     p_ca_bypass: dict = field(default_factory=dict)
 
-    # -- legacy stale-L1 machinery (off by default; kept configurable) ----
-    p_stale: float = 0.0              #: L1-staleness intent
-    p_l1_warm: float = 0.5            #: warm line per location (given intent)
-    p_store_invalidates_own_l1: float = 1.0
-    p_cg_evicts_l1: float = 1.0       #: .cg load evicts the matching L1 line
-    #: probability that a fence of the given scope invalidates stale lines
-    fence_l1_inval: dict = field(default_factory=dict)
+    # -- retired stale-L1 model: constants, not constructor arguments ----
+    #: No engine reads these; they stay in place so ``repr(chip)``, and
+    #: every cache key, shard seed and plan file name built from it,
+    #: keeps its bytes.
+    p_stale: float = field(default=0.0, init=False)
+    p_l1_warm: float = field(default=0.5, init=False)
+    p_store_invalidates_own_l1: float = field(default=1.0, init=False)
+    p_cg_evicts_l1: float = field(default=1.0, init=False)
+    fence_l1_inval: dict = field(default_factory=dict, init=False)
     #: fraction of reordering weakness that survives an under-scoped fence
     #: (e.g. membar.cta in an inter-CTA test); 0 = the fence still works
     underscoped_fence_damping: float = 0.0
@@ -93,9 +100,6 @@ class ChipProfile:
     RELAXATIONS = ("r_pass_w", "w_pass_w", "r_pass_r", "w_pass_r",
                    "rr_hazard", "volatile_relax")
     SCOPED_BYPASSES = ("mixed_bypass", "ca_bypass")
-
-    def fence_inval_probability(self, scope):
-        return self.fence_l1_inval.get(scope, 1.0)
 
     def relax_probability(self, kind):
         # ``volatile_relax`` is a *dampener* on reordering volatile pairs

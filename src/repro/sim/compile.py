@@ -107,11 +107,10 @@ class _OpStatic:
     """
 
     __slots__ = ("kind", "dst", "cop", "volatile", "is_load", "is_store",
-                 "atomic", "ca_load", "pass_pair", "mixed_slot", "ca_slot",
-                 "inval_prob")
+                 "atomic", "ca_load", "pass_pair", "mixed_slot", "ca_slot")
 
     def __init__(self, kind, dst=None, cop=None, volatile=False,
-                 mixed_slot=0, ca_slot=0, inval_prob=0.0):
+                 mixed_slot=0, ca_slot=0):
         self.kind = kind
         self.dst = dst
         self.cop = cop
@@ -123,7 +122,6 @@ class _OpStatic:
         self.pass_pair = _PASS_PAIR[self.is_store]
         self.mixed_slot = mixed_slot
         self.ca_slot = ca_slot
-        self.inval_prob = inval_prob
 
 
 class _Op:
@@ -146,44 +144,36 @@ class _Memory:
     """The simulated memory system, reset (not reallocated) per iteration.
 
     Semantics — including every ``rng.random()`` draw and its position in
-    the stream — mirror :class:`~repro.sim.memory.MemorySystem` exactly;
-    chip knobs and the space of every address are pre-bound at compile
-    time instead of being re-derived per access.
+    the stream — mirror :class:`~repro.sim.memory.MemorySystem` exactly,
+    its per-SM L1 presence sets included; the chip's L1 switch and the
+    space of every address are pre-bound at compile time instead of
+    being re-derived per access.
     """
 
-    __slots__ = ("n_sms", "rng", "stale", "global_mem", "shared_mem", "l1",
+    __slots__ = ("n_sms", "rng", "global_mem", "shared_mem", "l1",
                  "init_global", "init_shared", "shared_addrs",
-                 "l1_stale_reads", "p_l1_warm", "p_store_inval",
-                 "p_cg_evict")
+                 "l1_stale_reads")
 
     def __init__(self, chip, init_global, init_shared, shared_addrs):
         self.n_sms = chip.n_sms
         self.rng = None
-        self.stale = False
         self.init_global = init_global     # insertion order = install order
         self.init_shared = init_shared
         self.shared_addrs = shared_addrs
         self.l1_stale_reads = chip.l1_stale_reads
-        self.p_l1_warm = chip.p_l1_warm
-        self.p_store_inval = chip.p_store_invalidates_own_l1
-        self.p_cg_evict = chip.p_cg_evicts_l1
         self.global_mem = dict(init_global)
         self.shared_mem = [dict(init_shared) for _ in range(self.n_sms)]
-        self.l1 = [{} for _ in range(self.n_sms)]
+        self.l1 = [set() for _ in range(self.n_sms)]
 
-    def reset(self, rng, stale_intent):
-        """Restore the initial state and (re-)seed the stale-L1 lines.
+    def reset(self, rng):
+        """Restore the initial state and empty the L1.
 
-        ``stale_intent`` must already be ANDed with the chip's
-        ``l1_stale_reads`` switch (as ``MemorySystem.__init__`` does).
         The address sets are fixed per cell — writes to uninstalled
         addresses raise — so restoring is a plain ``update`` with the
         initial image, no clearing; only non-empty L1 lines are dropped.
         """
         self.rng = rng
-        self.stale = stale_intent
-        global_mem = self.global_mem
-        global_mem.update(self.init_global)
+        self.global_mem.update(self.init_global)
         init_shared = self.init_shared
         if init_shared:
             for shared in self.shared_mem:
@@ -191,15 +181,6 @@ class _Memory:
         for line in self.l1:
             if line:
                 line.clear()
-        if stale_intent:
-            # The warm-line seeding of MemorySystem.warm_l1: one draw per
-            # (SM, global location) in install order.
-            warm = self.p_l1_warm
-            random = rng.random
-            for line in self.l1:
-                for address, value in global_mem.items():
-                    if random() < warm:
-                        line[address] = value
 
     def read(self, sm, address, cop, volatile):
         value = self.global_mem.get(address, _MISS)
@@ -210,19 +191,13 @@ class _Memory:
         if volatile or cop is None:
             return value
         if cop == "ca":
-            line = self.l1[sm]
-            cached = line.get(address)
-            if cached is not None and self.stale:
-                return cached
             if self.l1_stale_reads:
-                line[address] = value
-            return value
-        if cop == "cg" or cop == "cv":
+                self.l1[sm].add(address)
+        elif cop == "cg" or cop == "cv":
             line = self.l1[sm]
             if address in line:
-                if self.rng.random() < self.p_cg_evict:
-                    del line[address]
-            return value
+                self.rng.random()
+                line.discard(address)
         return value
 
     def write(self, sm, address, value):
@@ -234,17 +209,16 @@ class _Memory:
         self.global_mem[address] = value
         line = self.l1[sm]
         if address in line:
-            if self.rng.random() < self.p_store_inval:
-                del line[address]
+            self.rng.random()
+            line.discard(address)
 
-    def fence(self, sm, probability):
+    def fence(self, sm):
         line = self.l1[sm]
-        if probability <= 0.0 or not line:
-            return
-        random = self.rng.random
-        for address in list(line):
-            if random() < probability:
-                del line[address]
+        if line:
+            random = self.rng.random
+            for _ in line:
+                random()
+            line.clear()
 
     def atomic_read(self, sm, address):
         if address in self.shared_addrs:
@@ -411,7 +385,7 @@ class _Thread:
             memory.write(sm, op.address, op.value)
             return
         elif kind == K_FENCE:
-            memory.fence(sm, st.inval_prob)
+            memory.fence(sm)
             return
         elif kind == K_CAS:
             value = memory.atomic_read(sm, op.address)
@@ -454,13 +428,12 @@ class _Compiler:
     """Lowers one thread program into step closures."""
 
     def __init__(self, program, address_map, required_scope, scope_blind,
-                 underscoped_damping, fence_inval):
+                 underscoped_damping):
         self.program = program
         self.address_map = address_map
         self.required_scope = required_scope
         self.scope_blind = scope_blind
         self.underscoped_damping = underscoped_damping
-        self.fence_inval = fence_inval  # Scope -> invalidation probability
         #: One :class:`_OpStatic` per memory instruction, in program
         #: order — the same order the batch compiler assigns queue
         #: slots, which is what lets a suspended batch row be
@@ -621,8 +594,7 @@ class _Compiler:
     def _compile_membar(self, instruction):
         scope = instruction.scope
         mixed_slot, ca_slot = _bypass_slots(scope)
-        st = _OpStatic(K_FENCE, mixed_slot=mixed_slot, ca_slot=ca_slot,
-                       inval_prob=self.fence_inval.get(scope, 1.0))
+        st = _OpStatic(K_FENCE, mixed_slot=mixed_slot, ca_slot=ca_slot)
         self.op_statics.append(st)
         covered = self.scope_blind or scope.covers(self.required_scope)
         if covered:
@@ -777,13 +749,11 @@ class CompiledCell:
     picklable — process-pool backends compile in each worker instead.
     """
 
-    def __init__(self, test, chip, intensity=1.0, stale_intensity=None,
-                 shuffle_placement=False, fuel=None, scope_blind=False):
+    def __init__(self, test, chip, intensity=1.0, shuffle_placement=False,
+                 scope_blind=False):
         self.test = test
         self.chip = chip
         self.intensity = intensity
-        self.stale_intensity = (intensity if stale_intensity is None
-                                else stale_intensity)
         self.shuffle_placement = shuffle_placement
         self.scope_blind = scope_blind
         address_map = test.address_map()
@@ -792,7 +762,7 @@ class CompiledCell:
         placement = test.scope_tree.classify()
         required_scope = Scope.GL if placement == "inter-cta" else Scope.CTA
         total_instructions = sum(len(program) for program in test.threads)
-        self.fuel = fuel or _FUEL_PER_INSTRUCTION * max(total_instructions, 1)
+        self.fuel = _FUEL_PER_INSTRUCTION * max(total_instructions, 1)
 
         # -- intent draw plan (order documented at the slot constants) --
         relax = chip.relax_probability
@@ -807,8 +777,6 @@ class CompiledCell:
             probs.append(chip.p_mixed_bypass.get(scope, 0.0))
             probs.append(chip.p_ca_bypass.get(scope, 0.0))
         self.draw_probs = probs
-        self.p_stale = chip.p_stale * self.stale_intensity
-        self.l1_stale_reads = chip.l1_stale_reads
 
         # -- memory image -----------------------------------------------
         init_global = {}
@@ -845,8 +813,7 @@ class CompiledCell:
                     init_regs[name] = binding.value
             compiler = _Compiler(
                 program, address_map, required_scope, scope_blind,
-                chip.underscoped_fence_damping,
-                chip.fence_l1_inval)
+                chip.underscoped_fence_damping)
             code = compiler.compile()
             self._op_statics.append(compiler.op_statics)
             self.threads.append(_Thread(code, init_regs, self.memory, chip))
@@ -887,8 +854,8 @@ class CompiledCell:
         iterations, in first-seen order, where an outcome is the plain
         value tuple of :meth:`_outcome_reader`.
 
-        The draw sequence of each iteration — intents, staleness, L1
-        warm lines, CTA placement, scheduler picks, cache-effect draws —
+        The draw sequence of each iteration — intents, the retired
+        staleness draw, CTA placement, scheduler picks, L1 drop draws —
         is :meth:`GpuMachine.run_once`'s.  The draw plan, memory,
         threads and outcome reader are bound once per call, not once
         per iteration.
@@ -898,8 +865,6 @@ class CompiledCell:
         probs = self.draw_probs
         blind = [False] * (len(probs) - SLOT_BYPASS_BASE)
         scope_blind = self.scope_blind
-        p_stale = self.p_stale
-        l1_stale_reads = self.l1_stale_reads
         reset_memory = self.memory.reset
         threads = self.threads
         resets = [thread.reset for thread in threads]
@@ -916,8 +881,8 @@ class CompiledCell:
             iv = [random() < p for p in probs]
             if scope_blind:
                 iv[SLOT_BYPASS_BASE:] = blind
-            stale = random() < p_stale
-            reset_memory(rng, stale and l1_stale_reads)
+            random()  # the retired staleness intent's draw, kept in stream
+            reset_memory(rng)
             if placed:
                 cta_sm = [randrange(n_sms) for _ in ctas]
                 for thread, cta in placed:
@@ -966,16 +931,17 @@ class CompiledCell:
         ``snap`` is the straggler hand-off payload built by
         :meth:`repro.sim.batch.BatchCell._snapshot_row`: the iteration's
         drawn intent vector plus complete machine state (memory image,
-        L1 lines, per-thread registers/pending/queue) at a tick
-        boundary.  The queue is rebuilt against this cell's op-static
-        table — the batch compiler assigns slot ``k`` to the ``k``-th
-        memory instruction of each thread, the same order
-        ``_Compiler.op_statics`` records — and the scheduler loop then
-        runs the iteration to quiescence on ``rng``.  Returns the
-        outcome as a plain value tuple (:meth:`_outcome_reader`), the
-        order of the batch cell's observation and final-memory columns.
+        per-thread registers/pending/queue) at a tick boundary; the
+        batch engine holds no L1, so the L1 resumes empty.  The queue is
+        rebuilt against this cell's op-static table — the batch compiler
+        assigns slot ``k`` to the ``k``-th memory instruction of each
+        thread, the same order ``_Compiler.op_statics`` records — and
+        the scheduler loop then runs the iteration to quiescence on
+        ``rng``.  Returns the outcome as a plain value tuple
+        (:meth:`_outcome_reader`), the order of the batch cell's
+        observation and final-memory columns.
 
-        Fresh draws (scheduler picks, cache effects) come from ``rng``,
+        Fresh draws (scheduler picks, L1 drops) come from ``rng``,
         not from the suspended batch stream: suspension happens at a
         tick boundary of a memoryless process, so continuing with any
         independent deterministic stream preserves the outcome
@@ -986,15 +952,13 @@ class CompiledCell:
         any_intent = True in iv
         memory = self.memory
         memory.rng = rng
-        memory.stale = snap["stale"]
         memory.global_mem.clear()
         memory.global_mem.update(snap["global"])
         for shared, image in zip(memory.shared_mem, snap["shared"]):
             shared.clear()
             shared.update(image)
-        for line, image in zip(memory.l1, snap["l1"]):
+        for line in memory.l1:
             line.clear()
-            line.update(image)
         for thread, statics, tsnap in zip(self.threads, self._op_statics,
                                           snap["threads"]):
             thread.rng = rng
@@ -1048,8 +1012,8 @@ class CompiledCell:
         return self._state(self._outcome_reader()())
 
 
-def compile_cell(test, chip, intensity=1.0, stale_intensity=None,
-                 shuffle_placement=False, fuel=None, scope_blind=False):
+def compile_cell(test, chip, intensity=1.0, shuffle_placement=False,
+                 scope_blind=False):
     """Lower one campaign cell into a :class:`CompiledCell`.
 
     Parameters mirror :class:`~repro.sim.machine.GpuMachine`; the result
@@ -1058,6 +1022,5 @@ def compile_cell(test, chip, intensity=1.0, stale_intensity=None,
     over a shard in a few dozen iterations.
     """
     return CompiledCell(test, chip, intensity=intensity,
-                        stale_intensity=stale_intensity,
-                        shuffle_placement=shuffle_placement, fuel=fuel,
+                        shuffle_placement=shuffle_placement,
                         scope_blind=scope_blind)

@@ -399,7 +399,7 @@ class ThreadEngine:
         self.queue.remove(op)
         memory, sm = self.memory, self.sm
         if op.kind == FENCE:
-            memory.fence(sm, op.scope)
+            memory.fence(sm)
             return
         if op.kind == LOAD:
             value = memory.read(sm, op.address, cop=op.cop, volatile=op.volatile)

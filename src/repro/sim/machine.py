@@ -2,9 +2,10 @@
 
 :class:`GpuMachine` runs one litmus test on one chip profile, one
 iteration at a time.  Per iteration it draws the chip's *intents*
-(reordering, L1 staleness) — optionally scaled by the harness's
-incantation efficacy — places CTAs onto SMs, and interleaves the thread
-engines under a randomised scheduler until every thread retires.
+(reordering, hazards, fence bypasses) — optionally scaled by the
+harness's incantation efficacy — places CTAs onto SMs, and interleaves
+the thread engines under a randomised scheduler until every thread
+retires.
 """
 
 import random
@@ -22,19 +23,17 @@ _FUEL_PER_INSTRUCTION = 600
 class GpuMachine:
     """One litmus test bound to one chip.
 
-    ``reorder_p``/``stale_p`` override the chip's base intent
-    probabilities (the harness passes incantation-scaled values);
-    ``shuffle_placement`` models the thread-randomisation incantation's
-    structural effect (random CTA-to-SM assignment).
+    ``intensity`` scales the chip's intent probabilities (the harness
+    passes its incantation efficacy); ``shuffle_placement`` models the
+    thread-randomisation incantation's structural effect (random
+    CTA-to-SM assignment).
     """
 
-    def __init__(self, test, chip, intensity=1.0, stale_intensity=None,
-                 shuffle_placement=False, fuel=None, scope_blind=False):
+    def __init__(self, test, chip, intensity=1.0, shuffle_placement=False,
+                 scope_blind=False):
         self.test = test
         self.chip = chip
         self.intensity = intensity
-        self.stale_intensity = (intensity if stale_intensity is None
-                                else stale_intensity)
         self.shuffle_placement = shuffle_placement
         #: Scope-blind machines treat every fence as full-strength
         #: regardless of scope — the (unsound) assumption of the
@@ -44,7 +43,7 @@ class GpuMachine:
         self.spaces = {name: test.space_of(name) for name in test.locations()}
         self.required_scope = self._required_scope()
         total_instructions = sum(len(program) for program in test.threads)
-        self.fuel = fuel or _FUEL_PER_INSTRUCTION * max(total_instructions, 1)
+        self.fuel = _FUEL_PER_INSTRUCTION * max(total_instructions, 1)
 
     def _required_scope(self):
         """The fence scope needed to order this test's communication.
@@ -72,14 +71,12 @@ class GpuMachine:
             for key in list(intents):
                 if key.startswith(("mixed_bypass_", "ca_bypass_")):
                     intents[key] = False
-        stale_intent = rng.random() < self.chip.p_stale * self.stale_intensity
+        rng.random()  # the retired staleness intent's draw, kept in stream
 
-        memory = MemorySystem(self.chip, rng, n_sms=self.chip.n_sms,
-                              stale_intent=stale_intent)
+        memory = MemorySystem(self.chip, rng, n_sms=self.chip.n_sms)
         for name, address in self.address_map.items():
             memory.install(address, self.test.initial_value(name),
                            self.spaces[name])
-        memory.warm_l1()
 
         cta_sm = self._assign_sms(rng)
         engines = []
@@ -140,8 +137,8 @@ class GpuMachine:
         return FinalState.make(regs, mem)
 
 
-def build_machine(engine, test, chip, intensity=1.0, stale_intensity=None,
-                  shuffle_placement=False, plan=None):
+def build_machine(engine, test, chip, intensity=1.0, shuffle_placement=False,
+                  plan=None):
     """The machine ``engine`` (resolved by
     :func:`~repro.sim.engine.resolve_engine`) runs ``test`` on ``chip``
     with: a :class:`GpuMachine` for ``"reference"``, a
@@ -155,22 +152,18 @@ def build_machine(engine, test, chip, intensity=1.0, stale_intensity=None,
     if resolved == "batch":
         from .batch import compile_batch_cell
         return compile_batch_cell(test, chip, intensity=intensity,
-                                  stale_intensity=stale_intensity,
                                   shuffle_placement=shuffle_placement,
                                   plan=plan)
     if resolved == "fast":
         from .compile import compile_cell
         return compile_cell(test, chip, intensity=intensity,
-                            stale_intensity=stale_intensity,
                             shuffle_placement=shuffle_placement)
     return GpuMachine(test, chip, intensity=intensity,
-                      stale_intensity=stale_intensity,
                       shuffle_placement=shuffle_placement)
 
 
 def run_iterations(test, chip, iterations, seed=0, intensity=1.0,
-                   stale_intensity=None, shuffle_placement=False,
-                   engine=None):
+                   shuffle_placement=False, engine=None):
     """Convenience: run ``iterations`` runs, returning a histogram dict
     ``FinalState -> count``.  (The full-featured runner with incantations
     is :meth:`repro.api.Session.run`.)
@@ -179,6 +172,5 @@ def run_iterations(test, chip, iterations, seed=0, intensity=1.0,
     :func:`~repro.sim.engine.run_batch` runs it.
     """
     machine = build_machine(engine, test, chip, intensity=intensity,
-                            stale_intensity=stale_intensity,
                             shuffle_placement=shuffle_placement)
     return run_batch(machine, iterations, random.Random(seed)).counts

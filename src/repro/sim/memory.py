@@ -1,15 +1,16 @@
 """The simulated GPU memory system: global memory, per-SM L1, shared.
 
 Global memory (with the L2 as its coherent access point) is a single
-word-addressed store: all ``.cg`` traffic and all atomics hit it directly.
-Each SM additionally has:
+word-addressed store: every load, store and atomic reads or writes it
+directly.  Each SM additionally has:
 
-* an **L1 cache** that is *not* kept coherent (the Fermi behaviour of
-  Sec. 3.1.2): ``.ca`` loads may hit lines holding stale values; remote
-  stores never invalidate them; fences invalidate them only with the
-  chip-specific probability; ``.cg`` loads evict the matching line with
-  the chip's probability ("existing cache lines that match the requested
-  address in L1 will be evicted" — which the paper shows is unreliable);
+* an **L1 presence set**: on chips that cache ``.ca`` loads
+  (``l1_stale_reads``) a ``.ca`` load adds its line; a ``.cg``/``.cv``
+  load of the line, a store to it from the same SM, or a fence drops
+  lines, taking one ``rng.random()`` per line dropped.  No load ever
+  reads a line's value, so the L1 only shapes the random stream, which
+  the recorded histograms depend on.  The L1 effects of Figs. 3 and 4
+  are intents of :mod:`repro.sim.engine` instead;
 * a **shared memory** scratchpad, private to the SM's CTAs.
 """
 
@@ -20,14 +21,13 @@ from ..ptx.types import MemorySpace
 class MemorySystem:
     """All memory state for one simulated iteration."""
 
-    def __init__(self, chip, rng, n_sms, stale_intent=False):
+    def __init__(self, chip, rng, n_sms):
         self.chip = chip
         self.rng = rng
         self.n_sms = n_sms
         self.global_mem = {}
         self.shared_mem = [dict() for _ in range(n_sms)]
-        self.l1 = [dict() for _ in range(n_sms)]
-        self.stale_intent = stale_intent and chip.l1_stale_reads
+        self.l1 = [set() for _ in range(n_sms)]
         self.space_of_addr = {}
 
     # -- initialisation ------------------------------------------------------
@@ -41,20 +41,6 @@ class MemorySystem:
         else:
             self.global_mem[address] = value
 
-    def warm_l1(self):
-        """Populate L1 lines with initial values (the stale-read seed).
-
-        Each global location lands in each SM's L1 independently with
-        probability ``p_l1_warm`` — modelling lines left behind by the
-        harness's initialisation writes and by earlier test iterations.
-        """
-        if not self.stale_intent:
-            return
-        for sm in range(self.n_sms):
-            for address, value in self.global_mem.items():
-                if self.rng.random() < self.chip.p_l1_warm:
-                    self.l1[sm][address] = value
-
     def _space(self, address):
         space = self.space_of_addr.get(address)
         if space is None:
@@ -67,25 +53,17 @@ class MemorySystem:
         """Perform a load issued from ``sm``; returns the value."""
         if self._space(address) is MemorySpace.SHARED:
             return self.shared_mem[sm][address]
-        value = self.global_mem[address]
-        if volatile or cop is None:
-            return value
-        if cop == "ca":
-            line = self.l1[sm].get(address)
-            if line is not None and self.stale_intent:
-                return line
-            # Miss (or coherent-L1 chip): fill the line with the fresh value.
-            if self.chip.l1_stale_reads:
-                self.l1[sm][address] = value
-            return value
-        if cop in ("cg", "cv"):
-            # The PTX manual says a .cg load evicts the matching L1 line;
-            # the paper shows this is unreliable (Fig. 4).
-            if address in self.l1[sm]:
-                if self.rng.random() < self.chip.p_cg_evicts_l1:
-                    del self.l1[sm][address]
-            return value
-        return value
+        if not volatile:
+            if cop == "ca":
+                if self.chip.l1_stale_reads:
+                    self.l1[sm].add(address)
+            elif cop in ("cg", "cv"):
+                # The PTX manual: a .cg load evicts the matching L1 line.
+                line = self.l1[sm]
+                if address in line:
+                    self.rng.random()
+                    line.discard(address)
+        return self.global_mem[address]
 
     # -- writes ----------------------------------------------------------------
 
@@ -96,11 +74,11 @@ class MemorySystem:
             return
         self.global_mem[address] = value
         # Stores bypass the L1 (there is no L1 store operator, Sec. 3.1.2)
-        # and update the writing SM's own line only unreliably; remote
-        # SMs' lines are never invalidated (the Fermi incoherence).
-        if address in self.l1[sm]:
-            if self.rng.random() < self.chip.p_store_invalidates_own_l1:
-                del self.l1[sm][address]
+        # and drop only the writing SM's own line.
+        line = self.l1[sm]
+        if address in line:
+            self.rng.random()
+            line.discard(address)
 
     # -- atomics ------------------------------------------------------------------
 
@@ -133,15 +111,12 @@ class MemorySystem:
 
     # -- fences ----------------------------------------------------------------
 
-    def fence(self, sm, scope):
-        """Apply a fence's cache effect: invalidate the SM's stale lines
-        with the chip's per-scope probability."""
-        probability = self.chip.fence_inval_probability(scope)
-        if probability <= 0.0 or not self.l1[sm]:
-            return
-        for address in list(self.l1[sm]):
-            if self.rng.random() < probability:
-                del self.l1[sm][address]
+    def fence(self, sm):
+        """Apply a fence's cache effect: drop every line of the SM's L1."""
+        line = self.l1[sm]
+        for _ in line:
+            self.rng.random()
+        line.clear()
 
     # -- final state -------------------------------------------------------------
 

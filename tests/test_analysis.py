@@ -378,6 +378,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert "consistency: ok" in out
 
+    def test_analyze_cross_check_analyses_each_scenario_once(
+            self, capsys, monkeypatch):
+        """The verdict lines and both scenario oracles share one report
+        per test (they used to analyse every scenario three times)."""
+        from repro.analysis import races
+        for scenario in SCENARIOS.values():
+            scenario.test().__dict__.pop("_analysis", None)
+        analysed = []
+        summarize = races.summarize_test
+
+        def counting(test):
+            analysed.append(test.name)
+            return summarize(test)
+
+        monkeypatch.setattr(races, "summarize_test", counting)
+        assert main(["analyze", "--scenario", "all", "--cross-check",
+                     "--runs", "50", "--chips", "Titan"]) == 0
+        assert "consistency: ok (22 scenarios" in capsys.readouterr().out
+        assert sorted(analysed) == sorted(SCENARIOS)
+        assert len(analysed) == 22
+
     def test_app_prescreen_skips_fenced_cells(self, capsys):
         rc = main(["app", "-s", "deque-mp", "--chips", "Titan",
                    "--prescreen", "--runs", "30", "--executor", "thread"])

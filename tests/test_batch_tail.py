@@ -20,11 +20,12 @@ enforced here:
 
 import hashlib
 import os
+import pickle
 import random
 
 import pytest
 
-from repro.api import Session
+from repro.api import RunSpec, Session
 from repro.apps import app_session, get_scenario
 from repro.apps.scenario import ScenarioSpec
 from repro.harness.histogram import Histogram
@@ -59,6 +60,20 @@ DOT_GOLDEN = ("dot-cbe", "Titan", 3000, 17, "029379b67897e1d6")
 #: app backend (2000 launches, seed 17, the default stress intensity).
 APP_GOLDENS = dict(zip(SPIN_CELLS, ("ef5e68c6a1b06341", "835c31717b924202",
                                     "0704fc27db2ab1cd", "ef1080640069bec7")))
+
+
+class _SlotWithInvalProb:
+    """Pickles as a batch plan's slot did while slots still carried the
+    retired stale-L1 model's ``inval_prob``."""
+
+    def __init__(self, slot):
+        self.cls = type(slot)
+        self.state = {name: getattr(slot, name)
+                      for name in self.cls.__slots__}
+        self.state["inval_prob"] = 1.0
+
+    def __reduce__(self):
+        return object.__new__, (self.cls,), (None, self.state)
 
 
 def _signature(histogram):
@@ -183,6 +198,29 @@ class TestPlanCache:
         with open(path, "wb") as handle:
             handle.write(b"not a pickle")
         assert store.get(signature) is None
+
+    def test_plan_pickled_with_inval_prob_is_a_miss(self, tmp_path):
+        """Slots lost ``inval_prob`` while the plan version, and so the
+        plan file names, stayed: a plan pickled before fails to load,
+        and the session re-lowers and overwrites it."""
+        spec = RunSpec.make(library.build("mp"), "Titan", iterations=200,
+                            seed=7, engine="batch")
+        old = compile_batch_cell(spec.test, spec.chip).plan()
+        for S in old["threads"]:
+            S.slots = [_SlotWithInvalProb(slot) for slot in S.slots]
+        plans = tmp_path / "plans"
+        plans.mkdir()
+        path = plans / ("7b7d769a9cb007cd3084ec60baf6596e"
+                        "f90347ea36f5ee1648570bcc2f62f08e.plan")
+        path.write_bytes(pickle.dumps(old))
+        session = Session(cache_dir=str(tmp_path))
+        result = session.run(spec)
+        assert (session.stats.plan_cache_hits,
+                session.stats.plan_cache_misses) == (0, 1)
+        assert os.listdir(plans) == [path.name]
+        assert pickle.loads(path.read_bytes())["version"] == old["version"]
+        assert result.histogram.counts == \
+            Session(cache=False).run(spec).histogram.counts
 
     def test_signature_separates_content(self):
         assert plan_signature("a", 1) != plan_signature("a", 2)

@@ -144,6 +144,35 @@ class TestRunSoundness:
         with pytest.raises(ReproError):
             run_soundness(_tests("mp"), [], iterations=100)
 
+    @pytest.mark.parametrize("setting", ("jobs", "executor", "cache",
+                                         "cache_dir"))
+    def test_sim_session_refuses_session_settings(self, setting, tmp_path):
+        """Beside a sim session these configured only the model half, or
+        (the cache ones) nothing; refused before the corpus is pulled."""
+        cache_dir = tmp_path / "cache"
+        value = {"jobs": 2, "executor": "process", "cache": False,
+                 "cache_dir": str(cache_dir)}[setting]
+
+        def corpus():
+            raise AssertionError("the corpus was pulled")
+            yield
+
+        with pytest.raises(ReproError, match="%s=.*sim_session" % setting):
+            run_soundness(corpus(), ["Titan"], iterations=50,
+                          sim_session=Session(), **{setting: value})
+        assert not cache_dir.exists()
+
+    def test_sim_session_shares_its_cache_with_the_model(self):
+        session = Session()
+        first = run_soundness(_tests("mp"), ["Titan"], iterations=50,
+                              sim_session=session, jobs=1)
+        second = run_soundness(_tests("mp"), ["Titan"], iterations=50,
+                               sim_session=session)
+        assert (first.sim_stats["executed"], first.model_stats["executed"]) \
+            == (1, 1)
+        assert (second.sim_stats["cache_hits"],
+                second.model_stats["cache_hits"]) == (1, 1)
+
 
 class TestConformanceReport:
     def _cell(self, test="mp", chip="Titan", observations=3,

@@ -40,7 +40,7 @@ from repro.exhaustive.explore import Explorer, explore_test
 from repro.harness.histogram import Histogram
 from repro.litmus import library
 from repro.sim import have_numpy
-from repro.sim.chip import CHIPS, RESULT_CHIPS
+from repro.sim.chip import CHIPS, RESULT_CHIPS, ChipProfile
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                     "proved_cells.json")
@@ -213,15 +213,19 @@ class TestSession:
         assert "via app (exhaustive)" in proved.summary()
         assert "via app (fast)" in sampled.summary()
 
-    def test_stale_l1_chips_are_sampled(self):
-        # The explorer cannot enumerate stale-L1 reads, so a chip with
-        # the legacy staleness switched on is sampled, not refused.
-        chip = dataclasses.replace(CHIPS["Titan"], p_stale=0.1)
-        spec = ScenarioSpec.make("ticket+fenced", chip, runs=50)
-        assert AppBackend().exact(spec) is None
-        session = app_session(cache=False)
-        result = session.run_specs([spec])[0]
-        assert (session.stats.proved, result.provenance) == (0, "fast")
+    @pytest.mark.parametrize("name", ("p_stale", "p_l1_warm",
+                                      "p_store_invalidates_own_l1",
+                                      "p_cg_evicts_l1", "fence_l1_inval"))
+    def test_retired_l1_fields_are_refused(self, name):
+        # The stale-L1 model is retired: its fields are constants, so no
+        # chip can bring back stale reads the explorer cannot enumerate.
+        titan = CHIPS["Titan"]
+        with pytest.raises(TypeError, match=name):
+            ChipProfile(name="x", short="x", vendor="Nvidia",
+                        architecture="x", year=2020,
+                        **{name: getattr(titan, name)})
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(titan, **{name: getattr(titan, name)})
 
     def test_only_the_app_backend_answers_exactly(self):
         spec = ScenarioSpec.make("ticket+fenced", "Titan", runs=50)

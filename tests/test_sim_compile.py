@@ -11,6 +11,7 @@ shard decompositions, and pin down the engine switch's plumbing through
 ``RunSpec``/``SimBackend``/``Session``/CLI.
 """
 
+import hashlib
 import random
 from dataclasses import replace
 
@@ -25,8 +26,9 @@ from repro.harness.histogram import Histogram
 from repro.harness.incantations import Incantations, efficacy
 from repro.litmus import library
 from repro.sim import (CHIPS, DEFAULT_ENGINE, ENGINES, GpuMachine,
-                       RESULT_CHIPS, compile_cell, resolve_engine,
-                       run_batch, run_iterations)
+                       RESULT_CHIPS, build_machine, compile_cell,
+                       have_numpy, resolve_engine, run_batch,
+                       run_iterations)
 
 LIBRARY_TESTS = sorted(library.PAPER_TESTS)
 ALL_CHIPS = list(RESULT_CHIPS) + ["GTX280"]
@@ -147,6 +149,50 @@ class TestBitIdentity:
                     test, "Titan", Incantations.none(), iterations=40,
                     seed=3)
                 assert reference == fast
+
+
+#: The library tests with ``.ca`` loads (Figs. 3 and 4) and the chips
+#: that cache them in an L1.
+CA_TESTS = ("coRR-L2-L1", "coRR-L2-L1+membar.cta", "coRR-L2-L1+membar.gl",
+            "coRR-L2-L1+membar.sys", "mp-L1", "mp-L1+membar.ctas",
+            "mp-L1+membar.gls", "mp-L1+membar.syss")
+L1_CHIPS = ("GTX5", "TesC", "GTX6", "Titan")
+
+
+def _ca_stream_signature(*runs):
+    """sha256 prefix of every ``.ca`` cell's histogram, for each
+    ``(engine, iterations)`` of ``runs``, with and without shuffled
+    placement: the stream the L1's draws shape."""
+    lines = []
+    for engine, iterations in runs:
+        for name in CA_TESTS:
+            test = library.build(name)
+            for chip in L1_CHIPS:
+                for shuffle in (False, True):
+                    machine = build_machine(engine, test, CHIPS[chip],
+                                            intensity=4.0,
+                                            shuffle_placement=shuffle)
+                    histogram = run_batch(machine, iterations,
+                                          random.Random(17))
+                    lines.append("%s %s@%s shuffle=%s %s" % (
+                        engine, name, chip, shuffle,
+                        sorted((str(state), count) for state, count
+                               in histogram.counts.items())))
+    payload = "\n".join(lines).encode()
+    return hashlib.sha256(payload).hexdigest()[:16]
+
+
+class TestCaStreamPins:
+    """The ``.ca`` cells' streams, pinned across versions: the L1 keeps
+    exactly the draws these histograms were recorded with."""
+
+    def test_reference_and_fast(self):
+        assert _ca_stream_signature(("reference", 200), ("fast", 1000)) \
+            == "27af19cfa4372dd9"
+
+    @pytest.mark.skipif(not have_numpy(), reason="numpy not installed")
+    def test_batch(self):
+        assert _ca_stream_signature(("batch", 2000)) == "0be2156b5633502d"
 
 
 class TestEngineSwitch:

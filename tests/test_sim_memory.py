@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.errors import SimulationError
-from repro.ptx.types import MemorySpace, Scope
+from repro.ptx.types import MemorySpace
 from repro.sim.chip import ChipProfile
 from repro.sim.memory import MemorySystem
 
@@ -17,9 +17,18 @@ def _chip(**kwargs):
     return ChipProfile(**defaults)
 
 
-def _memory(chip=None, stale=False, seed=0):
-    memory = MemorySystem(chip or _chip(), random.Random(seed), n_sms=2,
-                          stale_intent=stale)
+class _CountingRandom(random.Random):
+    """A ``Random`` that counts its ``random()`` draws."""
+
+    draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+def _memory(chip=None, seed=0):
+    memory = MemorySystem(chip or _chip(), _CountingRandom(seed), n_sms=2)
     memory.install(0x100, 0, MemorySpace.GLOBAL)
     memory.install(0x200, 7, MemorySpace.GLOBAL)
     memory.install(0x300, 3, MemorySpace.SHARED)
@@ -83,38 +92,57 @@ class TestAtomics:
         assert memory.read(0, 0x200, cop="cg") == 10
 
 
-class TestL1Staleness:
-    """The legacy stale-line machinery (configurable, off by default)."""
+class TestL1Lines:
+    """The per-SM L1 presence set: which lines it holds, and the one
+    draw each dropped line takes (the recorded streams hold them)."""
 
-    def _stale_chip(self):
-        return _chip(l1_stale_reads=True, p_stale=1.0, p_l1_warm=1.0,
-                     p_store_invalidates_own_l1=0.0, p_cg_evicts_l1=0.0,
-                     fence_l1_inval={Scope.GL: 1.0})
+    def _l1_chip(self):
+        return _chip(l1_stale_reads=True)
 
-    def test_warm_line_returns_stale_value(self):
-        memory = _memory(self._stale_chip(), stale=True)
-        memory.warm_l1()
-        memory.write(1, 0x100, 42)  # remote store: no invalidation
-        assert memory.read(0, 0x100, cop="ca") == 0  # stale!
-        assert memory.read(0, 0x100, cop="cg") == 42
-
-    def test_fence_invalidates(self):
-        memory = _memory(self._stale_chip(), stale=True)
-        memory.warm_l1()
-        memory.write(1, 0x100, 42)
-        memory.fence(0, Scope.GL)
-        assert memory.read(0, 0x100, cop="ca") == 42
-
-    def test_no_staleness_without_intent(self):
-        memory = _memory(self._stale_chip(), stale=False)
-        memory.warm_l1()
-        memory.write(1, 0x100, 42)
-        assert memory.read(0, 0x100, cop="ca") == 42
-
-    def test_ca_miss_fills_line(self):
-        memory = _memory(self._stale_chip(), stale=True)
-        # No warm-up: first .ca read fills the line with the fresh value,
-        # a later remote store leaves it stale.
+    def test_ca_read_returns_the_current_value(self):
+        memory = _memory(self._l1_chip())
         assert memory.read(0, 0x100, cop="ca") == 0
+        memory.write(1, 0x100, 42)  # a remote store keeps SM 0's line
+        assert memory.l1[0] == {0x100}
+        assert memory.read(0, 0x100, cop="ca") == 42
+
+    def test_ca_read_adds_a_line_on_l1_chips_only(self):
+        memory = _memory(self._l1_chip())
+        memory.read(0, 0x100, cop="ca")
+        memory.read(1, 0x300, cop="ca")  # shared memory has no L1 line
+        assert memory.l1 == [{0x100}, set()]
+        plain = _memory()
+        plain.read(0, 0x100, cop="ca")
+        assert plain.l1 == [set(), set()]
+        assert memory.rng.draws == plain.rng.draws == 0
+
+    def test_cg_read_drops_the_line_with_one_draw(self):
+        memory = _memory(self._l1_chip())
+        memory.read(0, 0x100, cop="cg")  # no line: no draw
+        assert memory.rng.draws == 0
+        memory.read(0, 0x100, cop="ca")
+        memory.read(1, 0x100, cop="cg")  # another SM's line stays
+        assert memory.l1[0] == {0x100}
+        assert memory.read(0, 0x100, cop="cg") == 0
+        assert memory.l1[0] == set()
+        assert memory.rng.draws == 1
+
+    def test_store_from_the_same_sm_drops_the_line_with_one_draw(self):
+        memory = _memory(self._l1_chip())
+        memory.read(0, 0x100, cop="ca")
         memory.write(1, 0x100, 5)
-        assert memory.read(0, 0x100, cop="ca") == 0
+        assert (memory.l1[0], memory.rng.draws) == ({0x100}, 0)
+        memory.write(0, 0x100, 6)
+        assert (memory.l1[0], memory.rng.draws) == (set(), 1)
+        assert memory.read(1, 0x100, cop="ca") == 6
+
+    def test_fence_drops_every_line_with_one_draw_each(self):
+        memory = _memory(self._l1_chip())
+        memory.read(0, 0x100, cop="ca")
+        memory.read(0, 0x200, cop="ca")
+        memory.read(1, 0x100, cop="ca")
+        memory.fence(0)
+        assert memory.l1 == [set(), {0x100}]
+        assert memory.rng.draws == 2
+        memory.fence(0)  # an empty L1: no draw
+        assert memory.rng.draws == 2
