@@ -34,10 +34,12 @@ import random
 import threading
 from dataclasses import dataclass
 
+from ..errors import ReproError
 from ..harness.histogram import Histogram, StateSet
 from ..harness.incantations import efficacy
 from ..litmus.writer import write_litmus
 from ..model.models import MODELS, load_model, resolve_model_engine
+from ..model.paths import DEFAULT_FUEL
 from ..sim.engine import run_batch
 from ..sim.machine import build_machine
 from .result import ShardResult
@@ -80,7 +82,6 @@ def plan_shards(spec, shard_size=DEFAULT_SHARD_SIZE):
     serial execution merge to bit-identical histograms.
     """
     if shard_size < 1:
-        from ..errors import ReproError
         raise ReproError("shard_size must be >= 1, got %r" % shard_size)
     shards = []
     remaining = spec.iterations
@@ -109,7 +110,7 @@ class Backend:
     #: the result cache decodes stored answers through its ``from_json``.
     answer_type = Histogram
 
-    #: The shard size :meth:`run` decomposes with.
+    #: The shard size :meth:`run` and every session decompose with.
     shard_size = DEFAULT_SHARD_SIZE
 
     def cache_signature(self, spec):
@@ -218,6 +219,8 @@ class SimBackend(PerThreadMemo, Backend):
     MAX_COMPILED = 512
 
     def __init__(self, shard_size=DEFAULT_SHARD_SIZE):
+        if shard_size < 1:
+            raise ReproError("shard_size must be >= 1, got %r" % shard_size)
         self.shard_size = shard_size
         # Per-*thread* memo (see PerThreadMemo).
         self._local = threading.local()
@@ -359,22 +362,22 @@ class ModelBackend(Backend):
 
     answer_type = StateSet
 
-    def __init__(self, model="ptx", fuel=128, max_executions=None):
+    def __init__(self, model="ptx", max_executions=None):
         self.model = load_model(model) if isinstance(model, str) else model
         self.name = "model:%s" % self.model.name
-        self.fuel = fuel
         self.max_executions = max_executions
 
     def cache_signature(self, spec):
         """Verdicts depend only on the test text, the enumeration fuel
-        and the model engine — not chip, iterations or seed — so a
-        campaign across the seven result chips enumerates each test
-        once, not seven times.  The engine is part of the signature for
-        the same reason as the sim backend's: a cached reference
-        verdict must never mask a fast-engine divergence; a ``batch``
-        spec fails here, before anything runs."""
+        (:data:`~repro.model.paths.DEFAULT_FUEL`) and the model engine —
+        not chip, iterations or seed — so a campaign across the seven
+        result chips enumerates each test once, not seven times.  The
+        engine is part of the signature for the same reason as the sim
+        backend's: a cached reference verdict must never mask a
+        fast-engine divergence; a ``batch`` spec fails here, before
+        anything runs."""
         payload = "%s\x1e fuel=%d\x1e engine=%s" % (
-            write_litmus(spec.test), self.fuel,
+            write_litmus(spec.test), DEFAULT_FUEL,
             resolve_model_engine(spec.engine))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -391,7 +394,7 @@ class ModelBackend(Backend):
         # safety valve (refuse combinatorial blow-ups loudly), never as a
         # silent sampler.
         return ShardResult(StateSet(self.model.allowed_outcomes(
-            spec.test, fuel=self.fuel, max_executions=self.max_executions,
+            spec.test, fuel=DEFAULT_FUEL, max_executions=self.max_executions,
             on_limit="error", engine=spec.engine)))
 
 
@@ -423,7 +426,6 @@ def make_backend(backend):
         model = backend.split(":", 1)[1]
         if model in MODELS:
             return ModelBackend(model)
-    from ..errors import ReproError
     raise ReproError(
         "unknown backend %r (expected 'analysis', 'app', 'exhaustive', "
         "'model', 'sim', or 'model:NAME' where NAME is one of: %s)"

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field, replace
 from .._util import format_table
 from ..diy.naming import NameAllocator
 from ..errors import ReproError
-from ..harness.report import conformance_table
 from .backends import ModelBackend
 from .session import DEFAULT_CHUNK_SIZE, Session, chunked
 from .spec import BEST, RunSpec, matrix, resolve_chips
@@ -149,10 +148,11 @@ class ConformanceReport:
 
     # -- coverage ---------------------------------------------------------
 
-    def _coverage(self, key):
+    def coverage_by_chip(self):
+        """``{chip short: {cells, weak, violations, iterations, cached}}``."""
         groups = {}
         for cell in self.cells:
-            entry = groups.setdefault(key(cell), {
+            entry = groups.setdefault(cell.chip, {
                 "cells": 0, "weak": 0, "violations": 0, "iterations": 0,
                 "cached": 0})
             entry["cells"] += 1
@@ -162,30 +162,14 @@ class ConformanceReport:
             entry["cached"] += 1 if cell.cached else 0
         return groups
 
-    def coverage_by_chip(self):
-        """``{chip short: {cells, weak, violations, iterations, cached}}``."""
-        return self._coverage(lambda cell: cell.chip)
-
-    def coverage_by_incantations(self):
-        """The same aggregates keyed by incantation combination."""
-        return self._coverage(lambda cell: cell.incantations)
-
-    def _coverage_table(self, label, groups):
-        headers = [label, "cells", "weak", "violations", "iterations",
+    def coverage_table(self):
+        """Per-chip coverage: cells checked, weak cells, violations."""
+        headers = ["chip", "cells", "weak", "violations", "iterations",
                    "cached"]
         rows = [[name, entry["cells"], entry["weak"], entry["violations"],
                  entry["iterations"], entry["cached"]]
-                for name, entry in groups.items()]
+                for name, entry in self.coverage_by_chip().items()]
         return format_table(headers, rows)
-
-    def coverage_table(self):
-        """Per-chip coverage: cells checked, weak cells, violations."""
-        return self._coverage_table("chip", self.coverage_by_chip())
-
-    def incantation_table(self):
-        """Per-incantation-combination coverage."""
-        return self._coverage_table("incantations",
-                                    self.coverage_by_incantations())
 
     # -- rendering --------------------------------------------------------
 
@@ -209,7 +193,7 @@ class ConformanceReport:
             keep += [name for name in tests[max_rows:] if name in unsound]
             elided = len(tests) - len(keep)
             tests = keep
-        table = conformance_table(tests, self.chips, cells)
+        table = _conformance_table(tests, self.chips, cells)
         if elided:
             table += "\n... (%d sound rows elided)" % elided
         return table
@@ -224,6 +208,31 @@ class ConformanceReport:
                 % (self.model, len(self.allowed_counts), len(self.chips),
                    len(self.cells), weak, len(self.violations),
                    self.cached_cells, self.total_iterations))
+
+
+def _conformance_table(tests, chips, cells):
+    """Render a Sec. 5.4 soundness grid: one row per test, one column per
+    chip.
+
+    ``cells`` maps ``(test name, chip short)`` to a
+    :class:`CellConformance`.  Sound cells render their obs/100k rate
+    like the figure tables; unsound cells are flagged with the number of
+    model-forbidden final states observed.
+    """
+    body = []
+    for name in tests:
+        row = [name]
+        for chip in chips:
+            cell = cells.get((name, chip))
+            if cell is None:
+                row.append("n/a")
+            elif cell.violations:
+                row.append("%.0f !%d forbidden"
+                           % (cell.per_100k, len(cell.violations)))
+            else:
+                row.append("%.0f" % cell.per_100k)
+        body.append(row)
+    return format_table(["obs/100k"] + list(chips), body)
 
 
 def uniquify_tests(tests):
@@ -268,8 +277,7 @@ def _join_cell(result, allowed):
 def run_soundness(tests, chips, model="ptx", incantations=BEST,
                   iterations=None, seed=0, jobs=1, executor="thread",
                   cache=True, cache_dir=None, chunk_size=DEFAULT_CHUNK_SIZE,
-                  sim_session=None, progress=None, engine=None,
-                  model_engine=None):
+                  sim_session=None, engine=None, model_engine=None):
     """Run the Sec. 5.4 conformance campaign over ``tests`` x ``chips``.
 
     ``tests`` is any iterable of litmus tests (a generator streams —
@@ -297,8 +305,6 @@ def run_soundness(tests, chips, model="ptx", incantations=BEST,
     an existing session instead (e.g. the benchmarks' shared memoising
     one), whose cache the model session then shares, and leave those
     four at their defaults: beside it they are a :class:`ReproError`.
-    ``progress`` is an optional callable invoked with each finished
-    :class:`CellConformance`.
 
     Returns a :class:`ConformanceReport`.  Raises
     :class:`~repro.errors.EnumerationError` rather than checking against
@@ -337,8 +343,7 @@ def run_soundness(tests, chips, model="ptx", incantations=BEST,
                         if sim_session.cache is not None else cache)
         model_session = Session(
             backend=ModelBackend(model), jobs=jobs, executor=executor,
-            cache=shared_cache, cache_dir=cache_dir, pool=own_pool,
-            engine=model_engine)
+            cache=shared_cache, pool=own_pool, engine=model_engine)
         if engine is None:
             engine = sim_session.engine
         # Stats are reported as this campaign's delta, so reusing a
@@ -365,10 +370,7 @@ def run_soundness(tests, chips, model="ptx", incantations=BEST,
                                iterations=iterations, seed=seed,
                                engine=engine)
             for result in sim_session.run_specs(sim_specs):
-                cell = _join_cell(result, allowed[result.test.name])
-                report.add_cell(cell)
-                if progress is not None:
-                    progress(cell)
+                report.add_cell(_join_cell(result, allowed[result.test.name]))
     finally:
         if own_pool is not None:
             own_pool.shutdown()

@@ -2,9 +2,9 @@
 
 A session is the single front door for campaign execution.  It owns
 
-* a :class:`~repro.api.backends.Backend` (sim or model),
-* a worker pool configuration (``jobs`` threads or processes),
-* a shard size (iterations per unit of parallel work), and
+* a :class:`~repro.api.backends.Backend` (sim or model), whose
+  ``shard_size`` is the iterations per unit of parallel work,
+* a worker pool configuration (``jobs`` threads or processes), and
 * an optional :class:`~repro.api.cache.ResultCache`.
 
 ``Session.run`` executes one cell; ``Session.run_specs`` executes any
@@ -23,10 +23,13 @@ and the shard results merge into the spec's
 :class:`~repro.api.result.SpecResult`, answer and stats included.
 
 Determinism.  The shard decomposition and per-shard seeds are pure
-functions of each spec (:func:`~repro.api.backends.plan_shards`), and
-shard results are merged in shard-index order — so ``jobs=8`` produces
-bit-identical answers to ``jobs=1`` for the same specs, and a
-single-shard run reproduces the legacy serial iteration stream.
+functions of each spec and the backend's shard size
+(:func:`~repro.api.backends.plan_shards`), and shard results are merged
+in shard-index order — so ``jobs=8`` produces bit-identical answers to
+``jobs=1`` and to the backend's serial
+:meth:`~repro.api.backends.Backend.run` for the same specs, and a
+single-shard run reproduces the serial iteration stream of
+:func:`~repro.sim.engine.run_batch`.
 """
 
 import contextlib
@@ -86,7 +89,14 @@ class Session:
     ----------
     backend:
         ``"sim"`` (default), ``"model"``, ``"model:<name>"`` or a
-        :class:`~repro.api.backends.Backend` instance.
+        :class:`~repro.api.backends.Backend` instance.  Its
+        ``shard_size`` (25,000 iterations for sim, 10,000 launches for
+        app) splits each spec into shards.  The decomposition
+        determines the per-shard seeds, so it is part of a result's
+        identity: runs (and cache entries) with different *effective*
+        decompositions are distinct, while any two shard sizes that
+        yield the same decomposition (e.g. both at least the iteration
+        count) share results.  Worker count never matters.
     jobs:
         Worker count.  ``1`` (default) runs in-process and serially;
         ``>1`` shards specs across a pool.
@@ -96,16 +106,9 @@ class Session:
         disables memoisation; or pass a cache instance to share one
         across sessions.
     cache_dir:
-        Adds the on-disk JSON tier (implies caching).
-    shard_size:
-        Iterations per shard; ``None`` (default) takes the backend's
-        own, which its serial ``Backend.run`` uses (25,000 for sim,
-        10,000 launches for app).  The decomposition determines the
-        per-shard seeds, so it is part of a result's identity: runs
-        (and cache entries) with different *effective* decompositions
-        are distinct, while any two shard sizes that yield the same
-        decomposition (e.g. both at least the iteration count) share
-        results.  Worker count never matters.
+        Adds the on-disk JSON tier (implies caching).  A cache instance
+        brings its own directory, so passing both is a
+        :class:`~repro.errors.ReproError`.
     executor:
         ``"thread"`` (default) or ``"process"``.  Threads are cheap and
         deterministic; processes sidestep the GIL for large campaigns
@@ -130,17 +133,11 @@ class Session:
     """
 
     def __init__(self, backend="sim", jobs=1, cache=True, cache_dir=None,
-                 shard_size=None, executor="thread", pool=None,
-                 engine=None):
+                 executor="thread", pool=None, engine=None):
         self.backend = make_backend(backend)
         if jobs < 1:
             raise ReproError("jobs must be >= 1, got %r" % jobs)
         self.jobs = int(jobs)
-        if shard_size is None:
-            shard_size = self.backend.shard_size
-        if shard_size < 1:
-            raise ReproError("shard_size must be >= 1, got %r" % shard_size)
-        self.shard_size = int(shard_size)
         if executor not in ("thread", "process"):
             raise ReproError("executor must be 'thread' or 'process', got %r"
                              % (executor,))
@@ -148,6 +145,11 @@ class Session:
         self.pool = pool
         self.engine = resolve_engine(engine)
         if isinstance(cache, ResultCache):
+            if cache_dir:
+                raise ReproError(
+                    "Session got both a cache instance and cache_dir %r; "
+                    "give the directory to the ResultCache instead"
+                    % (cache_dir,))
             self.cache = cache
         elif cache_dir or cache:
             self.cache = ResultCache(cache_dir=cache_dir)
@@ -257,7 +259,7 @@ class Session:
         spec that fails to plan leaves the specs before it stored.
         """
         for spec in specs:
-            shards = self.backend.shards(spec, self.shard_size)
+            shards = self.backend.shards(spec, self.backend.shard_size)
             yield shards, [self.backend.run_shard(spec, shard)
                            for shard in shards]
 
@@ -267,7 +269,7 @@ class Session:
         is planned, then every shard of the plan is submitted to the
         pool up front.  If a shard raises (or the caller stops early),
         the plan's not-yet-started shards are cancelled."""
-        planned = [(spec, self.backend.shards(spec, self.shard_size))
+        planned = [(spec, self.backend.shards(spec, self.backend.shard_size))
                    for spec in specs]
         with self._pool() as pool:
             submitted = [[pool.submit(self.backend.run_shard, spec, shard)
@@ -327,8 +329,9 @@ class Session:
         plus its execution-parameter variant (the sim backend keys on the
         effective shard decomposition; model verdicts are
         decomposition-free)."""
-        return cache_key(self.backend.name, self.backend.cache_signature(spec),
-                         self.backend.cache_variant(spec, self.shard_size))
+        backend = self.backend
+        return cache_key(backend.name, backend.cache_signature(spec),
+                         backend.cache_variant(spec, backend.shard_size))
 
     def _lookup(self, key, spec):
         if self.cache is None:

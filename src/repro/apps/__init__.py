@@ -2,8 +2,9 @@
 
 Three layers:
 
-* :mod:`~repro.apps.runtime` — the mini CUDA runtime (``Grid``,
-  ``launch``) for one-off launches;
+* :mod:`~repro.apps.runtime` — the mini CUDA runtime
+  (:func:`build_launch_test`), which lowers kernels into a launch-shaped
+  litmus test;
 * :mod:`~repro.apps.scenario` — the declarative scenario corpus
   (kernels from :mod:`~repro.apps.deque` and
   :mod:`~repro.apps.spinlock` + init memory + placement + projection +
@@ -17,7 +18,7 @@ Three layers:
 
 from .deque import (owner_roundtrip_kernel, pop_then_push_kernel,
                     push_kernel, steal_kernel, thief_roundtrip_kernel)
-from .runtime import Grid, LaunchResult, build_launch_test, launch
+from .runtime import build_launch_test
 from .spinlock import (LOCKS, cuda_by_example_lock, he_yu_lock,
                        stuart_owens_lock, ticket_kernel)
 from .scenario import (DEFAULT_RUNS, FAMILIES, SCENARIOS, STRESS, Scenario,
@@ -29,7 +30,7 @@ from .campaign import app_matrix, app_session, run_app_campaign
 __all__ = [
     "owner_roundtrip_kernel", "pop_then_push_kernel", "push_kernel",
     "steal_kernel", "thief_roundtrip_kernel",
-    "Grid", "LaunchResult", "build_launch_test", "launch",
+    "build_launch_test",
     "LOCKS", "cuda_by_example_lock", "he_yu_lock", "stuart_owens_lock",
     "ticket_kernel",
     "DEFAULT_RUNS", "FAMILIES", "SCENARIOS", "STRESS", "Scenario",

@@ -13,7 +13,8 @@ from it unchanged.  What differs:
   signatures;
 * **sharding** — :data:`DEFAULT_APP_SHARD_SIZE` launches per shard;
   shard 0 runs on the spec's own seed, so a single-shard campaign cell
-  consumes the exact ``Random`` stream of ``Grid.launch_many``;
+  consumes the exact ``Random`` stream of
+  :func:`~repro.sim.engine.run_batch` on the scenario's launch test;
 * **projection** — each shard's raw histogram is folded onto the
   scenario's observable locations before it leaves the backend, so the
   cache stores (and campaigns merge) the projected outcome histograms
@@ -34,7 +35,8 @@ from ..harness.histogram import Histogram
 #: critical sections), so app campaigns shard finer than the sim
 #: backend's 25k: a paper-scale 100k-launch cell splits into ten
 #: parallelisable shards while every interactive/test-sized cell still
-#: fits in one shard and reproduces the serial driver stream exactly.
+#: fits in one shard and reproduces the serial ``run_batch`` stream
+#: exactly.
 #: The batch engine sizes its own chunks adaptively from the cell's
 #: retirement profile (see :func:`repro.sim.batch.compile_batch_cell`),
 #: so the shard is a pure parallelism granule — wide shards keep the

@@ -35,8 +35,8 @@ def app_session(jobs=1, executor="thread", cache=True, cache_dir=None,
                 shard_size=DEFAULT_APP_SHARD_SIZE, pool=None):
     """A :class:`Session` configured for application campaigns.
 
-    ``shard_size`` is the session's decomposition unit (launches per
-    parallel work unit) — the app default is finer than the sim
+    ``shard_size`` is the app backend's decomposition unit (launches
+    per parallel work unit) — the app default is finer than the sim
     backend's because launches cost more than litmus iterations.
     """
     return Session(backend=AppBackend(shard_size=shard_size), jobs=jobs,

@@ -28,7 +28,8 @@ non-zero matters (the explorer enumerates both branches of every
 surviving choice point), so verdicts dedupe across all positive
 intensities, seeds and iteration counts — the cache signature covers the
 litmus text, the chip, the structural intent vector, the loop bound and
-the strategy.
+the strategy (always ``dpor`` here; the naive oracle runs through
+:func:`~repro.exhaustive.explore.explore_test`).
 """
 
 import hashlib
@@ -96,9 +97,8 @@ class ExhaustiveBackend(PerThreadMemo, Backend):
     name = "exhaustive"
     answer_type = ExhaustiveResult
 
-    def __init__(self, strategy="dpor", loop_bound=DEFAULT_LOOP_BOUND,
+    def __init__(self, loop_bound=DEFAULT_LOOP_BOUND,
                  max_transitions=DEFAULT_MAX_TRANSITIONS):
-        self.strategy = strategy
         self.loop_bound = loop_bound
         self.max_transitions = max_transitions
         self._local = threading.local()
@@ -119,18 +119,20 @@ class ExhaustiveBackend(PerThreadMemo, Backend):
         memo = getattr(self._local, "memo", None)
         if (memo is None or memo[0] is not test or memo[1] != chip
                 or memo[2] != intensity):
-            explorer = Explorer(
-                test, chip, intensity=intensity, strategy=self.strategy,
-                loop_bound=self.loop_bound,
-                max_transitions=self.max_transitions)
+            explorer = Explorer(test, chip, intensity=intensity,
+                                loop_bound=self.loop_bound,
+                                max_transitions=self.max_transitions)
             memo = self._local.memo = (test, chip, intensity, explorer)
         return memo[3]
 
     def cache_signature(self, spec):
-        payload = "exhaustive-v%d\x1e%s\x1e%s\x1eintent=%d\x1ebound=%d\x1e%s" \
-            % (EXHAUSTIVE_VERSION, write_litmus(spec.test),
-               _chip_signature(spec.chip),
-               self._structural_intent(spec), self.loop_bound, self.strategy)
+        # The trailing "dpor" names the exploration strategy, which
+        # every cached exploration used.
+        payload = ("exhaustive-v%d\x1e%s\x1e%s\x1eintent=%d\x1ebound=%d"
+                   "\x1edpor" % (EXHAUSTIVE_VERSION, write_litmus(spec.test),
+                                 _chip_signature(spec.chip),
+                                 self._structural_intent(spec),
+                                 self.loop_bound))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def shards(self, spec, shard_size):
@@ -144,14 +146,12 @@ class ExhaustiveBackend(PerThreadMemo, Backend):
 
 
 def exhaustive_session(jobs=1, executor="thread", cache=True, cache_dir=None,
-                       pool=None, strategy="dpor",
-                       loop_bound=DEFAULT_LOOP_BOUND,
+                       pool=None, loop_bound=DEFAULT_LOOP_BOUND,
                        max_transitions=DEFAULT_MAX_TRANSITIONS):
     """A :class:`~repro.api.session.Session` wired to the exhaustive
     backend (the verifying twin of :func:`repro.apps.campaign.app_session`)."""
     from ..api.session import Session
-    return Session(backend=ExhaustiveBackend(strategy=strategy,
-                                             loop_bound=loop_bound,
+    return Session(backend=ExhaustiveBackend(loop_bound=loop_bound,
                                              max_transitions=max_transitions),
                    jobs=jobs, executor=executor, cache=cache,
                    cache_dir=cache_dir, pool=pool)

@@ -420,7 +420,7 @@ class Explorer:
 
     def __init__(self, test, chip, intensity=1.0, strategy="dpor",
                  loop_bound=DEFAULT_LOOP_BOUND,
-                 max_transitions=DEFAULT_MAX_TRANSITIONS, condition=None):
+                 max_transitions=DEFAULT_MAX_TRANSITIONS):
         if strategy not in STRATEGIES:
             raise ConfigurationError(
                 "unknown exploration strategy %r (expected one of: %s)"
@@ -442,7 +442,6 @@ class Explorer:
         self.threads = cell.threads
         self.memory = cell.memory
         self.iv = [probability > 0.0 for probability in cell.draw_probs]
-        self.condition = condition if condition is not None else test.condition
         self._atomic_ordered = chip.atomic_ordered
         self._choice_rng = _ChoiceRng(chip.underscoped_fence_damping)
         self._flags = self._commute_tables()
@@ -842,7 +841,7 @@ class Explorer:
             self._projected.add(self._project(state))
             if len(self._projected) > 1:
                 raise _ProbeStop()
-        if self.condition is not None and self.condition.holds(state):
+        if self.test.condition.holds(state):
             self.losses += 1
             if self.witness is None:
                 self.witness = self._capture_witness(events, state)
@@ -1305,16 +1304,16 @@ class Explorer:
 
 def explore_test(test, chip, intensity=1.0, strategy="dpor",
                  loop_bound=DEFAULT_LOOP_BOUND,
-                 max_transitions=DEFAULT_MAX_TRANSITIONS, condition=None):
+                 max_transitions=DEFAULT_MAX_TRANSITIONS):
     """Exhaustively explore one cell; returns an :class:`ExhaustiveResult`.
 
-    ``condition`` defaults to the test's own final condition (which for
-    scenario-built tests *is* the loss predicate), counted per execution
-    with the first satisfying trace captured as the witness.
+    The test's own final condition (which for scenario-built tests *is*
+    the loss predicate) is counted per execution, with the first
+    satisfying trace captured as the witness.
     """
     return Explorer(test, chip, intensity=intensity, strategy=strategy,
-                    loop_bound=loop_bound, max_transitions=max_transitions,
-                    condition=condition).run()
+                    loop_bound=loop_bound,
+                    max_transitions=max_transitions).run()
 
 
 def execution_graph(witness):

@@ -4,7 +4,6 @@ from dataclasses import dataclass, field
 
 from ..errors import LitmusSyntaxError
 from ..hierarchy import MemoryMap, ScopeTree
-from ..ptx.instructions import Ld, St
 from ..ptx.operands import Addr, Imm, Loc
 from ..ptx.program import ThreadProgram
 from ..ptx.types import MemorySpace
@@ -106,12 +105,6 @@ class LitmusTest:
     def thread(self, tid):
         return self.threads[tid]
 
-    def thread_by_name(self, name):
-        for program in self.threads:
-            if program.name == name:
-                return program
-        raise LitmusSyntaxError("no thread named %r" % name)
-
     def observed_registers(self):
         """The ``(tid, reg)`` pairs the final condition inspects."""
         return sorted(self.condition.registers())
@@ -156,14 +149,6 @@ class LitmusTest:
                         if isinstance(binding, Loc) and binding.name == location:
                             accessors.add(program.tid)
         return accessors
-
-    def uses_cache_operator(self, cop):
-        """True if any load/store carries the given cache operator."""
-        for program in self.threads:
-            for instruction in program:
-                if isinstance(instruction, (Ld, St)) and instruction.cop is cop:
-                    return True
-        return False
 
     def uses_volatile(self):
         for program in self.threads:

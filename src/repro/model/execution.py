@@ -54,19 +54,6 @@ class CandidateExecution:
     def accesses(self):
         return [e for e in self.events if e.is_access]
 
-    def event_set(self, name):
-        """Resolve a cat set name (R, W, M, F) to a set of events."""
-        sets = {
-            "R": set(self.reads),
-            "W": set(self.writes),
-            "M": set(self.accesses),
-            "F": set(self.fences),
-        }
-        try:
-            return sets[name]
-        except KeyError:
-            raise CatEvalError("unknown event set %r" % name)
-
     # -- derived relations ----------------------------------------------------
 
     def _cached(self, name, build):

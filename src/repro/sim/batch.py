@@ -25,8 +25,9 @@ Lowering summary
   load reads an L1 line (:mod:`repro.sim.memory`), so only the L1's
   draws remain (see the stream contract below).
 * **Incantation draws** — the per-iteration intent vector is an
-  ``(N, n_slots)`` Bernoulli matrix drawn once per batch; pass rules
-  index it with the same slot constants as the fast engine.
+  ``(N, n_slots)`` Bernoulli matrix drawn once per batch from the fast
+  engine's draw plan (:func:`repro.sim.compile._draw_probs`); pass
+  rules index it with the same slot constants.
 * **Eligibility** — pair-blocking rules are compiled per ordered slot
   pair into constants or tiny mask kernels (same-address hazards,
   volatile pairs, fence bypass with the same-address-probe), evaluated
@@ -77,7 +78,7 @@ from ..ptx.operands import Imm, Loc, Reg
 from ..ptx.types import MemorySpace, Scope
 from .compile import (K_ADD, K_CAS, K_EXCH, K_FENCE, K_LOAD, K_STORE,
                       SLOT_MIXED_HAZARD, SLOT_RR_HAZARD, SLOT_VOLATILE,
-                      _bypass_slots, _PASS_PAIR, _SCOPES)
+                      _bypass_slots, _draw_probs, _PASS_PAIR)
 from .machine import _FUEL_PER_INSTRUCTION
 
 #: Cap on a lockstep chunk's width, so state arrays stay cache- and
@@ -226,11 +227,11 @@ class _ThreadStatic:
 class _ThreadState:
     """Runtime SoA state for one thread across a batch."""
 
-    __slots__ = ("S", "pc", "regs", "pending", "in_q", "q_n", "q_seq",
-                 "q_addr", "q_val", "q_cmp", "seq", "dec_blocked")
-
+    #: The per-row arrays: what compaction and tail merges carry.
     _ARRAYS = ("pc", "regs", "pending", "in_q", "q_n", "q_seq", "q_addr",
                "q_val", "q_cmp", "seq", "dec_blocked")
+
+    __slots__ = ("S",) + _ARRAYS
 
     def __init__(self, S, n):
         self.S = S
@@ -258,8 +259,12 @@ class _ThreadState:
 class _BatchState:
     """All mutable SoA state for one lockstep batch."""
 
-    __slots__ = ("n", "rng", "threads", "glob", "shm", "iv", "any_intent",
-                 "sm", "fuel", "stalled", "progress", "budget", "dec")
+    #: The per-row arrays: what compaction and tail merges carry.
+    #: ``shm`` is ``None`` on cells without shared memory.
+    _ARRAYS = ("iv", "any_intent", "glob", "shm", "sm", "fuel", "stalled",
+               "progress", "budget", "dec")
+
+    __slots__ = ("n", "rng", "threads") + _ARRAYS
 
     def __init__(self, cell, n, rng):
         self.n = n
@@ -300,11 +305,11 @@ class _BatchState:
         self.threads = [_ThreadState(S, n) for S in cell._thread_statics]
 
     def take(self, idx):
-        for name in ("iv", "any_intent", "glob", "sm", "fuel", "stalled",
-                     "progress", "budget", "dec"):
-            setattr(self, name, getattr(self, name)[idx])
-        if self.shm is not None:
-            self.shm = self.shm[idx]
+        """Compact every array down to the rows in ``idx``."""
+        for name in self._ARRAYS:
+            array = getattr(self, name)
+            if array is not None:
+                setattr(self, name, array[idx])
         for thread in self.threads:
             thread.take(idx)
         self.n = len(self.iv)
@@ -314,11 +319,10 @@ class BatchCell:
     """One cell lowered to lockstep numpy execution.
 
     Same constructor parameters as
-    :class:`~repro.sim.compile.CompiledCell`, less ``scope_blind``, plus
-    ``plan``; answers ``run_many(iterations, rng, histogram)`` (the
-    whole point) and a compatibility ``run_once(rng)``.  Holds numpy
-    buffers and kernels — not picklable; process-pool backends compile
-    per worker, exactly like compiled cells.
+    :class:`~repro.sim.compile.CompiledCell`, plus ``plan``; answers
+    ``run_many(iterations, rng, histogram)``.  Holds numpy buffers and
+    kernels — not picklable; process-pool backends compile per worker,
+    exactly like compiled cells.
     """
 
     def __init__(self, test, chip, intensity=1.0, shuffle_placement=False,
@@ -336,20 +340,8 @@ class BatchCell:
         total_instructions = sum(len(program) for program in test.threads)
         self.fuel = _FUEL_PER_INSTRUCTION * max(total_instructions, 1)
 
-        # -- intent draw plan (same slot order as the fast engine) ----
-        relax = chip.relax_probability
-        probs = [relax("r_pass_w") * intensity,
-                 relax("w_pass_w") * intensity,
-                 relax("r_pass_r") * intensity,
-                 relax("w_pass_r") * intensity,
-                 relax("rr_hazard") * intensity,
-                 relax("volatile_relax"),
-                 chip.p_mixed_hazard * intensity]
-        for scope in _SCOPES:
-            probs.append(chip.p_mixed_bypass.get(scope, 0.0))
-            probs.append(chip.p_ca_bypass.get(scope, 0.0))
-        self.draw_probs = probs
-        self._probs_row = np.asarray(probs)
+        self.draw_probs = _draw_probs(chip, intensity)
+        self._probs_row = np.asarray(self.draw_probs)
         # Columns that can actually fire — chunks draw only these.
         self._nz_prob_cols = np.nonzero(self._probs_row > 0.0)[0]
         self.l1_active = chip.l1_stale_reads
@@ -560,11 +552,6 @@ class BatchCell:
         cap = int(_CACHE_TARGET / max(self._row_bytes * live_fraction, 1))
         return int(min(MAX_BATCH, max(_MIN_CHUNK, cap)))
 
-    def run_once(self, rng):
-        """Compatibility single-iteration entry (``GpuMachine`` shape)."""
-        (state,) = self.run_many(1, rng).counts
-        return state
-
     def _final_state(self, row):
         nreg = len(self._obs_plan)
         regs = tuple((plan[0], int(value))
@@ -694,12 +681,10 @@ class BatchCell:
             return states[0]
         st = _BatchState.__new__(_BatchState)
         st.rng = states[0].rng
-        for name in ("iv", "any_intent", "glob", "sm", "fuel", "stalled",
-                     "progress", "budget", "dec"):
-            setattr(st, name,
-                    np.concatenate([getattr(s, name) for s in states]))
-        st.shm = (np.concatenate([s.shm for s in states])
-                  if states[0].shm is not None else None)
+        for name in _BatchState._ARRAYS:
+            arrays = [getattr(s, name) for s in states]
+            setattr(st, name, None if arrays[0] is None
+                    else np.concatenate(arrays))
         threads = []
         for t, S in enumerate(self._thread_statics):
             th = _ThreadState.__new__(_ThreadState)
@@ -1608,11 +1593,10 @@ def compile_batch_cell(test, chip, intensity=1.0, shuffle_placement=False,
                        plan=None):
     """Lower one campaign cell into a :class:`BatchCell`.
 
-    Parameters mirror :func:`~repro.sim.compile.compile_cell`, less
-    ``scope_blind`` (the Sec. 6 machine runs on the other engines); the
-    result answers ``run_many(iterations, rng, histogram)`` with the
-    same outcome *distribution* as the fast engine (see the module
-    docstring for the RNG-stream contract).  Raises
+    Parameters mirror :func:`~repro.sim.compile.compile_cell`, plus
+    ``plan``; the result answers ``run_many(iterations, rng,
+    histogram)`` with the same outcome *distribution* as the fast engine
+    (see the module docstring for the RNG-stream contract).  Raises
     :class:`~repro.errors.ConfigurationError` when numpy is missing.
 
     ``plan`` is an optional pre-analyzed lowering plan from

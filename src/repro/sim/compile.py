@@ -19,7 +19,8 @@ benchmark and the Sec. 5.4 soundness campaign.
   the cell's required scope compiles to an unconditional enqueue, an
   under-scoped one to the chip's damping draw;
 * the preserved-program-order check reads pre-computed pass-rule slots
-  from an intent *vector* instead of formatting dictionary keys;
+  from an intent *vector* instead of formatting dictionary keys; the
+  vector's draw plan (:func:`_draw_probs`) is the batch engine's too;
 * machine and memory state is **reused across iterations** — dicts are
   cleared and refilled rather than reallocated, and the compiled cell is
   reused across all shards that a backend runs in-process;
@@ -48,7 +49,9 @@ shard decomposition; the ``Random`` is left at the same position.  The
 shortcuts above skip only work that draws nothing and changes nothing.
 Anything less would silently change every figure benchmark; any
 intentional change to the reference semantics must be mirrored here
-(the equivalence suite fails loudly otherwise).
+(the equivalence suite fails loudly otherwise).  The Sec. 6
+scope-blind machine is not compiled: it runs on the reference engine
+(``GpuMachine(scope_blind=True)``).
 """
 
 from ..errors import FuelExhausted, SimulationError
@@ -56,7 +59,7 @@ from ..litmus.condition import FinalState
 from ..ptx.instructions import (Add, And, AtomAdd, AtomCas, AtomExch,
                                 AtomInc, Bra, Cvt, Label, Ld, Membar, Mov,
                                 Setp, St, Xor)
-from ..ptx.operands import Addr, Imm, Loc, Reg
+from ..ptx.operands import Imm, Loc, Reg
 from ..ptx.types import MemorySpace, Scope
 from .._util import wrap32
 from .machine import _FUEL_PER_INSTRUCTION
@@ -97,6 +100,24 @@ def _bypass_slots(scope):
     """(mixed_bypass, ca_bypass) intent slots for a fence of ``scope``."""
     index = _SCOPES.index(scope)
     return (SLOT_BYPASS_BASE + 2 * index, SLOT_BYPASS_BASE + 2 * index + 1)
+
+
+def _draw_probs(chip, intensity):
+    """The intent draw plan of a cell: one probability per slot, in slot
+    order (documented at the slot constants).  The fast and batch
+    engines both read it."""
+    relax = chip.relax_probability
+    probs = [relax("r_pass_w") * intensity,
+             relax("w_pass_w") * intensity,
+             relax("r_pass_r") * intensity,
+             relax("w_pass_r") * intensity,
+             relax("rr_hazard") * intensity,
+             relax("volatile_relax"),
+             chip.p_mixed_hazard * intensity]
+    for scope in _SCOPES:
+        probs.append(chip.p_mixed_bypass.get(scope, 0.0))
+        probs.append(chip.p_ca_bypass.get(scope, 0.0))
+    return probs
 
 
 class _OpStatic:
@@ -427,12 +448,11 @@ class _Thread:
 class _Compiler:
     """Lowers one thread program into step closures."""
 
-    def __init__(self, program, address_map, required_scope, scope_blind,
+    def __init__(self, program, address_map, required_scope,
                  underscoped_damping):
         self.program = program
         self.address_map = address_map
         self.required_scope = required_scope
-        self.scope_blind = scope_blind
         self.underscoped_damping = underscoped_damping
         #: One :class:`_OpStatic` per memory instruction, in program
         #: order — the same order the batch compiler assigns queue
@@ -596,8 +616,7 @@ class _Compiler:
         mixed_slot, ca_slot = _bypass_slots(scope)
         st = _OpStatic(K_FENCE, mixed_slot=mixed_slot, ca_slot=ca_slot)
         self.op_statics.append(st)
-        covered = self.scope_blind or scope.covers(self.required_scope)
-        if covered:
+        if scope.covers(self.required_scope):
             # The scope check is pre-bound: a sufficient fence always
             # enters the queue, with no per-iteration decision.
             def step(t, _st=st):
@@ -749,13 +768,11 @@ class CompiledCell:
     picklable — process-pool backends compile in each worker instead.
     """
 
-    def __init__(self, test, chip, intensity=1.0, shuffle_placement=False,
-                 scope_blind=False):
+    def __init__(self, test, chip, intensity=1.0, shuffle_placement=False):
         self.test = test
         self.chip = chip
         self.intensity = intensity
         self.shuffle_placement = shuffle_placement
-        self.scope_blind = scope_blind
         address_map = test.address_map()
         self.address_map = address_map
 
@@ -764,19 +781,7 @@ class CompiledCell:
         total_instructions = sum(len(program) for program in test.threads)
         self.fuel = _FUEL_PER_INSTRUCTION * max(total_instructions, 1)
 
-        # -- intent draw plan (order documented at the slot constants) --
-        relax = chip.relax_probability
-        probs = [relax("r_pass_w") * intensity,
-                 relax("w_pass_w") * intensity,
-                 relax("r_pass_r") * intensity,
-                 relax("w_pass_r") * intensity,
-                 relax("rr_hazard") * intensity,
-                 relax("volatile_relax"),
-                 chip.p_mixed_hazard * intensity]
-        for scope in _SCOPES:
-            probs.append(chip.p_mixed_bypass.get(scope, 0.0))
-            probs.append(chip.p_ca_bypass.get(scope, 0.0))
-        self.draw_probs = probs
+        self.draw_probs = _draw_probs(chip, intensity)
 
         # -- memory image -----------------------------------------------
         init_global = {}
@@ -811,9 +816,8 @@ class CompiledCell:
                     init_regs[name] = address_map[binding.name]
                 else:
                     init_regs[name] = binding.value
-            compiler = _Compiler(
-                program, address_map, required_scope, scope_blind,
-                chip.underscoped_fence_damping)
+            compiler = _Compiler(program, address_map, required_scope,
+                                 chip.underscoped_fence_damping)
             code = compiler.compile()
             self._op_statics.append(compiler.op_statics)
             self.threads.append(_Thread(code, init_regs, self.memory, chip))
@@ -863,8 +867,6 @@ class CompiledCell:
         random = rng.random
         randrange = rng.randrange
         probs = self.draw_probs
-        blind = [False] * (len(probs) - SLOT_BYPASS_BASE)
-        scope_blind = self.scope_blind
         reset_memory = self.memory.reset
         threads = self.threads
         resets = [thread.reset for thread in threads]
@@ -879,8 +881,6 @@ class CompiledCell:
         seen = counts.get
         for _ in range(iterations):
             iv = [random() < p for p in probs]
-            if scope_blind:
-                iv[SLOT_BYPASS_BASE:] = blind
             random()  # the retired staleness intent's draw, kept in stream
             reset_memory(rng)
             if placed:
@@ -1012,15 +1012,14 @@ class CompiledCell:
         return self._state(self._outcome_reader()())
 
 
-def compile_cell(test, chip, intensity=1.0, shuffle_placement=False,
-                 scope_blind=False):
+def compile_cell(test, chip, intensity=1.0, shuffle_placement=False):
     """Lower one campaign cell into a :class:`CompiledCell`.
 
-    Parameters mirror :class:`~repro.sim.machine.GpuMachine`; the result
-    answers ``run_once(rng)`` with bit-identical outcomes.  Compile once
-    per cell and iterate many times — the compile cost (~1 ms) amortises
-    over a shard in a few dozen iterations.
+    Parameters mirror :class:`~repro.sim.machine.GpuMachine`, less
+    ``scope_blind`` (the Sec. 6 machine runs on the reference engine);
+    the result answers ``run_once(rng)`` with bit-identical outcomes.
+    Compile once per cell and iterate many times — the compile cost
+    (~1 ms) amortises over a shard in a few dozen iterations.
     """
     return CompiledCell(test, chip, intensity=intensity,
-                        shuffle_placement=shuffle_placement,
-                        scope_blind=scope_blind)
+                        shuffle_placement=shuffle_placement)

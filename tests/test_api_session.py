@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from repro.api import (BEST, CampaignResult, ModelBackend, ResultCache,
-                       RunSpec, Session, SimBackend, SpecResult, make_backend,
-                       matrix, parse_incantations, plan_shards, shard_seed)
+from repro.api import (BEST, CampaignResult, ResultCache, RunSpec, Session,
+                       SimBackend, SpecResult, make_backend, matrix,
+                       parse_incantations, plan_shards, shard_seed)
 from repro.errors import ReproError
 from repro.harness import Histogram, Incantations, efficacy
 from repro.litmus import library
@@ -131,22 +131,24 @@ class TestDeterministicParallelism:
 
     def test_threaded_jobs_match_serial(self):
         spec = spec_for(iterations=450, seed=3)
-        serial = Session(jobs=1, shard_size=100, cache=False).run(spec)
-        parallel = Session(jobs=4, shard_size=100, cache=False).run(spec)
+        backend = SimBackend(shard_size=100)
+        serial = Session(backend=backend, jobs=1, cache=False).run(spec)
+        parallel = Session(backend=backend, jobs=4, cache=False).run(spec)
         assert serial.histogram.counts == parallel.histogram.counts
         assert serial.histogram.total == 450
 
     def test_process_jobs_match_serial(self):
         spec = spec_for(iterations=200, seed=9)
-        serial = Session(jobs=1, shard_size=50, cache=False).run(spec)
-        parallel = Session(jobs=2, shard_size=50, cache=False,
+        backend = SimBackend(shard_size=50)
+        serial = Session(backend=backend, jobs=1, cache=False).run(spec)
+        parallel = Session(backend=backend, jobs=2, cache=False,
                            executor="process").run(spec)
         assert serial.histogram.counts == parallel.histogram.counts
 
     def test_worker_count_does_not_affect_results(self):
         spec = spec_for(name="lb", chip="HD7970", iterations=300, seed=5)
-        histograms = [Session(jobs=jobs, shard_size=64, cache=False)
-                      .run(spec).histogram.counts
+        histograms = [Session(backend=SimBackend(shard_size=64), jobs=jobs,
+                              cache=False).run(spec).histogram.counts
                       for jobs in (1, 2, 7)]
         assert histograms[0] == histograms[1] == histograms[2]
 
@@ -174,8 +176,8 @@ class _ShardFailure(ReproError):
 class _FailingSim(SimBackend):
     """The sim backend, except that every shard of test ``fail`` raises."""
 
-    def __init__(self, fail):
-        super().__init__()
+    def __init__(self, fail, shard_size):
+        super().__init__(shard_size)
         self.fail = fail
 
     def run_shard(self, spec, shard):
@@ -187,8 +189,8 @@ class _FailingSim(SimBackend):
 class _UnplannableSim(SimBackend):
     """The sim backend, except that planning test ``fail`` raises."""
 
-    def __init__(self, fail):
-        super().__init__()
+    def __init__(self, fail, shard_size):
+        super().__init__(shard_size)
         self.fail = fail
 
     def shards(self, spec, shard_size):
@@ -208,19 +210,20 @@ class TestCrashSafePlans:
                                                          executor):
         specs = [spec_for(name=name, iterations=60, seed=2)
                  for name in self.NAMES]
-        failing = Session(backend=_FailingSim(fail="lb"), jobs=2,
-                          executor=executor, shard_size=25,
+        failing = Session(backend=_FailingSim(fail="lb", shard_size=25),
+                          jobs=2, executor=executor,
                           cache_dir=str(tmp_path))
         with pytest.raises(_ShardFailure):
             failing.run_specs(specs)
         assert failing.stats.executed == 2
-        rerun = Session(jobs=2, executor=executor, shard_size=25,
-                        cache_dir=str(tmp_path))
+        rerun = Session(backend=SimBackend(shard_size=25), jobs=2,
+                        executor=executor, cache_dir=str(tmp_path))
         results = rerun.run_specs(specs)
         assert [result.cached for result in results] \
             == [True, True, False, False, False]
         assert (rerun.stats.cache_hits, rerun.stats.executed) == (2, 3)
-        fresh = Session(shard_size=25, cache=False).run_specs(specs)
+        fresh = Session(backend=SimBackend(shard_size=25),
+                        cache=False).run_specs(specs)
         assert [result.histogram.counts for result in results] \
             == [result.histogram.counts for result in fresh]
 
@@ -229,12 +232,13 @@ class TestCrashSafePlans:
         # A serial session plans each spec just before running it.
         specs = [spec_for(name=name, iterations=60, seed=2)
                  for name in self.NAMES]
-        failing = Session(backend=_UnplannableSim(fail="lb"), shard_size=25,
+        failing = Session(backend=_UnplannableSim(fail="lb", shard_size=25),
                           cache_dir=str(tmp_path))
         with pytest.raises(_ShardFailure):
             failing.run_specs(specs)
         assert failing.stats.executed == 2
-        rerun = Session(shard_size=25, cache_dir=str(tmp_path))
+        rerun = Session(backend=SimBackend(shard_size=25),
+                        cache_dir=str(tmp_path))
         results = rerun.run_specs(specs)
         assert [result.cached for result in results] \
             == [True, True, False, False, False]
@@ -245,7 +249,7 @@ class TestCaching:
     """Acceptance: a warm cache performs zero new simulations."""
 
     def test_repeated_campaign_hits_memory_cache(self):
-        session = Session(jobs=2, shard_size=100)
+        session = Session(backend=SimBackend(shard_size=100), jobs=2)
         tests = [library.build("mp"), library.build("lb")]
         first = session.campaign(tests, ["Titan", "GTX6"], iterations=250)
         executed_after_first = session.stats.executed
@@ -289,13 +293,16 @@ class TestCaching:
         derive per shard), so sessions with different effective
         decompositions must not share cache entries."""
         spec = spec_for(iterations=400, seed=3)
-        fine = Session(shard_size=100, cache_dir=str(tmp_path))
-        coarse = Session(shard_size=25000, cache_dir=str(tmp_path))
+        fine = Session(backend=SimBackend(shard_size=100),
+                       cache_dir=str(tmp_path))
+        coarse = Session(backend=SimBackend(shard_size=25000),
+                         cache_dir=str(tmp_path))
         fine_result = fine.run(spec)
         coarse_result = coarse.run(spec)
         assert coarse.stats.executed == 1  # not served from fine's entry
         assert not coarse_result.cached
-        fresh = Session(shard_size=25000, cache=False).run(spec)
+        fresh = Session(backend=SimBackend(shard_size=25000),
+                        cache=False).run(spec)
         assert coarse_result.histogram.counts == fresh.histogram.counts
         assert fine_result.histogram.counts != coarse_result.histogram.counts
 
@@ -303,8 +310,9 @@ class TestCaching:
         """Any two shard sizes >= iterations produce the identical single
         shard, so their results are interchangeable cache entries."""
         cache = ResultCache()
-        Session(shard_size=1000, cache=cache).run(spec_for(iterations=400))
-        session = Session(shard_size=9999, cache=cache)
+        Session(backend=SimBackend(shard_size=1000), cache=cache).run(
+            spec_for(iterations=400))
+        session = Session(backend=SimBackend(shard_size=9999), cache=cache)
         session.run(spec_for(iterations=400))
         assert session.stats.executed == 0
 
@@ -416,7 +424,15 @@ class TestSessionApi:
         with pytest.raises(ReproError):
             Session(executor="fiber")
         with pytest.raises(ReproError):
-            Session(shard_size=0)
+            SimBackend(shard_size=0)
+
+    def test_cache_instance_beside_cache_dir_rejected(self, tmp_path):
+        """A cache instance brings its own directory, so a ``cache_dir``
+        beside it is refused, not ignored."""
+        directory = tmp_path / "cache"
+        with pytest.raises(ReproError, match="cache_dir"):
+            Session(cache=ResultCache(), cache_dir=str(directory))
+        assert not directory.exists()
 
     def test_run_specs_preserves_plan_order(self):
         session = Session()
@@ -426,7 +442,7 @@ class TestSessionApi:
         assert [result.spec.key[0] for result in results] == ["lb", "mp", "sb"]
 
     def test_pooled_campaign_executes_each_cell_once(self):
-        session = Session(jobs=2, shard_size=100)
+        session = Session(backend=SimBackend(shard_size=100), jobs=2)
         campaign = session.campaign([library.build("mp")], ["Titan", "GTX6"],
                                     iterations=150, seed=1)
         assert set(campaign.results) == {("mp", "Titan"), ("mp", "GTX6")}

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.apps import Grid, he_yu_lock, launch, run_app_campaign
+from repro.api import Session
+from repro.apps import build_launch_test, he_yu_lock, run_app_campaign
 from repro.compiler.cuda import Kernel, Load, Store
 
 #: High intensity stands in for the paper's stressful workloads: the app
@@ -18,21 +19,29 @@ def losses(scenario, chip, runs, seed, intensity):
     return campaign.get(scenario, chip).observations
 
 
+def run_launch(kernels, chip, init_mem, iterations=1, seed=0):
+    """The final-state histogram of ``iterations`` plain launches."""
+    return Session(cache=False).run(
+        build_launch_test(kernels, init_mem), chip, incantations="none",
+        iterations=iterations, seed=seed).histogram
+
+
 class TestRuntime:
     def test_launch_returns_final_memory(self):
-        result = launch([Kernel([Store("x", 1)]), Kernel([Load("v", "x")])],
-                        "GTX7", init_mem={"x": 0})
-        assert result["x"] == 1
+        (state,) = run_launch([Kernel([Store("x", 1)]),
+                               Kernel([Load("v", "x")])], "GTX7",
+                              {"x": 0}).counts
+        assert state.loc("x") == 1
 
     def test_empty_memory_rejected(self):
         with pytest.raises(ValueError):
-            launch([Kernel([Store("x", 1)])], "GTX7", init_mem={})
+            build_launch_test([Kernel([Store("x", 1)])], init_mem={})
 
-    def test_launch_many_deterministic(self):
-        grid = Grid([Kernel([Store("x", 1)])], "Titan", init_mem={"x": 0})
-        a = [r.memory for r in grid.launch_many(5, seed=1)]
-        b = [r.memory for r in grid.launch_many(5, seed=1)]
-        assert a == b
+    def test_launches_deterministic(self):
+        kernels = [Kernel([Store("x", 1)])]
+        a = run_launch(kernels, "Titan", {"x": 0}, iterations=5, seed=1)
+        b = run_launch(kernels, "Titan", {"x": 0}, iterations=5, seed=1)
+        assert list(a.counts.items()) == list(b.counts.items())
 
 
 class TestCudaByExampleLock:

@@ -7,8 +7,8 @@ Covers the PR's contracts:
   backend itself, below the session's exact tier, so every cell samples;
 * sharded/serial and thread/process RNG-stream parity, with the cells a
   DPOR proof fixes answered exactly (no shard executed);
-* single-shard backend runs reproduce the ``Grid.launch_many`` stream
-  (legacy driver parity);
+* single-shard backend runs reproduce the ``run_batch`` stream of the
+  scenario's launch test (serial driver parity);
 * two-tier cache-hit correctness for the app backend, including engine
   separation;
 * the paper's behaviours: every published (unfenced) scenario loses on
@@ -22,6 +22,7 @@ Covers the PR's contracts:
 import hashlib
 import json
 import os
+import random
 from dataclasses import replace
 
 import pytest
@@ -30,15 +31,16 @@ from repro import cli
 from repro.api import CampaignResult, Session, make_backend
 from repro.api.cache import ResultCache
 from repro.api.result import PROVED
-from repro.apps import (AppBackend, Grid, LaunchResult, SCENARIOS,
-                        ScenarioSpec, app_session, dot_product_scenario,
-                        get_scenario, launch, run_app_campaign,
-                        select_scenarios)
+from repro.apps import (AppBackend, SCENARIOS, ScenarioSpec, app_session,
+                        build_launch_test, dot_product_scenario,
+                        get_scenario, run_app_campaign, select_scenarios)
 from repro.apps.scenario import ticket_counter_scenario
 from repro.compiler.cuda import Kernel, Load, Store
 from repro.errors import ConfigurationError, ReproError
 from repro.litmus.condition import Always, trivial_condition
-from repro.sim.chip import RESULT_CHIPS
+from repro.sim.chip import CHIPS, RESULT_CHIPS
+from repro.sim.engine import run_batch
+from repro.sim.machine import build_machine
 
 STRESS = 100.0
 
@@ -235,16 +237,17 @@ class TestShardingParity:
         assert session._cache_key(spec).startswith("app-shard10000-")
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_single_shard_reproduces_grid_stream(self, name):
-        """Legacy driver parity: one campaign shard == Grid.launch_many."""
+    def test_single_shard_reproduces_the_serial_stream(self, name):
+        """One campaign shard consumes the ``Random`` stream of a plain
+        ``run_batch`` of the scenario's launch test."""
         scenario = SCENARIOS[name]
         spec = ScenarioSpec.make(scenario, "HD7970", runs=30, seed=7,
                                  intensity=STRESS, engine="reference")
         result = AppBackend().run(spec)
-        grid = Grid(list(scenario.kernels), "HD7970",
-                    dict(scenario.init_mem), placement=scenario.placement,
-                    intensity=STRESS, engine="reference")
-        expected = scenario.project_histogram(grid.launch_batch(30, seed=7))
+        machine = build_machine("reference", scenario.test(),
+                                CHIPS["HD7970"], intensity=STRESS)
+        expected = scenario.project_histogram(
+            run_batch(machine, 30, random.Random(7)))
         assert result.answer.counts == expected.counts
 
 
@@ -337,8 +340,10 @@ class TestPaperBehaviours:
 
 class TestRuntimeSatellites:
     def test_unknown_chip_is_a_configuration_error(self):
+        test = build_launch_test([Kernel([Store("x", 1)])], {"x": 0})
         with pytest.raises(ConfigurationError) as excinfo:
-            launch([Kernel([Store("x", 1)])], "GTX999", init_mem={"x": 0})
+            Session(cache=False).run(test, "GTX999", incantations="none",
+                                     iterations=1)
         message = str(excinfo.value)
         assert "GTX999" in message and "Titan" in message
 
@@ -347,26 +352,22 @@ class TestRuntimeSatellites:
         assert isinstance(condition.expr, Always)
         assert condition.registers() == set()
         assert condition.locations() == set()
-        grid = Grid([Kernel([Store("x", 1)])], "GTX280", init_mem={"x": 0})
-        assert isinstance(grid.test.condition.expr, Always)
-        state = next(iter(grid.launch_batch(3, seed=0).counts))
+        test = build_launch_test([Kernel([Store("x", 1)])], {"x": 0})
+        assert isinstance(test.condition.expr, Always)
+        result = Session(cache=False).run(test, "GTX280",
+                                          incantations="none", iterations=3)
+        (state,) = result.histogram.counts
         assert condition.holds(state)
+        assert result.observations == 3
 
-    def test_launch_result_has_no_dead_iterations_field(self):
-        result = launch([Kernel([Store("x", 1)])], "GTX280",
-                        init_mem={"x": 0})
-        assert isinstance(result, LaunchResult)
-        assert not hasattr(result, "iterations")
-        assert result["x"] == 1
-
-    def test_grid_engines_bit_identical(self):
-        kernels = [Kernel([Store("x", 1)]), Kernel([Load("v", "x")])]
-        fast = Grid(kernels, "Titan", {"x": 0}, intensity=STRESS,
-                    engine="fast")
-        ref = Grid(kernels, "Titan", {"x": 0}, intensity=STRESS,
-                   engine="reference")
-        assert (fast.launch_batch(50, seed=6).counts
-                == ref.launch_batch(50, seed=6).counts)
+    def test_launch_engines_bit_identical(self):
+        test = build_launch_test(
+            [Kernel([Store("x", 1)]), Kernel([Load("v", "x")])], {"x": 0})
+        fast, ref = (run_batch(build_machine(engine, test, CHIPS["Titan"],
+                                             intensity=STRESS),
+                               50, random.Random(6))
+                     for engine in ("fast", "reference"))
+        assert fast.counts == ref.counts
 
     def test_custom_locals_build_adhoc_scenario(self):
         scenario = dot_product_scenario("cbe", fenced=False, locals_=(1, 2, 3))

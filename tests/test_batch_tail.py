@@ -26,12 +26,13 @@ import random
 import pytest
 
 from repro.api import RunSpec, Session
-from repro.apps import app_session, get_scenario
+from repro.apps import app_session, build_launch_test, get_scenario
 from repro.apps.scenario import ScenarioSpec
 from repro.harness.histogram import Histogram
 from repro.litmus import library
 from repro.perf import tvd, tvd_envelope
 from repro.sim import CHIPS, compile_batch_cell, compile_cell, have_numpy
+from repro.sim.batch import _BatchState, _ThreadState, np
 from repro.sim.engine import run_batch
 from repro.sim.plancache import plan_signature, plan_store
 
@@ -138,6 +139,53 @@ class TestTailParity:
         fast_losses = _losses(fast_h, test)
         if max(losses, fast_losses) >= 5:  # decisive mass only
             assert (losses > 0) == (fast_losses > 0)
+
+
+def _shared_heyu_cell():
+    """The intra-CTA He-Yu lock with its locations in shared memory: a
+    spinning cell whose batch state carries ``shm``."""
+    scenario = get_scenario("dot-heyu-cta")
+    init_mem = dict(scenario.init_mem)
+    test = build_launch_test(list(scenario.kernels), init_mem,
+                             placement=scenario.placement, shared=init_mem)
+    return compile_batch_cell(test, CHIPS["TesC"], intensity=100.0)
+
+
+@requires_numpy
+class TestTailLayout:
+    """Compaction and tail merges carry every declared per-row array."""
+
+    def test_every_batch_slot_but_the_scalars_is_declared(self):
+        assert (set(_BatchState.__slots__) - {"n", "rng", "threads"}
+                == set(_BatchState._ARRAYS))
+        assert set(_ThreadState.__slots__) - {"S"} == set(_ThreadState._ARRAYS)
+
+    @pytest.mark.parametrize("build", (
+        lambda: compile_batch_cell(get_scenario("dot-cbe").test(),
+                                   CHIPS["Titan"], intensity=100.0),
+        _shared_heyu_cell), ids=("global", "shared"))
+    def test_coalesced_tail_keeps_every_array_aligned(self, build):
+        cell = build()
+        rng = random.Random(5)
+        blocks, tails = [], []
+        for _ in range(2):
+            generator = np.random.Generator(
+                np.random.PCG64(rng.getrandbits(64)))
+            tail = cell._advance(_BatchState(cell, 400, generator), blocks,
+                                 40)
+            assert tail is not None and tail.n
+            tails.append(tail)
+        merged = cell._concat_states(tails)
+        assert merged.n == sum(tail.n for tail in tails)
+        assert (merged.shm is None) == (cell.n_shared == 0)
+        merged.take(np.arange(1, merged.n))
+        for state in (merged, *merged.threads):
+            for name in state._ARRAYS:
+                array = getattr(state, name)
+                assert array is None or len(array) == merged.n, name
+        # The merged rows run to completion, one final row each.
+        assert cell._advance(merged, blocks, 0) is None
+        assert sum(len(block) for block in blocks) == 800 - 1
 
 
 @requires_numpy

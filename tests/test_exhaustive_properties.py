@@ -145,8 +145,6 @@ class TestBackendEncoding:
         assert backend.cache_signature(spec) != backend.cache_signature(zero)
         assert backend.cache_signature(spec) != ExhaustiveBackend(
             loop_bound=DEFAULT_LOOP_BOUND + 1).cache_signature(spec)
-        assert backend.cache_signature(spec) != ExhaustiveBackend(
-            strategy="naive").cache_signature(spec)
 
     def test_make_backend_resolves_exhaustive(self):
         from repro.api import make_backend

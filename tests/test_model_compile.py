@@ -511,10 +511,13 @@ class TestShardedModelBackend:
     def test_model_cache_entries_shard_size_independent(self):
         from repro.api import ResultCache
 
+        class FineModel(ModelBackend):
+            shard_size = 7
+
         cache = ResultCache()
-        Session(backend="model", cache=cache, shard_size=7).run(
+        Session(backend=FineModel(), cache=cache).run(
             library.build("mp"), "Titan", iterations=1)
-        session = Session(backend="model", cache=cache, shard_size=9999)
+        session = Session(backend="model", cache=cache)
         session.run(library.build("mp"), "Titan", iterations=1)
         assert session.stats.executed == 0  # verdicts are decomposition-free
 

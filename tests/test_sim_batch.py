@@ -94,17 +94,6 @@ class TestDistributionEquivalence:
                     "%s on %s: weak verdict diverged (fast=%d batch=%d)"
                     % (name, chip, fast_weak, batch_weak))
 
-    def test_run_once_matches_many_distribution(self):
-        """``run_once`` (the compatibility path app grids use) samples
-        the same distribution as the lockstep batch."""
-        _, fast, batch = _cell_pair("mp", "Titan")
-        rng = random.Random(3)
-        once = Histogram()
-        for _ in range(600):
-            once.add(batch.run_once(rng))
-        many = batch.run_many(600, random.Random(4))
-        assert tvd(once.counts, many.counts, 600) <= tvd_envelope(600)
-
 
 @requires_numpy
 class TestDeterminism:

@@ -109,11 +109,11 @@ class TestBitIdentity:
             assert reference.run_once(r1) == fast.run_once(r2)
             assert r1.random() == r2.random()
         # The fast engine's shard loop (run_batch -> CompiledCell.tally)
-        # on a shuffled-placement cell, a scope-blind cell and a
-        # shared-memory cell: same counts, same first-seen order, and
-        # both streams left at the same position.
+        # on a shuffled-placement cell, an under-scoped-fence cell (its
+        # damping draws) and a shared-memory cell: same counts, same
+        # first-seen order, and both streams left at the same position.
         cells = [("mp-L1", "mp", "TesC", {"shuffle_placement": True}),
-                 ("mp-L1+membar.ctas", "mp", "TesC", {"scope_blind": True}),
+                 ("mp-L1+membar.ctas", "mp", "TesC", {}),
                  ("SB-fig12", "sb", "Titan", {"shuffle_placement": True})]
         for name, idiom, chip_name, options in cells:
             test = library.build(name)
@@ -127,16 +127,6 @@ class TestBitIdentity:
             got = run_batch(fast, 300, r2)
             assert list(got.counts.items()) == list(expected.counts.items())
             assert r1.getstate() == r2.getstate()
-
-    def test_scope_blind_bit_identical(self):
-        """The Sec. 6 scope-blind mode compiles to the same outcomes."""
-        test = library.build("mp-L1+membar.ctas")
-        chip = CHIPS["TesC"]
-        reference = GpuMachine(test, chip, scope_blind=True)
-        fast = compile_cell(test, chip, scope_blind=True)
-        r1, r2 = random.Random(5), random.Random(5)
-        for _ in range(300):
-            assert reference.run_once(r1) == fast.run_once(r2)
 
     def test_shared_memory_tests_bit_identical(self):
         """Shared-memory (scratchpad) locations take the non-global
@@ -251,9 +241,10 @@ class TestEngineSwitch:
         workers: the per-thread compile memo must keep cells isolated
         and the merged histogram bit-identical to the serial run."""
         test = library.build("mp")
-        serial = Session(cache=False, jobs=1, shard_size=50)
-        threaded = Session(cache=False, jobs=4, shard_size=50,
-                           executor="thread")
+        serial = Session(backend=SimBackend(shard_size=50), cache=False,
+                         jobs=1)
+        threaded = Session(backend=SimBackend(shard_size=50), cache=False,
+                           jobs=4, executor="thread")
         a = serial.run(test, "Titan", iterations=400, seed=2)
         b = threaded.run(test, "Titan", iterations=400, seed=2)
         assert a.histogram.counts == b.histogram.counts

@@ -1,12 +1,7 @@
 """Tests for the small shared utilities and report formatting."""
 
-import pytest
-
 from repro._util import (HIGH_BIT32, format_table, to_signed32, wrap32,
                          wrap64)
-from repro.api import Session
-from repro.harness import comparison_line, figure_table
-from repro.litmus import library
 
 
 class TestIntegerHelpers:
@@ -37,25 +32,6 @@ class TestFormatTable:
 
     def test_non_string_cells(self):
         assert "42" in format_table(["n"], [[42]])
-
-
-class TestReportHelpers:
-    def test_figure_table_includes_paper_numbers(self):
-        test = library.build("mp")
-        result = Session(cache=False).run(test, "GTX7", iterations=50, seed=0)
-        text = figure_table(
-            "t", [("mp", "mp")], ["GTX7"], {("mp", "GTX7"): result},
-            paper={("mp", "GTX7"): 3})
-        assert "paper 3" in text
-
-    def test_figure_table_missing_cell_is_na(self):
-        text = figure_table("t", [("mp", "mp")], ["GTX7"], {})
-        assert "n/a" in text
-
-    def test_comparison_line_shapes(self):
-        assert "shape-ok" in comparison_line("mp", "Titan", 10.0, 100)
-        assert "SHAPE-MISMATCH" in comparison_line("mp", "Titan", 0.0, 100)
-        assert "paper n/a" in comparison_line("mp", "Titan", 5.0, "n/a")
 
 
 class TestPackageSurface:
